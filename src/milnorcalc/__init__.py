@@ -26,11 +26,9 @@ from .engine import (
     IntegralityError,
     VarietyReport,
     cfj_ci,
-    cfj_product,
     compute_report,
     csm_inclusion_exclusion,
     csm_intersection_inclusion_exclusion,
-    csm_product,
     csm_smooth_ci,
     csm_smooth_ci_degrees,
     gamma_weights,
@@ -43,6 +41,7 @@ from .engine import (
     milnor_product,
     milnor_telescope,
     mu_class,
+    product_rule,
 )
 from .identities import (
     IdentityReport,

@@ -89,13 +89,18 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise _DocumentError(path, message)
 
 
+def _is_a(value, kind) -> bool:
+    """isinstance, except that JSON true/false are not integers."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 def _get(obj: dict, key: str, path: str, kind=None, default=_DocumentError):
     if key not in obj:
         if default is not _DocumentError:
             return default
         raise _DocumentError(f"{path}.{key}", "missing")
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and not _is_a(value, kind):
         names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
         raise _DocumentError(f"{path}.{key}", f"expected {names}")
     return value
@@ -103,8 +108,10 @@ def _get(obj: dict, key: str, path: str, kind=None, default=_DocumentError):
 
 def _parse_coeffs(raw, n: int, path: str) -> ChowClass:
     _expect(isinstance(raw, list), path, "expected a list of coefficient strings")
+    for i, c in enumerate(raw):
+        _expect(_is_a(c, (int, str)), f"{path}[{i}]", "expected an integer or a rational string")
     try:
-        return make_class(n, [Fraction(str(c)) for c in raw])
+        return make_class(n, [Fraction(c) for c in raw])
     except (ValueError, ZeroDivisionError) as exc:
         raise _DocumentError(path, str(exc))
 
@@ -120,7 +127,7 @@ def _smooth_model(entry: dict, n: int, path: str):
     if kind == "ci":
         degrees = _get(entry, "degrees", path, list)
         _expect(
-            all(isinstance(d, int) and d >= 1 for d in degrees) and len(degrees) <= n,
+            all(_is_a(d, int) and d >= 1 for d in degrees) and len(degrees) <= n,
             f"{path}.degrees",
             f"need at most {n} positive integer degrees",
         )
@@ -183,7 +190,7 @@ def _parse_hypersurface(entry: dict, n: int, path: str) -> HypersurfaceSpec:
     elif kind == "arrangement":
         components = _get(sing, "components", f"{path}.singularity", list)
         _expect(
-            all(isinstance(d, int) for d in components),
+            all(_is_a(d, int) for d in components),
             f"{path}.singularity.components",
             "expected integer degrees",
         )

@@ -33,7 +33,10 @@ dimension of the hypersurface, not of the ambient space.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from math import comb
 
 from .bundles import (
     BundleChern,
@@ -62,6 +65,7 @@ from .varieties import (
 )
 
 ROUTE_ORDER = ("definition", "thm1", "expansion", "cor11", "aluffi", "pp")
+PRODUCT_ROUTES = ("thm1", "expansion", "cor11", "pp")  # assume transversality
 
 #: Global sign multiplying the classical mu-class formula for the
 #: Milnor class, calibrated so the ambient-codimension grading of
@@ -103,14 +107,8 @@ def _degrees(spec) -> tuple[int, tuple[int, ...]]:
 
 
 def _cfj(n: int, degrees) -> ChowClass:
-    line_product = one(n)
-    for d in degrees:
-        line_product = line_product * chern_line(n, d).total
-    return (
-        chern_tangent(n).total
-        * line_product.invert()
-        * fundamental_class_ci(n, degrees)
-    )
+    lines = _class_product([chern_line(n, d).total for d in degrees], n)
+    return chern_tangent(n).total * lines.invert() * fundamental_class_ci(n, degrees)
 
 
 def cfj_ci(spec) -> ChowClass:
@@ -128,11 +126,15 @@ def csm_smooth_ci_degrees(n: int, degrees) -> ChowClass:
 
     For smooth X the SM class is the Chern class of the honest tangent
     bundle, which the virtual one computes.  More hypersurfaces than n
-    cut out the empty variety, whose classes vanish.
+    cut out the empty variety, whose classes vanish.  Memoised on the
+    sorted degrees (classes are immutable).
     """
-    if len(tuple(degrees)) > n:
-        return zero(n)
-    return _cfj(n, degrees)
+    return _csm_smooth_ci_sorted(n, tuple(sorted(degrees)))
+
+
+@lru_cache(maxsize=1024)
+def _csm_smooth_ci_sorted(n: int, degrees: tuple[int, ...]) -> ChowClass:
+    return zero(n) if len(degrees) > n else _cfj(n, degrees)
 
 
 def csm_smooth_ci(spec) -> ChowClass:
@@ -143,18 +145,50 @@ def csm_smooth_ci(spec) -> ChowClass:
     return csm_smooth_ci_degrees(n, degrees)
 
 
+def _subset_weights(degrees) -> dict[tuple[int, ...], int]:
+    """Sum of (-1)^(|S|+1) over the non-empty subsets S of the components,
+    keyed by the sorted degrees of S: m of the k components of degree d
+    can be picked in C(k, m) ways."""
+    table = {(): -1}
+    for d, k in sorted(Counter(degrees).items()):
+        table = {
+            key + (d,) * m: w * _sign(m) * comb(k, m)
+            for key, w in table.items()
+            for m in range(k + 1)
+        }
+    del table[()]
+    return table
+
+
+def _csm_intersection_of_unions(n: int, per_factor) -> ChowClass:
+    """SM class of the intersection of unions of smooth components.
+
+    SM classes are additive, so each union's indicator becomes its
+    inclusion-exclusion sum and the intersection their product, a signed
+    sum of smooth complete intersections grouped by degree multiset.
+    Multisets of more than n degrees cut out nothing and are dropped.
+    """
+    merged = Counter({(): 1})
+    for table in map(_subset_weights, per_factor):
+        grown = Counter()
+        for key, w in merged.items():
+            for sub, v in table.items():
+                if len(key) + len(sub) <= n:
+                    grown[tuple(sorted(key + sub))] += w * v
+        merged = grown
+    return sum(
+        (w * csm_smooth_ci_degrees(n, key) for key, w in merged.items() if w), zero(n)
+    )
+
+
 def csm_inclusion_exclusion(h: HypersurfaceSpec) -> ChowClass:
-    """SM class of an arrangement: alternating sum over component subsets."""
+    """SM class of an arrangement by inclusion-exclusion over component
+    subsets, grouped by degree multiset: one term per distinct
+    sub-multiset of the component degrees (k for k hyperplanes)."""
     validate(h)
     if not isinstance(h.singularity, Arrangement):
         raise ValueError(f"{h.name}: not an arrangement")
-    degrees = h.singularity.component_degrees
-    n = h.ambient_dim
-    total = zero(n)
-    for size in range(1, len(degrees) + 1):
-        for subset in itertools.combinations(degrees, size):
-            total += _sign(size + 1) * csm_smooth_ci_degrees(n, subset)
-    return total
+    return _csm_intersection_of_unions(h.ambient_dim, [h.singularity.component_degrees])
 
 
 def _component_degrees(h: HypersurfaceSpec) -> tuple[int, ...] | None:
@@ -169,31 +203,16 @@ def _component_degrees(h: HypersurfaceSpec) -> tuple[int, ...] | None:
 def csm_intersection_inclusion_exclusion(ci: CompleteIntersectionSpec) -> ChowClass:
     """SM class of the intersection, via its decomposition into smooth pieces.
 
-    Each factor is a union of smooth components, so X is the union of
-    the complete intersections cut by one component per factor;
-    inclusion-exclusion over those pieces only needs SM classes of
-    smooth complete intersections.  Valid under the same genericity the
-    arrangement mode asserts.
+    Inclusion-exclusion runs per factor, grouped by degree multiset: at
+    most prod_i s_i smooth classes, s_i the distinct sub-multisets of
+    factor i's component degrees (prod_i k_i for hyperplanes).  Valid
+    under the same genericity the arrangement mode asserts.
     """
     validate(ci)
     per_factor = [_component_degrees(h) for h in ci.hypersurfaces]
     if any(c is None for c in per_factor):
         raise ValueError("every factor must be smooth or an arrangement")
-    n = ci.ambient_dim
-    pieces = [
-        frozenset((i, j) for i, j in enumerate(choice))
-        for choice in itertools.product(*(range(len(c)) for c in per_factor))
-    ]
-    degree_of = {
-        (i, j): d for i, comps in enumerate(per_factor) for j, d in enumerate(comps)
-    }
-    total = zero(n)
-    for size in range(1, len(pieces) + 1):
-        for subset in itertools.combinations(pieces, size):
-            components = frozenset().union(*subset)
-            degs = [degree_of[c] for c in sorted(components)]
-            total += _sign(size + 1) * csm_smooth_ci_degrees(n, degs)
-    return total
+    return _csm_intersection_of_unions(ci.ambient_dim, per_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +226,7 @@ def milnor_definition(cfj: ChowClass, csm: ChowClass, dim_x: int) -> ChowClass:
     return _sign(dim_x) * (cfj - csm)
 
 
+@lru_cache(maxsize=64)
 def _tangent_correction(n: int, r: int) -> ChowClass:
     """c(TP^n restricted, summed r-1 times)^(-1)."""
     return (chern_tangent(n).total ** (r - 1)).invert()
@@ -221,20 +241,14 @@ def _class_product(classes, n: int) -> ChowClass:
     return out
 
 
-def csm_product(csm_list, n: int) -> ChowClass:
-    """SM class of a transversal intersection from the factors' SM classes."""
-    csm_list = list(csm_list)
-    if not csm_list:
+def product_rule(classes, n: int) -> ChowClass:
+    """Class of a transversal intersection from its factors' classes:
+    their product divided by c(TP^n)^(r-1).  Holds for SM and for
+    virtual (Fulton-Johnson) classes alike."""
+    classes = list(classes)
+    if not classes:
         raise ValueError("need at least one class")
-    return _tangent_correction(n, len(csm_list)) * _class_product(csm_list, n)
-
-
-def cfj_product(cfj_list, n: int) -> ChowClass:
-    """Same product rule for the virtual classes."""
-    cfj_list = list(cfj_list)
-    if not cfj_list:
-        raise ValueError("need at least one class")
-    return _tangent_correction(n, len(cfj_list)) * _class_product(cfj_list, n)
+    return _tangent_correction(n, len(classes)) * _class_product(classes, n)
 
 
 def milnor_product(cfj_list, csm_list, n: int, dim_x: int) -> ChowClass:
@@ -242,11 +256,7 @@ def milnor_product(cfj_list, csm_list, n: int, dim_x: int) -> ChowClass:
     cfj_list, csm_list = list(cfj_list), list(csm_list)
     if len(cfj_list) != len(csm_list):
         raise ValueError("need one virtual and one SM class per factor")
-    if not cfj_list:
-        raise ValueError("need at least one factor")
-    r = len(cfj_list)
-    difference = _class_product(cfj_list, n) - _class_product(csm_list, n)
-    return _sign(dim_x) * (_tangent_correction(n, r) * difference)
+    return _sign(dim_x) * (product_rule(cfj_list, n) - product_rule(csm_list, n))
 
 
 def milnor_expansion(m_list, csm_list, codims, n: int) -> ChowClass:
@@ -349,26 +359,12 @@ def gamma_weights(strat: Stratification) -> Stratification:
     order = strata_topological_order(strat)
     dim_x = order[0].dim
     above = containment_map(strat)
+    mu: dict[str, int] = {}
     gamma: dict[str, int] = {}
-    filled = []
     for s in order:
-        mu = local_milnor_number(s.chi_fiber, dim_x)
-        g = mu - sum(gamma[name] for name in above[s.name])
-        gamma[s.name] = g
-        filled.append((s.name, mu, g))
-    by_name = dict((name, (mu, g)) for name, mu, g in filled)
-    strata = tuple(
-        Stratum(
-            s.name,
-            s.dim,
-            s.chi_fiber,
-            s.closure_class,
-            s.csm_closure,
-            mu=by_name[s.name][0],
-            gamma=by_name[s.name][1],
-        )
-        for s in strat.strata
-    )
+        mu[s.name] = local_milnor_number(s.chi_fiber, dim_x)
+        gamma[s.name] = mu[s.name] - sum(gamma[name] for name in above[s.name])
+    strata = tuple(replace(s, mu=mu[s.name], gamma=gamma[s.name]) for s in strat.strata)
     return Stratification(strata, strat.closure_order)
 
 
@@ -508,9 +504,8 @@ class ClassReport:
     def used_product_routes(self) -> bool:
         """True when a route that assumes transversality ran on an
         actual intersection; single hypersurfaces never need it."""
-        product = {"thm1", "expansion", "cor11", "pp"}
         return any(
-            rv.route in product
+            rv.route in PRODUCT_ROUTES
             for v in self.varieties
             if v.kind == "intersection"
             for rv in v.milnor
@@ -630,11 +625,9 @@ def _intersection_report(ci, factors, intersection_csm, methods):
         skipped["definition"] = "no SM class for the intersection"
 
     if r == 0:
-        for route in ("thm1", "expansion", "cor11", "pp"):
-            skipped[route] = "no factors"
+        skipped.update(dict.fromkeys(PRODUCT_ROUTES, "no factors"))
     elif not ci.transversality_asserted:
-        for route in ("thm1", "expansion", "cor11", "pp"):
-            skipped[route] = "transversality not asserted"
+        skipped.update(dict.fromkeys(PRODUCT_ROUTES, "transversality not asserted"))
     else:
         if all(f.csm is not None for f in factors):
             milnor["thm1"] = milnor_product(

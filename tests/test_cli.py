@@ -90,6 +90,45 @@ def test_compute_validation_error(tmp_path, capsys):
     assert "hypersurfaces[0].degree" in err
 
 
+def _set_degree_true(doc):
+    doc["hypersurfaces"][1]["degree"] = True
+
+
+def _set_dim_true(doc):
+    doc["ambient"]["dim"] = True
+
+
+def _set_component_true(doc):
+    doc["hypersurfaces"][0]["singularity"]["components"] = [True, 1]
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (_set_degree_true, "hypersurfaces[1].degree"),
+        (_set_dim_true, "ambient.dim"),
+        (_set_component_true, "hypersurfaces[0].singularity.components"),
+    ],
+    ids=["degree", "dim", "components"],
+)
+def test_compute_rejects_booleans_as_integers(tmp_path, capsys, edit, field):
+    doc = plane_pair_doc()
+    edit(doc)
+    code = main(["compute", write_doc(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert field in err
+
+
+def test_compute_rejects_float_coefficients(tmp_path, capsys):
+    doc = plane_pair_doc()
+    doc["intersection"] = {"csm": {"coeffs": [0, 0, 1.0, 2.0, 1]}}
+    code = main(["compute", write_doc(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "intersection.csm.coeffs[2]" in err
+
+
 def test_compute_missing_file(capsys):
     code = main(["compute", "no-such-file.json"])
     assert code == EXIT_VALIDATION

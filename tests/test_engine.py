@@ -1,16 +1,18 @@
+import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milnorcalc.chow import ChowClass, h_power, make_class, one, zero
 from milnorcalc.engine import (
     IntegralityError,
     cfj_ci,
-    cfj_product,
     compute_report,
     csm_inclusion_exclusion,
     csm_intersection_inclusion_exclusion,
-    csm_product,
     csm_smooth_ci,
     csm_smooth_ci_degrees,
     gamma_weights,
@@ -23,6 +25,7 @@ from milnorcalc.engine import (
     milnor_product,
     milnor_telescope,
     mu_class,
+    product_rule,
     trivial_stratification,
 )
 from milnorcalc.varieties import (
@@ -134,6 +137,86 @@ def test_csm_empty_intersection_vanishes():
     assert csm_smooth_ci_degrees(2, [1, 1, 1]) == zero(2)
 
 
+def enumerated_csm(n, per_factor):
+    """Reference c^SM: inclusion-exclusion over every non-empty subset of
+    the pieces cut by one component per factor, 2^(prod k_i) - 1 terms,
+    each the SM (= virtual) class of a smooth complete intersection."""
+    smooth = {}
+
+    def csm(degs):
+        key = tuple(sorted(degs))
+        if key not in smooth:
+            hs = tuple(HypersurfaceSpec(f"H{i}", n, d, Smooth()) for i, d in enumerate(key))
+            smooth[key] = (
+                zero(n) if len(key) > n else cfj_ci(CompleteIntersectionSpec(n, hs, True))
+            )
+        return smooth[key]
+
+    pieces = [
+        frozenset(enumerate(choice))
+        for choice in itertools.product(*(range(len(c)) for c in per_factor))
+    ]
+    total = zero(n)
+    for size in range(1, len(pieces) + 1):
+        for subset in itertools.combinations(pieces, size):
+            components = sorted(frozenset().union(*subset))
+            total += (-1) ** (size + 1) * csm([per_factor[i][j] for i, j in components])
+    return total
+
+
+@st.composite
+def arrangement_intersections(draw, max_pieces=9):
+    """Transversal intersections in P^n (n <= 7) of at most three factors,
+    each smooth or an arrangement of components of degree 1-3, with at
+    most ``max_pieces`` pieces cut by one component per factor."""
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(1, min(3, n)))
+    factors, pieces = [], 1
+    for i in range(r):
+        degs = draw(st.lists(st.integers(1, 3), min_size=1, max_size=max_pieces // pieces))
+        pieces *= len(degs)
+        if len(degs) == 1 and draw(st.booleans()):
+            singularity = Smooth()
+        else:
+            singularity = Arrangement(tuple(degs))
+        factors.append(HypersurfaceSpec(f"F{i}", n, sum(degs), singularity))
+    return CompleteIntersectionSpec(n, tuple(factors), True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrangement_intersections())
+def test_grouped_inclusion_exclusion_matches_subset_enumeration(ci):
+    n = ci.ambient_dim
+    per_factor = [
+        (h.degree,) if isinstance(h.singularity, Smooth) else h.singularity.component_degrees
+        for h in ci.hypersurfaces
+    ]
+    expected = enumerated_csm(n, per_factor)
+    assert csm_intersection_inclusion_exclusion(ci).coeffs == expected.coeffs
+    for h, degs in zip(ci.hypersurfaces, per_factor):
+        if isinstance(h.singularity, Arrangement):
+            assert csm_inclusion_exclusion(h).coeffs == enumerated_csm(n, [degs]).coeffs
+
+
+@pytest.mark.parametrize("counts", [(3, 3, 3), (4, 4)], ids=["three-triples", "4+4"])
+def test_hyperplane_arrangements_in_p8_agree_quickly(counts):
+    """Three triples of hyperplanes make 27 pieces (about 1.3e8 subsets
+    to enumerate); the grouped sum needs 27 smooth classes at most."""
+    factors = tuple(
+        HypersurfaceSpec(f"A{i}", 8, k, Arrangement((1,) * k)) for i, k in enumerate(counts)
+    )
+    ci = CompleteIntersectionSpec(8, factors, True)
+    routes = ["definition", "thm1", "expansion", "cor11"]
+    start = time.perf_counter()
+    report = compute_report(ci, methods=set(routes))
+    elapsed = time.perf_counter() - start
+    x_row = report.varieties[-1]
+    assert [rv.route for rv in x_row.milnor] == routes
+    assert x_row.agree and report.all_agree
+    assert x_row.csm_route == "inclusion-exclusion"
+    assert elapsed < 1.0
+
+
 # -- definition route -------------------------------------------------------
 
 def test_milnor_definition_paper_values():
@@ -150,9 +233,9 @@ def test_milnor_definition_mismatch():
 # -- product rule -----------------------------------------------------------
 
 def test_class_products_match_other_routes():
-    assert csm_product([CSM_Z1, CFJ_Z2], 4) == CSM_X
-    assert cfj_product([CFJ_Z1, CFJ_Z2], 4) == CFJ_X
-    assert csm_product([CSM_Z1], 4) == CSM_Z1  # r=1 is the identity
+    assert product_rule([CSM_Z1, CFJ_Z2], 4) == CSM_X
+    assert product_rule([CFJ_Z1, CFJ_Z2], 4) == CFJ_X
+    assert product_rule([CSM_Z1], 4) == CSM_Z1  # r=1 is the identity
 
 
 def test_milnor_product_paper_value():
