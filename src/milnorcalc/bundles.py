@@ -8,10 +8,10 @@ twist formula needs it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, prod
+from functools import lru_cache
+from math import prod
 
-from .chow import ChowClass, _degree_one_scalar, h_power, make_class, one
+from .chow import ChowClass, _degree_one_scalar, h_power, line_power, one
 
 
 @dataclass(frozen=True)
@@ -36,23 +36,24 @@ class BundleChern:
                 )
 
 
+@lru_cache(maxsize=128)
 def chern_tangent(n: int) -> BundleChern:
-    """c(TP^n) = (1+H)^(n+1), truncated."""
+    """c(TP^n) = (1+H)^(n+1), truncated.  Memoised (the result is immutable)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return BundleChern(n, n, make_class(n, [1, 1]) ** (n + 1))
+    return BundleChern(n, n, line_power(n, 1, n + 1))
 
 
 def chern_cotangent(n: int) -> BundleChern:
     """c(T*P^n) = (1-H)^(n+1), truncated."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return BundleChern(n, n, make_class(n, [1, -1]) ** (n + 1))
+    return BundleChern(n, n, line_power(n, -1, n + 1))
 
 
 def chern_line(n: int, d: int) -> BundleChern:
     """The line bundle O(d); any integer d is allowed."""
-    return BundleChern(n, 1, make_class(n, [1, d] if n >= 1 else [1]))
+    return BundleChern(n, 1, line_power(n, d, 1))
 
 
 def chern_sum(bundles) -> BundleChern:
@@ -61,33 +62,22 @@ def chern_sum(bundles) -> BundleChern:
     if not bundles:
         raise ValueError("need at least one bundle")
     n = bundles[0].ambient_dim
-    total = one(n)
-    rank = 0
-    for b in bundles:
-        if b.ambient_dim != n:
-            raise ValueError("ambient dimensions differ")
-        rank += b.rank
-        total = total * b.total
-    return BundleChern(n, rank, total)
+    if any(b.ambient_dim != n for b in bundles):
+        raise ValueError("ambient dimensions differ")
+    total = prod((b.total for b in bundles), start=one(n))
+    return BundleChern(n, sum(b.rank for b in bundles), total)
 
 
 def chern_twist(e: BundleChern, c1) -> BundleChern:
     """Tensor by a line bundle with first Chern class c1.
 
     Components shift along the Chern roots:
-    c_j(E (x) L) = sum_i C(rank-i, j-i) c_i(E) c1^(j-i).
+    c_j(E (x) L) = sum_i C(rank-i, j-i) c_i(E) c1^(j-i), the H^j part of
+    sum_i c_i(E) (1+c1)^(rank-i) = (1+c1)^rank c(E).tensor_line(c1).
     """
-    n, m = e.ambient_dim, e.rank
-    t = _degree_one_scalar(n, c1)
-    c = e.total.coeffs
-    out = []
-    for j in range(n + 1):
-        acc = Fraction(0)
-        for i in range(min(j, m) + 1):
-            if c[i] != 0:
-                acc += comb(m - i, j - i) * c[i] * t ** (j - i)
-        out.append(acc)
-    return BundleChern(n, m, ChowClass(n, tuple(out)))
+    t = _degree_one_scalar(e.ambient_dim, c1)
+    total = line_power(e.ambient_dim, t, e.rank) * e.total.tensor_line(t)
+    return BundleChern(e.ambient_dim, e.rank, total)
 
 
 def segre_smooth(normal: BundleChern, z_class: ChowClass) -> ChowClass:

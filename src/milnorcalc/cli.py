@@ -64,6 +64,13 @@ from .varieties import (
 )
 from .bundles import BundleChern, fundamental_class_ci
 
+#: Input size caps: inclusion-exclusion over components of distinct degrees
+#: costs up to 2^(components in all) smooth classes and the expansion route
+#: 2^(hypersurfaces) products, each O(dim^2).
+MAX_AMBIENT_DIM = 64
+MAX_HYPERSURFACES = 8
+MAX_COMPONENTS = 8  # arrangement components summed over the document
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DISAGREEMENT = 3
@@ -245,12 +252,21 @@ def parse_document(doc: dict):
         )
         n = _get(ambient, "dim", "ambient", int)
         _expect(n >= 1, "ambient.dim", "must be at least 1")
+        _expect(n <= MAX_AMBIENT_DIM, "ambient.dim", f"must be at most {MAX_AMBIENT_DIM}")
         transversal = _get(doc, "transversal", "document", bool, default=False)
         entries = _get(doc, "hypersurfaces", "document", list)
-        hypersurfaces = tuple(
-            _parse_hypersurface(entry, n, f"hypersurfaces[{i}]")
-            for i, entry in enumerate(entries)
+        _expect(
+            len(entries) <= MAX_HYPERSURFACES, "hypersurfaces", f"at most {MAX_HYPERSURFACES}"
         )
+        hypersurfaces, components = [], 0
+        for i, entry in enumerate(entries):
+            hypersurfaces.append(_parse_hypersurface(entry, n, f"hypersurfaces[{i}]"))
+            components += len(getattr(hypersurfaces[-1].singularity, "component_degrees", ()))
+            _expect(
+                components <= MAX_COMPONENTS,
+                f"hypersurfaces[{i}].singularity.components",
+                f"at most {MAX_COMPONENTS} arrangement components in all",
+            )
         intersection_csm = _parse_intersection_csm(
             _get(doc, "intersection", "document", dict, default=None), n, "intersection"
         )
@@ -260,7 +276,7 @@ def parse_document(doc: dict):
             _expect(not unknown, "routes", f"unknown routes {sorted(unknown)}")
     except _DocumentError as exc:
         raise ValidationError([str(exc)])
-    spec = CompleteIntersectionSpec(n, hypersurfaces, transversal)
+    spec = CompleteIntersectionSpec(n, tuple(hypersurfaces), transversal)
     validate(spec)
     return spec, intersection_csm, routes
 

@@ -36,7 +36,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from .bundles import (
     BundleChern,
@@ -47,7 +47,7 @@ from .bundles import (
     fundamental_class_ci,
     segre_smooth,
 )
-from .chow import ChowClass, _sign, h_power, one, zero
+from .chow import ChowClass, _sign, h_power, line_power, one, zero
 from .varieties import (
     Arrangement,
     CompleteIntersectionSpec,
@@ -107,7 +107,7 @@ def _degrees(spec) -> tuple[int, tuple[int, ...]]:
 
 
 def _cfj(n: int, degrees) -> ChowClass:
-    lines = _class_product([chern_line(n, d).total for d in degrees], n)
+    lines = prod([chern_line(n, d).total for d in degrees], start=one(n))
     return chern_tangent(n).total * lines.invert() * fundamental_class_ci(n, degrees)
 
 
@@ -228,17 +228,8 @@ def milnor_definition(cfj: ChowClass, csm: ChowClass, dim_x: int) -> ChowClass:
 
 @lru_cache(maxsize=64)
 def _tangent_correction(n: int, r: int) -> ChowClass:
-    """c(TP^n restricted, summed r-1 times)^(-1)."""
-    return (chern_tangent(n).total ** (r - 1)).invert()
-
-
-def _class_product(classes, n: int) -> ChowClass:
-    out = one(n)
-    for c in classes:
-        if c.ambient_dim != n:
-            raise ValueError("ambient dimensions differ")
-        out = out * c
-    return out
+    """c(TP^n restricted, summed r-1 times)^(-1) = (1+H)^(-(n+1)(r-1))."""
+    return line_power(n, 1, -(n + 1) * (r - 1))
 
 
 def product_rule(classes, n: int) -> ChowClass:
@@ -248,7 +239,7 @@ def product_rule(classes, n: int) -> ChowClass:
     classes = list(classes)
     if not classes:
         raise ValueError("need at least one class")
-    return _tangent_correction(n, len(classes)) * _class_product(classes, n)
+    return _tangent_correction(n, len(classes)) * prod(classes, start=one(n))
 
 
 def milnor_product(cfj_list, csm_list, n: int, dim_x: int) -> ChowClass:
@@ -276,9 +267,7 @@ def milnor_expansion(m_list, csm_list, codims, n: int) -> ChowClass:
         if all(picks):  # the all-SM product is the excluded one
             continue
         exponent = sum((n - codims[i]) * e for i, e in enumerate(picks))
-        term = _class_product(
-            [csm_list[i] if e else m_list[i] for i, e in enumerate(picks)], n
-        )
+        term = prod([csm_list[i] if e else m_list[i] for i, e in enumerate(picks)], start=one(n))
         acc += _sign(exponent) * term
     return _sign(n * r - n) * (_tangent_correction(n, r) * acc)
 
@@ -297,9 +286,7 @@ def milnor_telescope(m_list, csm_list, cfj_list, codims, n: int) -> ChowClass:
     total_codim = sum(codims)
     acc = zero(n)
     for i in range(r):
-        term = _class_product(
-            cfj_list[:i] + [m_list[i]] + csm_list[i + 1 :], n
-        )
+        term = prod(cfj_list[:i] + [m_list[i]] + csm_list[i + 1 :], start=one(n))
         acc += _sign(total_codim - codims[i]) * term
     return _tangent_correction(n, r) * acc
 
@@ -314,7 +301,7 @@ def mu_class(n: int, degree: int, locus) -> ChowClass:
         return zero(n)
     if isinstance(locus, LinearLocus):
         k = locus.dim
-        normal = BundleChern(n, n - k, (one(n) + h_power(n, 1)) ** (n - k))
+        normal = BundleChern(n, n - k, line_power(n, 1, n - k))
         segre = segre_smooth(normal, h_power(n, n - k))
     elif isinstance(locus, SmoothLocus):
         segre = segre_smooth(locus.normal, locus.locus_class)
@@ -331,8 +318,7 @@ def milnor_from_mu(mu: ChowClass, degree: int, n: int) -> ChowClass:
     regrading done by ambient codimension and the overall sign being
     ALUFFI_GLOBAL_SIGN * (-1)^(n-1).
     """
-    line = chern_line(n, degree).total
-    value = line ** (n - 1) * mu.dual().tensor_line(degree)
+    value = line_power(n, degree, n - 1) * mu.dual().tensor_line(degree)
     return (ALUFFI_GLOBAL_SIGN * _sign(n - 1)) * value
 
 
@@ -440,7 +426,7 @@ def milnor_from_strata_ci(strats, degrees, n: int) -> ChowClass:
             if eps[i]:
                 term = term * line_totals[i]
         acc += (weight * _sign((n - 1) * sum(eps))) * term
-    denominator = _class_product(line_totals, n).invert()
+    denominator = prod(line_totals, start=one(n)).invert()
     return _sign(n * r - n) * (
         _tangent_correction(n, r) * (denominator * acc)
     )

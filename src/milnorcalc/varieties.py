@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .bundles import BundleChern
-from .chow import ChowClass, h_power, make_class
+from .chow import ChowClass, h_power, line_power
 
 
 @dataclass(frozen=True)
@@ -342,4 +342,4 @@ def csm_linear_subspace(n: int, k: int) -> ChowClass:
     """
     if not 0 <= k <= n:
         raise ValueError(f"no P^{k} inside P^{n}")
-    return make_class(n, [1, 1] if n >= 1 else [1]) ** (k + 1) * h_power(n, n - k)
+    return line_power(n, 1, k + 1) * h_power(n, n - k)

@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from milnorcalc.chow import ChowClass, format_class, h_power, make_class, one, zero
+from milnorcalc.chow import ChowClass, format_class, h_power, line_power, make_class, one, zero
 
-from conftest import classes, unit_classes
+from conftest import classes, coefficients, unit_classes
 
 
 def cls(n, *coeffs):
@@ -196,3 +196,147 @@ def test_docstring_examples():
 
     results = doctest.testmod(chow)
     assert results.failed == 0 and results.attempted >= 3
+
+
+# -- integer-numerator kernel against Fraction loops ------------------------
+#
+# Reference implementations on plain tuples of Fractions: the coefficient
+# by coefficient loops the ring kernel used before it stored numerators
+# over one common denominator.  They share no code with ``chow``.
+
+def ref_mul(a, b):
+    n = len(a) - 1
+    out = [Fraction(0)] * (n + 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j in range(n + 1 - i):
+            if b[j] != 0:
+                out[i + j] += x * b[j]
+    return tuple(out)
+
+
+def ref_invert(a):
+    n = len(a) - 1
+    inv = [Fraction(1) / a[0]] + [Fraction(0)] * n
+    for k in range(1, n + 1):
+        acc = Fraction(0)
+        for i in range(1, k + 1):
+            acc += a[i] * inv[k - i]
+        inv[k] = -acc / a[0]
+    return tuple(inv)
+
+
+def ref_pow(a, k):
+    if k < 0:
+        return ref_pow(ref_invert(a), -k)
+    result = (Fraction(1),) + (Fraction(0),) * (len(a) - 1)
+    for _ in range(k):
+        result = ref_mul(result, a)
+    return result
+
+
+def ref_line(n, t):
+    """1 + tH in P^n."""
+    return ((Fraction(1), Fraction(t)) + (Fraction(0),) * n)[: n + 1]
+
+
+def ref_tensor_line(a, t):
+    n = len(a) - 1
+    base = ref_invert(ref_line(n, t))
+    acc = [Fraction(0)] * (n + 1)
+    power = (Fraction(1),) + (Fraction(0),) * n
+    for j in range(n + 1):
+        if j > 0:
+            power = ref_mul(power, base)
+        for k in range(j, n + 1):
+            acc[k] += a[j] * power[k - j]
+    return tuple(acc)
+
+
+nonzero_rationals = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-5, max_value=5, max_denominator=6)
+).filter(lambda q: q != 0)
+line_scalars = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=5)
+)
+
+
+@st.composite
+def kernel_operands(draw):
+    """Two classes, integral or mixed, and a unit with any nonzero
+    rational constant term (negative and non-unit included), in one P^n."""
+    coeff = draw(st.sampled_from([st.integers(-9, 9), coefficients]))
+    a, b = draw(classes(count=2, coeff=coeff))
+    n = a.ambient_dim
+    rest = draw(st.lists(coeff, min_size=n, max_size=n))
+    u = ChowClass(n, (draw(nonzero_rationals), *rest))
+    return a, b, u
+
+
+def _same(kernel, reference):
+    """Equal as classes (so canonical) and equal Fraction coefficients."""
+    assert all(type(c) is Fraction for c in kernel.coeffs)
+    assert kernel.coeffs == reference
+    assert kernel == ChowClass(kernel.ambient_dim, reference)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_operands(), line_scalars, st.integers(-3, 5), nonzero_rationals)
+@example(
+    (make_class(0, [Fraction(-3, 2)]), make_class(0, [4]), make_class(0, [Fraction(-2, 3)])),
+    Fraction(-1, 2),
+    -3,
+    Fraction(5, 4),
+)
+def test_kernel_matches_fraction_reference(operands, t, k, q):
+    a, b, u = operands
+    _same(a * b, ref_mul(a.coeffs, b.coeffs))
+    _same(u.invert(), ref_invert(u.coeffs))
+    _same(u ** k, ref_pow(u.coeffs, k))
+    _same(a.tensor_line(t), ref_tensor_line(a.coeffs, t))
+    _same(a + b, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    _same(a - b, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+    _same(-a, tuple(-x for x in a.coeffs))
+    _same(a.scale(q), tuple(Fraction(q) * x for x in a.coeffs))
+    _same(a.dual(), tuple(x if j % 2 == 0 else -x for j, x in enumerate(a.coeffs)))
+    _same(line_power(a.ambient_dim, t, k), ref_pow(ref_line(a.ambient_dim, t), k))
+
+
+def test_representation_is_canonical():
+    half = ChowClass(2, (Fraction(2, 4), 1, 0))
+    assert half == ChowClass(2, (Fraction(1, 2), 1, 0))
+    assert hash(half) == hash(ChowClass(2, (Fraction(1, 2), 1, 0)))
+    assert all(type(c) is Fraction for c in half.coeffs)
+    assert half.coeffs == (Fraction(1, 2), 1, 0)
+    assert half - half == zero(2) and hash(half - half) == hash(zero(2))
+    assert 2 * half == make_class(2, [1, 2]) and (2 * half).is_integral()
+    assert half.integral() == 0 and not half.is_integral()
+
+
+def test_classes_are_immutable():
+    c = make_class(2, [1, 2])
+    with pytest.raises(AttributeError):
+        c.coeffs = (Fraction(0),) * 3
+    with pytest.raises(AttributeError):
+        c.ambient_dim = 3
+    assert c == make_class(2, [1, 2])
+
+
+def test_integer_coeffs_are_ints():
+    for c in (
+        make_class(3, [1, 2, -3]),
+        make_class(3, [1, 2]) * make_class(3, [1, -1]) ** -2,
+        ChowClass(2, (Fraction(4, 2), "6/3", Fraction(0))),
+    ):
+        values = c.integer_coeffs()
+        assert all(type(v) is int for v in values)
+        assert values == tuple(int(x) for x in c.coeffs)
+
+
+def test_line_power_closed_form():
+    assert line_power(4, 1, 5) == make_class(4, [1, 1]) ** 5
+    assert line_power(4, -1, 5) == make_class(4, [1, -5, 10, -10, 5])
+    assert line_power(3, Fraction(1, 2), 2) == make_class(3, [1, 1, Fraction(1, 4)])
+    assert line_power(3, 2, -1) == make_class(3, [1, 2]).invert()
+    assert line_power(0, 7, 3) == one(0)

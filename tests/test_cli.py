@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -7,6 +8,9 @@ from milnorcalc.cli import (
     EXIT_INTEGRALITY,
     EXIT_OK,
     EXIT_VALIDATION,
+    MAX_AMBIENT_DIM,
+    MAX_COMPONENTS,
+    MAX_HYPERSURFACES,
     TRANSVERSALITY_WARNING,
     load_document,
     main,
@@ -118,6 +122,52 @@ def test_compute_rejects_booleans_as_integers(tmp_path, capsys, edit, field):
     err = capsys.readouterr().err
     assert code == EXIT_VALIDATION
     assert field in err
+
+
+def hyperplanes_doc(n, components):
+    """Arrangements of hyperplanes in P^n, one per entry of ``components``."""
+    return {
+        "ambient": {"kind": "projective", "dim": n},
+        "transversal": True,
+        "hypersurfaces": [
+            {"name": f"A{i}", "degree": k,
+             "singularity": {"kind": "arrangement", "components": [1] * k}}
+            for i, k in enumerate(components)
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        (hyperplanes_doc(MAX_AMBIENT_DIM + 1, [2]), "ambient.dim"),
+        (hyperplanes_doc(MAX_HYPERSURFACES + 2, [1] * (MAX_HYPERSURFACES + 1)), "hypersurfaces"),
+        (hyperplanes_doc(16, [MAX_COMPONENTS + 1]), "hypersurfaces[0].singularity.components"),
+        (
+            hyperplanes_doc(16, [MAX_COMPONENTS // 2, MAX_COMPONENTS // 2 + 1]),
+            "hypersurfaces[1].singularity.components",
+        ),
+    ],
+    ids=["dim", "hypersurfaces", "components", "components-in-all"],
+)
+def test_compute_rejects_oversized_input(tmp_path, capsys, doc, field):
+    path = write_doc(tmp_path, doc)
+    start = time.perf_counter()
+    code = main(["compute", path])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert f"error: {field}: " in err
+    assert elapsed < 1.0
+
+
+def test_parse_document_accepts_input_at_the_caps():
+    spec, _, _ = parse_document(hyperplanes_doc(MAX_AMBIENT_DIM, [2]))
+    assert spec.ambient_dim == MAX_AMBIENT_DIM
+    spec, _, _ = parse_document(hyperplanes_doc(16, [1] * MAX_HYPERSURFACES))
+    assert len(spec.hypersurfaces) == MAX_HYPERSURFACES
+    spec, _, _ = parse_document(hyperplanes_doc(16, [MAX_COMPONENTS // 2] * 2))
+    assert sum(len(h.singularity.component_degrees) for h in spec.hypersurfaces) == MAX_COMPONENTS
 
 
 def test_compute_rejects_float_coefficients(tmp_path, capsys):

@@ -217,6 +217,34 @@ def test_hyperplane_arrangements_in_p8_agree_quickly(counts):
     assert elapsed < 1.0
 
 
+def test_pair_of_hyperplanes_cut_by_a_hyperplane_in_p128_agrees_quickly():
+    """Long products in the truncated ring: about 12 s with Fraction
+    coefficients, well under a second on integer numerators."""
+    n = 128
+    pair = HypersurfaceSpec(
+        "pair",
+        n,
+        2,
+        Arrangement((1, 1)),
+        LinearLocus(n - 2),
+        Stratification(
+            (
+                Stratum("reg", n - 1, chi_fiber=1),
+                Stratum("axis", n - 2, chi_fiber=0, csm_closure=csm_linear_subspace(n, n - 2)),
+            )
+        ),
+    )
+    ci = CompleteIntersectionSpec(n, (pair, HypersurfaceSpec("H", n, 1, Smooth())), True)
+    routes = ["definition", "thm1", "expansion", "cor11", "pp"]
+    start = time.perf_counter()
+    report = compute_report(ci, methods=set(routes))
+    elapsed = time.perf_counter() - start
+    x_row = report.varieties[-1]
+    assert [rv.route for rv in x_row.milnor] == routes
+    assert x_row.agree and report.all_agree
+    assert elapsed < 2.0
+
+
 # -- definition route -------------------------------------------------------
 
 def test_milnor_definition_paper_values():
