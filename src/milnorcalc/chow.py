@@ -38,13 +38,16 @@ def _sign(exponent: int) -> int:
     return 1 if exponent % 2 == 0 else -1
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
 def _from_ints(n: int, num: tuple[int, ...], den: int = 1) -> "ChowClass":
     """Unchecked: numerators over a positive denominator, in lowest terms."""
-    c = object.__new__(ChowClass)
-    object.__setattr__(c, "ambient_dim", n)
-    object.__setattr__(c, "_num", num)
-    object.__setattr__(c, "_den", den)
-    object.__setattr__(c, "_coeffs", None)
+    c = _new(ChowClass)
+    _set(c, "ambient_dim", n)
+    _set(c, "_num", num)
+    _set(c, "_den", den)
+    _set(c, "_coeffs", None)
     return c
 
 
@@ -95,7 +98,7 @@ class ChowClass:
         if self._coeffs is None:
             den = self._den
             view = map(Fraction, self._num) if den == 1 else (Fraction(a, den) for a in self._num)
-            object.__setattr__(self, "_coeffs", tuple(view))
+            _set(self, "_coeffs", tuple(view))
         return self._coeffs
 
     def __eq__(self, other):

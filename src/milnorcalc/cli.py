@@ -70,6 +70,7 @@ from .bundles import BundleChern, fundamental_class_ci
 MAX_AMBIENT_DIM = 64
 MAX_HYPERSURFACES = 8
 MAX_COMPONENTS = 8  # arrangement components summed over the document
+MAX_STRATA = 64  # per hypersurface
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -167,6 +168,7 @@ def _parse_sing_locus(entry, n: int, path: str):
 
 
 def _parse_strata(entries, n: int, path: str) -> Stratification:
+    _expect(len(entries) <= MAX_STRATA, path, f"at most {MAX_STRATA}")
     strata = []
     order = []
     for i, entry in enumerate(entries):
@@ -463,6 +465,8 @@ def cmd_compute(args) -> int:
 def cmd_crosscheck(args) -> int:
     try:
         spec, intersection_csm, requested = load_document(args.input)
+        if requested is not None and len(set(requested)) < 2:
+            raise ValidationError(["routes: crosscheck needs at least two distinct routes"])
         report = compute_report(spec, requested and set(requested), intersection_csm)
     except ValidationError as exc:
         for message in exc.errors:

@@ -37,6 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb, prod
+from operator import mul
 
 from .bundles import (
     BundleChern,
@@ -239,7 +240,7 @@ def product_rule(classes, n: int) -> ChowClass:
     classes = list(classes)
     if not classes:
         raise ValueError("need at least one class")
-    return _tangent_correction(n, len(classes)) * prod(classes, start=one(n))
+    return prod(classes, start=_tangent_correction(n, len(classes)))
 
 
 def milnor_product(cfj_list, csm_list, n: int, dim_x: int) -> ChowClass:
@@ -250,6 +251,11 @@ def milnor_product(cfj_list, csm_list, n: int, dim_x: int) -> ChowClass:
     return _sign(dim_x) * (product_rule(cfj_list, n) - product_rule(csm_list, n))
 
 
+def _signed(classes, codims, parity: int) -> list[ChowClass]:
+    """Each class times (-1)^(parity - codim)."""
+    return [c if (parity - d) % 2 == 0 else -c for c, d in zip(classes, codims)]
+
+
 def milnor_expansion(m_list, csm_list, codims, n: int) -> ChowClass:
     """The product rule expanded into 2^r - 1 signed mixed products.
 
@@ -257,37 +263,43 @@ def milnor_expansion(m_list, csm_list, codims, n: int) -> ChowClass:
     all-SM choice is excluded) and carries (-1)^(n - codim_i) per SM
     factor picked.  ``codims`` are the codimensions of the factors:
     1 for every hypersurface.  Only their parity matters.
+
+    The choices are enumerated factor by factor, each partial product
+    formed once and extended by m_i and by the signed SM class of
+    factor i; every mixed product is still formed and summed on its own.
     """
     m_list, csm_list, codims = list(m_list), list(csm_list), list(codims)
     if not len(m_list) == len(csm_list) == len(codims):
         raise ValueError("need a Milnor class, an SM class and a codimension per factor")
     r = len(m_list)
-    acc = zero(n)
-    for picks in itertools.product((0, 1), repeat=r):
-        if all(picks):  # the all-SM product is the excluded one
-            continue
-        exponent = sum((n - codims[i]) * e for i, e in enumerate(picks))
-        term = prod([csm_list[i] if e else m_list[i] for i, e in enumerate(picks)], start=one(n))
-        acc += _sign(exponent) * term
-    return _sign(n * r - n) * (_tangent_correction(n, r) * acc)
+    if r == 0:
+        return zero(n)
+    signed = _signed(csm_list, codims, n)
+    mixed = [m_list[0]]
+    # zip stops on m_list first, so the full all-SM product is never formed
+    for m, s, all_sm in zip(m_list[1:], signed[1:], itertools.accumulate(signed, mul)):
+        mixed = [p * c for p in mixed for c in (m, s)] + [all_sm * m]
+    return _sign(n * r - n) * (_tangent_correction(n, r) * sum(mixed[1:], mixed[0]))
 
 
 def milnor_telescope(m_list, csm_list, cfj_list, codims, n: int) -> ChowClass:
     """Telescoped form: one summand per factor, each with a single
     Milnor class flanked by virtual classes on one side and SM classes
-    on the other."""
-    m_list, csm_list, cfj_list = list(m_list), list(csm_list), list(cfj_list)
-    codims = list(codims)
+    on the other: a running product of the first i virtual classes,
+    m_i, and a precomputed product of the SM classes after i.  The sign
+    (-1)^(sum of the other codims) is folded into those flanking classes.
+    """
+    m_list, csm_list, cfj_list, codims = map(list, (m_list, csm_list, cfj_list, codims))
     if not len(m_list) == len(csm_list) == len(cfj_list) == len(codims):
         raise ValueError("factor lists must all have the same length")
     r = len(m_list)
     if r == 0:
         return zero(n)
-    total_codim = sum(codims)
+    heads = [None, *itertools.accumulate(_signed(cfj_list[:-1], codims, 0), mul)]
+    tails = [None, *itertools.accumulate(_signed(csm_list[:0:-1], codims[:0:-1], 0), mul)]
     acc = zero(n)
-    for i in range(r):
-        term = prod(cfj_list[:i] + [m_list[i]] + csm_list[i + 1 :], start=one(n))
-        acc += _sign(total_codim - codims[i]) * term
+    for head, m, tail in zip(heads, m_list, reversed(tails)):
+        acc += prod([c for c in (head, tail) if c is not None], start=m)
     return _tangent_correction(n, r) * acc
 
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
-from .chow import ChowClass, _sign
+from .chow import ChowClass, _from_ints, _sign
 from .engine import milnor_expansion, milnor_product, milnor_telescope
 
 COEFF_RANGE = (-9, 9)
@@ -36,7 +37,7 @@ class RandomInstance:
     csm_list: tuple[ChowClass, ...]
     m_list: tuple[ChowClass, ...]
 
-    @property
+    @cached_property
     def cfj_list(self) -> tuple[ChowClass, ...]:
         return tuple(
             csm + _sign(self.n - d) * m
@@ -50,7 +51,7 @@ class RandomInstance:
 
 def _random_class(rng: random.Random, n: int) -> ChowClass:
     lo, hi = COEFF_RANGE
-    return ChowClass(n, tuple(rng.randint(lo, hi) for _ in range(n + 1)))
+    return _from_ints(n, tuple(rng.randint(lo, hi) for _ in range(n + 1)))
 
 
 def random_instance(rng: random.Random, n: int, r: int, seed: int) -> RandomInstance:

@@ -238,6 +238,8 @@ def _stratification_errors(
             )
         if any(lower == reg.name for _, lower in strat.closure_order):
             errors.append(f"{path}: the open stratum cannot lie below another stratum")
+    # Dimensions must strictly decrease along every pair, so an order
+    # that passes these checks has no cycle.
     for upper, lower in strat.closure_order:
         if upper not in by_name or lower not in by_name:
             errors.append(f"{path}.closure_order: unknown stratum in ({upper}, {lower})")
@@ -249,8 +251,6 @@ def _stratification_errors(
                 f"{path}.closure_order: dimensions must strictly decrease, "
                 f"({upper}, {lower}) does not"
             )
-    if _has_cycle(names, strat.closure_order):
-        errors.append(f"{path}.closure_order: contains a cycle")
     for s in strat.strata:
         if s.dim < 0:
             errors.append(f"{path}.{s.name}.dim: must be non-negative")
@@ -269,26 +269,6 @@ def _stratification_errors(
                         )
                         break
     return errors
-
-
-def _has_cycle(names, pairs) -> bool:
-    below = {name: set() for name in names}
-    for upper, lower in pairs:
-        if upper in below and lower in below:
-            below[upper].add(lower)
-    state = dict.fromkeys(names, 0)
-
-    def visit(name) -> bool:
-        if state[name] == 1:
-            return True
-        if state[name] == 2:
-            return False
-        state[name] = 1
-        hit = any(visit(m) for m in below[name])
-        state[name] = 2
-        return hit
-
-    return any(visit(name) for name in names)
 
 
 def open_stratum(strat: Stratification) -> Stratum:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import milnorcalc
 from milnorcalc.cli import (
     EXIT_DISAGREEMENT,
     EXIT_INTEGRALITY,
@@ -11,6 +16,7 @@ from milnorcalc.cli import (
     MAX_AMBIENT_DIM,
     MAX_COMPONENTS,
     MAX_HYPERSURFACES,
+    MAX_STRATA,
     TRANSVERSALITY_WARNING,
     load_document,
     main,
@@ -170,6 +176,48 @@ def test_parse_document_accepts_input_at_the_caps():
     assert sum(len(h.singularity.component_degrees) for h in spec.hypersurfaces) == MAX_COMPONENTS
 
 
+def strata_doc(count, chain=False):
+    """A cubic in P^8 with ``count`` strata; with ``chain`` each point
+    stratum contains the next one."""
+    strata = [{"name": "reg", "dim": 7, "chiF": 1}] + [
+        {"name": f"p{i}", "dim": 0, "chiF": 0} for i in range(1, count)
+    ]
+    if chain:
+        for upper, lower in zip(strata[1:], strata[2:]):
+            upper["contains"] = [lower["name"]]
+    return {
+        "ambient": {"kind": "projective", "dim": 8},
+        "hypersurfaces": [
+            {"name": "Z", "degree": 3, "singularity": {"kind": "stratified"}, "strata": strata}
+        ],
+    }
+
+
+@pytest.mark.parametrize("command", ["compute", "crosscheck"])
+@pytest.mark.parametrize(
+    "doc", [strata_doc(MAX_STRATA + 1), strata_doc(3000, chain=True)], ids=["cap+1", "chain-3000"]
+)
+def test_too_many_strata_exit_2_without_traceback(tmp_path, command, doc):
+    """Rejected before validation, so a containment chain longer than the
+    recursion limit cannot reach any recursive check."""
+    env = dict(os.environ, PYTHONPATH=str(Path(milnorcalc.__file__).parent.parent))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "milnorcalc.cli", command, write_doc(tmp_path, doc)],
+        capture_output=True, text=True, env=env,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == EXIT_VALIDATION
+    assert f"error: hypersurfaces[0].strata: at most {MAX_STRATA}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 1.0
+
+
+def test_parse_document_accepts_strata_at_the_cap():
+    spec, _, _ = parse_document(strata_doc(MAX_STRATA))
+    assert len(spec.hypersurfaces[0].strata.strata) == MAX_STRATA
+
+
 def test_compute_rejects_float_coefficients(tmp_path, capsys):
     doc = plane_pair_doc()
     doc["intersection"] = {"csm": {"coeffs": [0, 0, 1.0, 2.0, 1]}}
@@ -294,6 +342,22 @@ def test_crosscheck_detects_wrong_milnor_fibre_data(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_DISAGREEMENT
     assert "DISAGREE" in out
+
+
+@pytest.mark.parametrize("routes", [[], ["definition"], ["pp", "pp"]], ids=["none", "one", "repeated"])
+def test_crosscheck_needs_two_distinct_routes(fixtures_dir, tmp_path, capsys, routes):
+    """With fewer than two routes every row agrees vacuously, so the
+    known DISAGREE case would pass; compute still takes one route."""
+    doc = json.loads((fixtures_dir / "quadric-tangent-plane.json").read_text())
+    doc["routes"] = routes
+    path = write_doc(tmp_path, doc)
+    assert main(["crosscheck", path]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: routes: crosscheck needs at least two distinct routes" in captured.err
+    if routes:
+        assert main(["compute", path]) == EXIT_OK
+        assert "routes AGREE" in capsys.readouterr().out
 
 
 # -- identity ------------------------------------------------------------------

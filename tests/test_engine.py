@@ -1,12 +1,13 @@
 import itertools
 import random
 import time
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milnorcalc.chow import ChowClass, h_power, make_class, one, zero
+from milnorcalc.chow import ChowClass, _sign, h_power, line_power, make_class, one, zero
 from milnorcalc.engine import (
     IntegralityError,
     cfj_ci,
@@ -39,6 +40,8 @@ from milnorcalc.varieties import (
     Stratum,
     csm_linear_subspace,
 )
+
+from conftest import chow_class, coefficients
 
 
 def cls(n, *coeffs):
@@ -389,6 +392,86 @@ def test_codimension_not_degree_in_factorwise_routes():
     ) == expected
     # the degree convention is wrong here
     assert milnor_expansion(m, csm, [2, 2], 4) != expected
+
+
+def ref_product_rule(classes, n):
+    """Reference: the earlier product rule, a product started at one(n)."""
+    classes = list(classes)
+    return line_power(n, 1, -(n + 1) * (len(classes) - 1)) * prod(classes, start=one(n))
+
+
+def ref_milnor_expansion(m_list, csm_list, codims, n):
+    """Reference: one fresh signed product per choice, 2^r - 1 of them."""
+    r = len(m_list)
+    acc = zero(n)
+    for picks in itertools.product((0, 1), repeat=r):
+        if all(picks):
+            continue
+        exponent = sum((n - codims[i]) * e for i, e in enumerate(picks))
+        term = prod([csm_list[i] if e else m_list[i] for i, e in enumerate(picks)], start=one(n))
+        acc += _sign(exponent) * term
+    return _sign(n * r - n) * (ref_product_rule([one(n)] * r, n) * acc)
+
+
+def ref_milnor_telescope(m_list, csm_list, cfj_list, codims, n):
+    """Reference: one fresh product over a concatenated list per summand."""
+    r = len(m_list)
+    if r == 0:
+        return zero(n)
+    acc = zero(n)
+    for i in range(r):
+        term = prod(list(cfj_list[:i]) + [m_list[i]] + list(csm_list[i + 1 :]), start=one(n))
+        acc += _sign(sum(codims) - codims[i]) * term
+    return ref_product_rule([one(n)] * r, n) * acc
+
+
+@st.composite
+def factor_lists(draw):
+    """Milnor, SM and virtual classes and codimensions of both parities
+    for r = 0..5 factors, all integral or mixed with rationals."""
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(0, 5))
+    coeff = draw(st.sampled_from([st.integers(-9, 9), coefficients]))
+    m, csm, cfj = ([draw(chow_class(n, coeff)) for _ in range(r)] for _ in range(3))
+    codims = draw(st.lists(st.integers(1, 5), min_size=r, max_size=r))
+    return n, m, csm, cfj, codims
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_lists())
+def test_shared_prefix_routes_match_the_references(factors):
+    n, m, csm, cfj, codims = factors
+    expansion = milnor_expansion(m, csm, codims, n)
+    telescope = milnor_telescope(m, csm, cfj, codims, n)
+    assert expansion.coeffs == ref_milnor_expansion(m, csm, codims, n).coeffs
+    assert telescope.coeffs == ref_milnor_telescope(m, csm, cfj, codims, n).coeffs
+    if m:
+        assert product_rule(csm, n).coeffs == ref_product_rule(csm, n).coeffs
+        assert product_rule(cfj, n).coeffs == ref_product_rule(cfj, n).coeffs
+
+
+def test_routes_with_no_factor_are_zero():
+    assert milnor_expansion([], [], [], 5) == zero(5)
+    assert milnor_telescope([], [], [], [], 5) == zero(5)
+    with pytest.raises(ValueError):
+        product_rule([], 5)
+
+
+def test_product_counts(monkeypatch):
+    """The expansion shares partial products: at most 2^(r+1) - 3 with
+    the correction, against r(2^r - 1) + 1 when each mixed product is
+    formed afresh.  The product rule starts from the correction."""
+    rng = random.Random(17)
+    n, r = 6, 4
+    m, csm = random_classes(rng, n, r), random_classes(rng, n, r)
+    calls = []
+    mul = ChowClass.__mul__
+    monkeypatch.setattr(ChowClass, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    milnor_expansion(m, csm, [1, 2, 3, 4], n)
+    assert len(calls) <= 2 ** (r + 1) - 3
+    calls.clear()
+    product_rule(csm, n)
+    assert len(calls) == r
 
 
 # -- mu-class route ----------------------------------------------------------

@@ -20,6 +20,20 @@ def test_instances_are_reproducible():
     assert a.cfj_list == b.cfj_list
 
 
+def test_seed_draws_the_same_numerators():
+    """A seed keeps drawing the trials it drew when classes were built
+    through the checked constructor."""
+    inst = random_instance(random.Random(5), 4, 3, seed=5)
+    assert inst.codims == (5, 3, 3)
+    assert [c.integer_coeffs() for c in inst.csm_list] == [
+        (7, -9, 5, -2, -8), (-4, -6, 2, 6, -2), (3, 8, -6, 9, -2),
+    ]
+    assert [c.integer_coeffs() for c in inst.m_list] == [
+        (-9, -3, 4, -1, -4), (3, -4, -7, -5, 5), (-5, -5, -9, -9, -3),
+    ]
+    assert inst.cfj_list is inst.cfj_list
+
+
 def test_cfj_relation_holds_per_factor():
     inst = random_instance(random.Random(11), 5, 2, seed=11)
     for cfj, csm, m, d in zip(inst.cfj_list, inst.csm_list, inst.m_list, inst.codims):

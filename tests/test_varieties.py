@@ -82,6 +82,15 @@ def test_cycle_in_closure_order_is_an_error():
     assert any("cycle" in e or "decrease" in e for e in errors)
 
 
+def test_long_containment_chain_is_rejected_without_recursion():
+    """A chain longer than the recursion limit gives one error per link,
+    not a RecursionError."""
+    points = tuple(Stratum(f"p{i}", 0) for i in range(3000))
+    chain = tuple((a.name, b.name) for a, b in zip(points, points[1:]))
+    errors = validation_errors(Stratification((Stratum("reg", 7),) + points, chain))
+    assert sum("strictly decrease" in e for e in errors) == len(chain)
+
+
 def test_two_top_strata_rejected():
     strat = Stratification((Stratum("a", 2), Stratum("b", 2)))
     assert any("exactly one open stratum" in e for e in validation_errors(strat))
