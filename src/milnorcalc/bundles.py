@@ -7,15 +7,14 @@ twist formula needs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
 from .chow import ChowClass, _degree_one_scalar, h_power, line_power, one
+from .records import Record
 
 
-@dataclass(frozen=True)
-class BundleChern:
+class BundleChern(Record):
     """Rank plus total Chern class (constant term 1) on P^n."""
 
     ambient_dim: int
@@ -23,14 +22,17 @@ class BundleChern:
     total: ChowClass
 
     def __post_init__(self):
+        # Checked on the integer numerators: building the Fraction view of
+        # every total class would cost more than the rest of the record.
+        num, den = self.total._num, self.total._den
         if self.rank < 0:
             raise ValueError("rank must be non-negative")
         if self.total.ambient_dim != self.ambient_dim:
             raise ValueError("total class lives on the wrong ambient space")
-        if self.total.coeffs[0] != 1:
+        if num[0] != den:
             raise ValueError("a total Chern class has constant term 1")
         for j in range(self.rank + 1, self.ambient_dim + 1):
-            if self.total.coeffs[j] != 0:
+            if num[j] != 0:
                 raise ValueError(
                     f"rank-{self.rank} bundle cannot have c_{j} != 0"
                 )

@@ -26,7 +26,8 @@ with the honest SM class of the intersection (``coeffs`` or a weighted
 the computed routes, and a free-form ``"description"``.
 
 Exit codes: 0 success, 2 validation error, 3 route disagreement
-(or identity-check failure), 4 integrality failure.
+(or identity-check failure), 4 integrality failure, 5 a ``crosscheck``
+row with fewer than two routes (UNCHECKED).
 """
 
 from __future__ import annotations
@@ -71,11 +72,17 @@ MAX_AMBIENT_DIM = 64
 MAX_HYPERSURFACES = 8
 MAX_COMPONENTS = 8  # arrangement components summed over the document
 MAX_STRATA = 64  # per hypersurface
+#: The pp route on an intersection sums one term per choice of a stratum in
+#: every factor, up to 2r ring products each.  At this cap the slowest
+#: document found (P^64, 8 hypersurfaces) takes 0.5-1.0 s as a process;
+#: 2^8 strata choices are the first product over it.
+MAX_STRATA_TUPLES = 255  # product of the strata counts over the document
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DISAGREEMENT = 3
 EXIT_INTEGRALITY = 4
+EXIT_UNCHECKED = 5
 
 TRANSVERSALITY_WARNING = (
     "warning: product-rule routes assume the asserted transversality of the "
@@ -203,10 +210,12 @@ def _parse_hypersurface(entry: dict, n: int, path: str) -> HypersurfaceSpec:
             f"{path}.singularity.components",
             "expected integer degrees",
         )
-        singularity = Arrangement(
-            tuple(components),
+        _expect(
             _get(sing, "pairwise_transversal", f"{path}.singularity", bool, default=True),
+            f"{path}.singularity.pairwise_transversal",
+            "only pairwise-transversal arrangements are supported",
         )
+        singularity = Arrangement(tuple(components))
     elif kind == "stratified":
         singularity = Stratified()
     else:
@@ -260,14 +269,21 @@ def parse_document(doc: dict):
         _expect(
             len(entries) <= MAX_HYPERSURFACES, "hypersurfaces", f"at most {MAX_HYPERSURFACES}"
         )
-        hypersurfaces, components = [], 0
+        hypersurfaces, components, strata_tuples = [], 0, 1
         for i, entry in enumerate(entries):
-            hypersurfaces.append(_parse_hypersurface(entry, n, f"hypersurfaces[{i}]"))
-            components += len(getattr(hypersurfaces[-1].singularity, "component_degrees", ()))
+            h = _parse_hypersurface(entry, n, f"hypersurfaces[{i}]")
+            hypersurfaces.append(h)
+            components += len(getattr(h.singularity, "component_degrees", ()))
             _expect(
                 components <= MAX_COMPONENTS,
                 f"hypersurfaces[{i}].singularity.components",
                 f"at most {MAX_COMPONENTS} arrangement components in all",
+            )
+            strata_tuples *= len(h.strata.strata) if h.strata is not None else 1
+            _expect(
+                strata_tuples <= MAX_STRATA_TUPLES,
+                f"hypersurfaces[{i}].strata",
+                f"the strata counts multiply to at most {MAX_STRATA_TUPLES} in all",
             )
         intersection_csm = _parse_intersection_csm(
             _get(doc, "intersection", "document", dict, default=None), n, "intersection"
@@ -401,6 +417,22 @@ def render_text(report: ClassReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def row_verdict(v: VarietyReport) -> str:
+    """AGREE needs at least two routes; with fewer the row is UNCHECKED."""
+    if not v.agree:
+        return "DISAGREE"
+    return "AGREE" if len(v.milnor) >= 2 else "UNCHECKED"
+
+
+def crosscheck_verdict(report: ClassReport) -> str:
+    """DISAGREE if any row disagrees, else UNCHECKED if any row is, else AGREE."""
+    verdicts = [row_verdict(v) for v in report.varieties]
+    for verdict in ("DISAGREE", "UNCHECKED"):
+        if verdict in verdicts:
+            return verdict
+    return "AGREE"
+
+
 def render_crosscheck(report: ClassReport) -> str:
     rows = []
     for v in report.varieties:
@@ -416,12 +448,11 @@ def render_crosscheck(report: ClassReport) -> str:
         lines.append(f"{name:<{name_w}}  {route:<{route_w}}  {value}")
     lines.append("")
     for v in report.varieties:
-        verdict = "AGREE" if v.agree else "DISAGREE"
-        lines.append(f"{v.name}: {len(v.milnor)} routes, {verdict}")
+        lines.append(f"{v.name}: {len(v.milnor)} routes, {row_verdict(v)}")
         for sk in v.skipped:
             lines.append(f"  (skipped {sk.route}: {sk.reason})")
     lines.append("")
-    lines.append("crosscheck: " + ("AGREE" if report.all_agree else "DISAGREE"))
+    lines.append("crosscheck: " + crosscheck_verdict(report))
     return "\n".join(lines) + "\n"
 
 
@@ -479,7 +510,8 @@ def cmd_crosscheck(args) -> int:
         print(report_to_json(report))
     else:
         print(render_crosscheck(report), end="")
-    return EXIT_OK if report.all_agree else EXIT_DISAGREEMENT
+    exits = {"AGREE": EXIT_OK, "DISAGREE": EXIT_DISAGREEMENT, "UNCHECKED": EXIT_UNCHECKED}
+    return exits[crosscheck_verdict(report)]
 
 
 def cmd_identity(args) -> int:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb, prod
 from operator import mul
@@ -49,6 +48,7 @@ from .bundles import (
     segre_smooth,
 )
 from .chow import ChowClass, _sign, h_power, line_power, one, zero
+from .records import Record, replace
 from .varieties import (
     Arrangement,
     CompleteIntersectionSpec,
@@ -448,20 +448,17 @@ def milnor_from_strata_ci(strats, degrees, n: int) -> ChowClass:
 # report assembly
 
 
-@dataclass(frozen=True)
-class RouteValue:
+class RouteValue(Record):
     route: str
     value: ChowClass
 
 
-@dataclass(frozen=True)
-class SkippedRoute:
+class SkippedRoute(Record):
     route: str
     reason: str
 
 
-@dataclass(frozen=True)
-class VarietyReport:
+class VarietyReport(Record):
     name: str
     kind: str  # "hypersurface" or "intersection"
     dim: int
@@ -483,8 +480,7 @@ class VarietyReport:
         return self.milnor[0].value
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(Record):
     ambient_dim: int
     transversality_asserted: bool
     varieties: tuple[VarietyReport, ...]
@@ -510,8 +506,7 @@ class ClassReport:
         )
 
 
-@dataclass(frozen=True)
-class _Factor:
+class _Factor(Record):
     spec: HypersurfaceSpec
     cfj: ChowClass
     csm: ChowClass | None

@@ -16,18 +16,17 @@ of bounded degree.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
 from .chow import ChowClass, _from_ints, _sign
 from .engine import milnor_expansion, milnor_product, milnor_telescope
+from .records import Record
 
 COEFF_RANGE = (-9, 9)
 CODIM_RANGE = (1, 5)
 
 
-@dataclass(frozen=True)
-class RandomInstance:
+class RandomInstance(Record):
     """One random trial: factor classes tied together by the sign relation."""
 
     seed: int
@@ -61,8 +60,7 @@ def random_instance(rng: random.Random, n: int, r: int, seed: int) -> RandomInst
     return RandomInstance(seed, n, r, codims, csm_list, m_list)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     identity: str
     n: int
     r: int

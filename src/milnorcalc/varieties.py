@@ -9,20 +9,18 @@ the calculator records it and warns instead of deciding it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .bundles import BundleChern
 from .chow import ChowClass, h_power, line_power
+from .records import Record, replace
 
 
-@dataclass(frozen=True)
-class Smooth:
+class Smooth(Record):
     """No singularities."""
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(Record):
     """Union of smooth hypersurfaces in general position.
 
     Component degrees must sum to the total degree.  Only the pairwise
@@ -30,31 +28,26 @@ class Arrangement:
     """
 
     component_degrees: tuple[int, ...]
-    pairwise_transversal: bool = True
 
 
-@dataclass(frozen=True)
-class Stratified:
+class Stratified(Record):
     """Singularities described only by an attached stratification."""
 
 
-@dataclass(frozen=True)
-class LinearLocus:
+class LinearLocus(Record):
     """A linear subspace P^k, used as a smooth singular-locus model."""
 
     dim: int
 
 
-@dataclass(frozen=True)
-class SmoothLocus:
+class SmoothLocus(Record):
     """A smooth singular locus given by its class and normal bundle."""
 
     locus_class: ChowClass
     normal: BundleChern
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Record):
     name: str
     dim: int
     chi_fiber: int = 1
@@ -64,8 +57,7 @@ class Stratum:
     gamma: int | None = None
 
 
-@dataclass(frozen=True)
-class Stratification:
+class Stratification(Record):
     """Strata plus the closure partial order.
 
     ``closure_order`` lists pairs (upper, lower) meaning the closure of
@@ -84,8 +76,7 @@ class Stratification:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class HypersurfaceSpec:
+class HypersurfaceSpec(Record):
     """A degree-d hypersurface of P^n with its singularity description.
 
     ``strata`` may accompany any singularity kind; the ``Stratified``
@@ -101,8 +92,7 @@ class HypersurfaceSpec:
     strata: Stratification | None = None
 
 
-@dataclass(frozen=True)
-class CompleteIntersectionSpec:
+class CompleteIntersectionSpec(Record):
     ambient_dim: int
     hypersurfaces: tuple[HypersurfaceSpec, ...]
     transversality_asserted: bool = False
@@ -174,10 +164,6 @@ def _hypersurface_errors(h: HypersurfaceSpec, path: str) -> list[str]:
             errors.append(
                 f"{path}.singularity.components: degrees sum to {sum(degs)}, "
                 f"not the total degree {h.degree}"
-            )
-        if not sing.pairwise_transversal:
-            errors.append(
-                f"{path}.singularity: only pairwise-transversal arrangements are supported"
             )
     elif isinstance(sing, Stratified):
         if h.strata is None:

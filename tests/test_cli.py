@@ -8,15 +8,18 @@ from pathlib import Path
 import pytest
 
 import milnorcalc
+from conftest import FIXTURES
 from milnorcalc.cli import (
     EXIT_DISAGREEMENT,
     EXIT_INTEGRALITY,
     EXIT_OK,
+    EXIT_UNCHECKED,
     EXIT_VALIDATION,
     MAX_AMBIENT_DIM,
     MAX_COMPONENTS,
     MAX_HYPERSURFACES,
     MAX_STRATA,
+    MAX_STRATA_TUPLES,
     TRANSVERSALITY_WARNING,
     load_document,
     main,
@@ -25,7 +28,21 @@ from milnorcalc.cli import (
     report_to_json,
 )
 from milnorcalc.engine import compute_report
-from milnorcalc.varieties import ValidationError
+from milnorcalc.varieties import Arrangement, ValidationError
+
+ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle" / "fixtures.json"
+
+
+def run_cli(*argv):
+    """``milnorcalc`` as a child process, the way a user runs it."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(milnorcalc.__file__).parent.parent),
+        PYTHONIOENCODING="utf-8",
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "milnorcalc.cli", *argv], capture_output=True, env=env
+    )
 
 
 def write_doc(tmp_path, doc, name="input.json"):
@@ -218,6 +235,58 @@ def test_parse_document_accepts_strata_at_the_cap():
     assert len(spec.hypersurfaces[0].strata.strata) == MAX_STRATA
 
 
+def stratified_intersection_doc(counts, n=8):
+    """Transversal cubics in P^n, the i-th with ``counts[i]`` strata: the
+    open one and point strata, all with closures, so the pp route runs."""
+    return {
+        "ambient": {"kind": "projective", "dim": n},
+        "transversal": True,
+        "hypersurfaces": [
+            {
+                "name": f"Z{i}",
+                "degree": 3,
+                "singularity": {"kind": "stratified"},
+                "strata": [
+                    {"name": "reg", "dim": n - 1, "chiF": 1,
+                     "closure": {"kind": "ci", "degrees": [3]}}
+                ] + [
+                    {"name": f"p{j}", "dim": 0, "chiF": 0,
+                     "closure": {"kind": "linear", "dim": 0}}
+                    for j in range(1, k)
+                ],
+            }
+            for i, k in enumerate(counts)
+        ],
+    }
+
+
+@pytest.mark.parametrize("command", ["compute", "crosscheck"])
+def test_strata_tuples_over_the_cap_exit_2_without_traceback(tmp_path, command):
+    """The pp route on an intersection sums one term per choice of a
+    stratum in every factor; eight factors of two strata are 256 > 255."""
+    assert MAX_STRATA_TUPLES + 1 == 2**8
+    start = time.perf_counter()
+    proc = run_cli(command, write_doc(tmp_path, stratified_intersection_doc([2] * 8)))
+    elapsed = time.perf_counter() - start
+    stderr = proc.stderr.decode("utf-8")
+    assert proc.returncode == EXIT_VALIDATION
+    assert (
+        f"error: hypersurfaces[7].strata: the strata counts multiply to at most "
+        f"{MAX_STRATA_TUPLES} in all" in stderr
+    )
+    assert "Traceback" not in stderr
+    assert elapsed < 1.0
+
+
+def test_strata_tuples_at_the_cap_are_accepted(tmp_path):
+    assert 17 * 15 == MAX_STRATA_TUPLES
+    proc = run_cli("crosscheck", write_doc(tmp_path, stratified_intersection_doc([17, 15])))
+    out = proc.stdout.decode("utf-8")
+    assert proc.returncode != EXIT_VALIDATION
+    assert b"Traceback" not in proc.stderr
+    assert any(line.split()[:4] == ["Z0", "∩", "Z1", "pp"] for line in out.splitlines())
+
+
 def test_compute_rejects_float_coefficients(tmp_path, capsys):
     doc = plane_pair_doc()
     doc["intersection"] = {"csm": {"coeffs": [0, 0, 1.0, 2.0, 1]}}
@@ -329,8 +398,9 @@ def test_crosscheck_skips_product_routes_without_assertion(tmp_path, capsys):
     code = main(["crosscheck", write_doc(tmp_path, doc)])
     out = capsys.readouterr().out
     # every route that needs the hypothesis is skipped on the
-    # intersection row, so nothing is left to disagree
-    assert code == EXIT_OK
+    # intersection row, so nothing is left to compare there
+    assert code == EXIT_UNCHECKED
+    assert "Z1 ∩ Z2: 0 routes, UNCHECKED" in out
     assert TRANSVERSALITY_WARNING not in out
     assert "transversality not asserted" in out
 
@@ -358,6 +428,38 @@ def test_crosscheck_needs_two_distinct_routes(fixtures_dir, tmp_path, capsys, ro
     if routes:
         assert main(["compute", path]) == EXIT_OK
         assert "routes AGREE" in capsys.readouterr().out
+
+
+def test_crosscheck_row_with_one_route_is_unchecked(fixtures_dir, tmp_path):
+    """aluffi covers single hypersurfaces only, so the intersection row of
+    the non-transversal fixture keeps definition alone: nothing to compare."""
+    doc = json.loads((fixtures_dir / "quadric-tangent-plane.json").read_text())
+    doc["routes"] = ["definition", "aluffi"]
+    path = write_doc(tmp_path, doc)
+    proc = run_cli("crosscheck", path)
+    out = proc.stdout.decode("utf-8")
+    assert proc.returncode == EXIT_UNCHECKED
+    assert "Q: 2 routes, AGREE\n" in out
+    assert "Q ∩ T: 1 routes, UNCHECKED\n" in out
+    assert out.endswith("crosscheck: UNCHECKED\n")
+    assert "AGREE" not in out.split("Q ∩ T: ")[1]
+    compute = run_cli("compute", path)
+    assert compute.returncode == EXIT_OK
+    assert b"routes UNCHECKED" not in compute.stdout
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_default_output_matches_the_oracle(fixtures_dir, name):
+    """Default crosscheck text and compute JSON, byte for byte, with their
+    exit codes, as recorded in the benchmark's oracle."""
+    expected = json.loads(ORACLE.read_text(encoding="utf-8"))[name]
+    path = str(fixtures_dir / f"{name}.json")
+    cross = run_cli("crosscheck", path)
+    compute = run_cli("compute", path, "--output", "json")
+    assert cross.stdout == expected["crosscheck_stdout"].encode("utf-8")
+    assert cross.returncode == expected["crosscheck_exit"]
+    assert compute.stdout == expected["compute_json_stdout"].encode("utf-8")
+    assert compute.returncode == expected["compute_exit"]
 
 
 # -- identity ------------------------------------------------------------------
@@ -417,6 +519,27 @@ def test_parse_document_field_paths_in_errors():
     del doc["hypersurfaces"][1]["degree"]
     with pytest.raises(ValidationError, match=r"hypersurfaces\[1\].degree"):
         parse_document(doc)
+
+
+def test_arrangement_requires_transversal_flag(tmp_path, capsys):
+    """Only pairwise-transversal arrangements are supported, so the parser
+    rejects the flag set to false and the model has no such field."""
+    doc = plane_pair_doc()
+    doc["hypersurfaces"][0]["singularity"]["pairwise_transversal"] = False
+    path = write_doc(tmp_path, doc)
+    for command in ("compute", "crosscheck"):
+        assert main([command, path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            "error: hypersurfaces[0].singularity.pairwise_transversal: "
+            "only pairwise-transversal arrangements are supported" in captured.err
+        )
+    doc["hypersurfaces"][0]["singularity"]["pairwise_transversal"] = True
+    spec, _, _ = parse_document(doc)
+    assert spec.hypersurfaces[0].singularity == Arrangement((1, 1))
+    with pytest.raises(TypeError, match="pairwise_transversal"):
+        Arrangement((1, 1), pairwise_transversal=False)
 
 
 def test_parse_document_rejects_non_projective():

@@ -59,11 +59,6 @@ def test_arrangement_degree_sum_checked():
     assert any("components" in e and "sum" in e for e in errors)
 
 
-def test_arrangement_requires_transversal_flag():
-    bad = HypersurfaceSpec("B", 3, 2, Arrangement((1, 1), pairwise_transversal=False))
-    assert any("transversal" in e for e in validation_errors(bad))
-
-
 def test_stratified_requires_strata():
     bad = HypersurfaceSpec("B", 3, 2, Stratified())
     assert any("strata: required" in e for e in validation_errors(bad))
