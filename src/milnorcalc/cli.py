@@ -65,18 +65,17 @@ from .varieties import (
 )
 from .bundles import BundleChern, fundamental_class_ci
 
-#: Input size caps: inclusion-exclusion over components of distinct degrees
-#: costs up to 2^(components in all) smooth classes and the expansion route
-#: 2^(hypersurfaces) products, each O(dim^2).
+#: Input size caps.  Ring products cost O(dim^2) operations on integers
+#: that grow with the degrees; the expansion route forms about
+#: 2^(hypersurfaces) of them, and each distinct component degree and each
+#: ci closure degree costs a few more.  At these caps the slowest
+#: documents found (P^64, 8 hypersurfaces) run in under 1 s as a process.
 MAX_AMBIENT_DIM = 64
 MAX_HYPERSURFACES = 8
-MAX_COMPONENTS = 8  # arrangement components summed over the document
+MAX_COMPONENTS = 256  # arrangement components summed over the document
+MAX_DEGREE = 1000  # each degree, component degree and ci degree
 MAX_STRATA = 64  # per hypersurface
-#: The pp route on an intersection sums one term per choice of a stratum in
-#: every factor, up to 2r ring products each.  At this cap the slowest
-#: document found (P^64, 8 hypersurfaces) takes 0.5-1.0 s as a process;
-#: 2^8 strata choices are the first product over it.
-MAX_STRATA_TUPLES = 255  # product of the strata counts over the document
+MAX_CLOSURE_DEGREES = 256  # ci closure degrees summed over the document
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -142,9 +141,9 @@ def _smooth_model(entry: dict, n: int, path: str):
     if kind == "ci":
         degrees = _get(entry, "degrees", path, list)
         _expect(
-            all(_is_a(d, int) and d >= 1 for d in degrees) and len(degrees) <= n,
+            all(_is_a(d, int) and 1 <= d <= MAX_DEGREE for d in degrees) and len(degrees) <= n,
             f"{path}.degrees",
-            f"need at most {n} positive integer degrees",
+            f"need at most {n} positive integer degrees, each at most {MAX_DEGREE}",
         )
         return fundamental_class_ci(n, degrees), csm_smooth_ci_degrees(n, degrees)
     if kind == "explicit":
@@ -199,6 +198,7 @@ def _parse_hypersurface(entry: dict, n: int, path: str) -> HypersurfaceSpec:
     _expect(isinstance(entry, dict), path, "expected an object")
     name = _get(entry, "name", path, str)
     degree = _get(entry, "degree", path, int)
+    _expect(degree <= MAX_DEGREE, f"{path}.degree", f"must be at most {MAX_DEGREE}")
     sing = _get(entry, "singularity", path, dict)
     kind = _get(sing, "kind", f"{path}.singularity", str)
     if kind == "smooth":
@@ -206,9 +206,9 @@ def _parse_hypersurface(entry: dict, n: int, path: str) -> HypersurfaceSpec:
     elif kind == "arrangement":
         components = _get(sing, "components", f"{path}.singularity", list)
         _expect(
-            all(_is_a(d, int) for d in components),
+            all(_is_a(d, int) and d <= MAX_DEGREE for d in components),
             f"{path}.singularity.components",
-            "expected integer degrees",
+            f"expected integer degrees, each at most {MAX_DEGREE}",
         )
         _expect(
             _get(sing, "pairwise_transversal", f"{path}.singularity", bool, default=True),
@@ -269,7 +269,7 @@ def parse_document(doc: dict):
         _expect(
             len(entries) <= MAX_HYPERSURFACES, "hypersurfaces", f"at most {MAX_HYPERSURFACES}"
         )
-        hypersurfaces, components, strata_tuples = [], 0, 1
+        hypersurfaces, components, closure_degrees = [], 0, 0
         for i, entry in enumerate(entries):
             h = _parse_hypersurface(entry, n, f"hypersurfaces[{i}]")
             hypersurfaces.append(h)
@@ -279,11 +279,13 @@ def parse_document(doc: dict):
                 f"hypersurfaces[{i}].singularity.components",
                 f"at most {MAX_COMPONENTS} arrangement components in all",
             )
-            strata_tuples *= len(h.strata.strata) if h.strata is not None else 1
+            # the entry parsed, so every closure present is a checked object
+            closures = [s["closure"] for s in entry.get("strata", ()) if "closure" in s]
+            closure_degrees += sum(len(c["degrees"]) for c in closures if c["kind"] == "ci")
             _expect(
-                strata_tuples <= MAX_STRATA_TUPLES,
+                closure_degrees <= MAX_CLOSURE_DEGREES,
                 f"hypersurfaces[{i}].strata",
-                f"the strata counts multiply to at most {MAX_STRATA_TUPLES} in all",
+                f"at most {MAX_CLOSURE_DEGREES} ci closure degrees in all",
             )
         intersection_csm = _parse_intersection_csm(
             _get(doc, "intersection", "document", dict, default=None), n, "intersection"
@@ -305,7 +307,7 @@ def load_document(path: str):
             doc = json.load(handle)
     except OSError as exc:
         raise ValidationError([f"{path}: {exc.strerror or exc}"])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers past Python's digit limit
         raise ValidationError([f"{path}: not valid JSON ({exc})"])
     return parse_document(doc)
 

@@ -33,9 +33,8 @@ dimension of the hypersurface, not of the ambient space.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from functools import lru_cache
-from math import comb, prod
+from math import prod
 from operator import mul
 
 from .bundles import (
@@ -126,16 +125,12 @@ def csm_smooth_ci_degrees(n: int, degrees) -> ChowClass:
     """SM class of a smooth transversal complete intersection.
 
     For smooth X the SM class is the Chern class of the honest tangent
-    bundle, which the virtual one computes.  More hypersurfaces than n
-    cut out the empty variety, whose classes vanish.  Memoised on the
-    sorted degrees (classes are immutable).
+    bundle, which the virtual one computes: the closed form of
+    ``_csm_intersection_of_unions`` with one component per factor,
+    c(TP^n) prod_i d_iH/(1 + d_iH).  More hypersurfaces than n cut out
+    the empty variety, and the product vanishes past H^n.
     """
-    return _csm_smooth_ci_sorted(n, tuple(sorted(degrees)))
-
-
-@lru_cache(maxsize=1024)
-def _csm_smooth_ci_sorted(n: int, degrees: tuple[int, ...]) -> ChowClass:
-    return zero(n) if len(degrees) > n else _cfj(n, degrees)
+    return _csm_intersection_of_unions(n, [(d,) for d in degrees])
 
 
 def csm_smooth_ci(spec) -> ChowClass:
@@ -146,46 +141,36 @@ def csm_smooth_ci(spec) -> ChowClass:
     return csm_smooth_ci_degrees(n, degrees)
 
 
-def _subset_weights(degrees) -> dict[tuple[int, ...], int]:
-    """Sum of (-1)^(|S|+1) over the non-empty subsets S of the components,
-    keyed by the sorted degrees of S: m of the k components of degree d
-    can be picked in C(k, m) ways."""
-    table = {(): -1}
-    for d, k in sorted(Counter(degrees).items()):
-        table = {
-            key + (d,) * m: w * _sign(m) * comb(k, m)
-            for key, w in table.items()
-            for m in range(k + 1)
-        }
-    del table[()]
-    return table
-
-
 def _csm_intersection_of_unions(n: int, per_factor) -> ChowClass:
     """SM class of the intersection of unions of smooth components.
 
-    SM classes are additive, so each union's indicator becomes its
-    inclusion-exclusion sum and the intersection their product, a signed
-    sum of smooth complete intersections grouped by degree multiset.
-    Multisets of more than n degrees cut out nothing and are dropped.
+    The complement U of a divisor with normal crossings has
+    c^SM(U) = c(TP^n) / prod_i (1 + d_iH) (Aluffi, "Differential forms
+    with logarithmic poles and Chern-Schwartz-MacPherson classes of
+    singular varieties", C. R. Acad. Sci. Paris 329, 1999).  SM classes
+    are additive, so the indicator of the intersection, prod_j (1 - 1_U_j),
+    gives c(TP^n) prod_j (1 - prod_d (1 + dH)^(-k_jd)), with k_jd the
+    components of degree d in factor j.  Memoised on the sorted degrees
+    of each factor, in sorted order (classes are immutable).
     """
-    merged = Counter({(): 1})
-    for table in map(_subset_weights, per_factor):
-        grown = Counter()
-        for key, w in merged.items():
-            for sub, v in table.items():
-                if len(key) + len(sub) <= n:
-                    grown[tuple(sorted(key + sub))] += w * v
-        merged = grown
-    return sum(
-        (w * csm_smooth_ci_degrees(n, key) for key, w in merged.items() if w), zero(n)
-    )
+    return _csm_of_sorted_unions(n, tuple(sorted(tuple(sorted(f)) for f in per_factor)))
+
+
+@lru_cache(maxsize=1024)
+def _csm_of_sorted_unions(n: int, per_factor: tuple[tuple[int, ...], ...]) -> ChowClass:
+    # 1 - L^(-1) = (L - 1) / L, so one inversion serves every factor
+    numerator, denominator = one(n), one(n)
+    for degrees in per_factor:
+        lines = prod([line_power(n, d, degrees.count(d)) for d in set(degrees)], start=one(n))
+        numerator *= lines - one(n)
+        denominator *= lines
+    return chern_tangent(n).total * numerator * denominator.invert()
 
 
 def csm_inclusion_exclusion(h: HypersurfaceSpec) -> ChowClass:
-    """SM class of an arrangement by inclusion-exclusion over component
-    subsets, grouped by degree multiset: one term per distinct
-    sub-multiset of the component degrees (k for k hyperplanes)."""
+    """SM class of an arrangement D of components in general position:
+    c(TP^n) (1 - prod_i (1 + d_iH)^(-1)), the inclusion-exclusion over
+    component subsets summed in closed form."""
     validate(h)
     if not isinstance(h.singularity, Arrangement):
         raise ValueError(f"{h.name}: not an arrangement")
@@ -204,10 +189,9 @@ def _component_degrees(h: HypersurfaceSpec) -> tuple[int, ...] | None:
 def csm_intersection_inclusion_exclusion(ci: CompleteIntersectionSpec) -> ChowClass:
     """SM class of the intersection, via its decomposition into smooth pieces.
 
-    Inclusion-exclusion runs per factor, grouped by degree multiset: at
-    most prod_i s_i smooth classes, s_i the distinct sub-multisets of
-    factor i's component degrees (prod_i k_i for hyperplanes).  Valid
-    under the same genericity the arrangement mode asserts.
+    The closed form of ``_csm_intersection_of_unions``, one ring product
+    per factor.  Valid under the same genericity the arrangement mode
+    asserts.
     """
     validate(ci)
     per_factor = [_component_degrees(h) for h in ci.hypersurfaces]
@@ -368,18 +352,21 @@ def gamma_weights(strat: Stratification) -> Stratification:
 
 def milnor_from_strata(strat: Stratification, degree: int, n: int) -> ChowClass:
     """Milnor class of a hypersurface as a gamma-weighted sum of
-    c(O(d))^(-1) times the SM classes of the stratum closures."""
-    inverse_line = chern_line(n, degree).total.invert()
+    c(O(d))^(-1) times the SM classes of the stratum closures.  The open
+    stratum, where gamma is 0, is left out."""
+    reg = open_stratum(strat)
     acc = zero(n)
     for s in strat.strata:
+        if s is reg:
+            continue
         if s.gamma is None:
             raise ValueError(f"stratum {s.name}: gamma not computed yet")
         if s.gamma == 0:
             continue
         if s.csm_closure is None:
             raise ValueError(f"stratum {s.name}: SM class of the closure is missing")
-        acc += s.gamma * (inverse_line * s.csm_closure)
-    return acc
+        acc += s.gamma * s.csm_closure
+    return acc if acc.is_zero() else chern_line(n, degree).total.invert() * acc
 
 
 def trivial_stratification(n: int, degree: int, csm: ChowClass) -> Stratification:
@@ -399,12 +386,20 @@ def trivial_stratification(n: int, degree: int, csm: ChowClass) -> Stratificatio
 def milnor_from_strata_ci(strats, degrees, n: int) -> ChowClass:
     """Milnor class of an intersection from per-factor stratifications.
 
-    Sums over tuples of strata, one per factor, excluding the tuple of
-    open strata.  A tuple carries the gamma weight of each non-open
-    entry, a sign (-1)^((n-1) * number of open entries), one factor of
-    c(O(d_i)) per open entry, and the product of the SM classes of the
-    stratum closures; the whole sum is divided by c(O(d_1) + ... + O(d_r))
-    and corrected like every other product-rule route.
+    Sums over tuples of strata, one per factor, other than the tuple of
+    open strata.  A tuple's term is a product over the factors: gamma_s
+    times the SM class of the closure of a non-open s, and
+    o_i = (-1)^(n-1) c(O(d_i)) times the SM class of the closure of the
+    open stratum.  So the sum is prod_i (A_i + o_i) - prod_i o_i, with A_i
+    the gamma-weighted sum over the non-open strata of factor i.  It is
+    divided by c(O(d_1) + ... + O(d_r)), one c(O(d_i)) per factor, which
+    turns A_i into the factor's own ``milnor_from_strata``, and corrected
+    like every other product-rule route.
+
+    A class is read only where a tuple of nonzero weight reads it, so o_i
+    only when another factor has a non-open stratum of nonzero gamma.
+    Missing data is reported as the sum over tuples, in order, would
+    first meet it.
     """
     strats, degrees = list(strats), list(degrees)
     if len(strats) != len(degrees):
@@ -412,36 +407,50 @@ def milnor_from_strata_ci(strats, degrees, n: int) -> ChowClass:
     if not strats:
         raise ValueError("need at least one factor")
     r = len(strats)
-    open_names = [open_stratum(s).name for s in strats]
-    line_totals = [chern_line(n, d).total for d in degrees]
-    acc = zero(n)
-    for chosen in itertools.product(*(s.strata for s in strats)):
-        eps = [1 if s.name == open_names[i] else 0 for i, s in enumerate(chosen)]
-        if all(eps):
-            continue
-        weight = 1
-        for i, s in enumerate(chosen):
-            if eps[i]:
-                continue
-            if s.gamma is None:
-                raise ValueError(f"stratum {s.name}: gamma not computed yet")
-            weight *= s.gamma
-        if weight == 0:
-            continue
-        term = one(n)
-        for i, s in enumerate(chosen):
-            if s.csm_closure is None:
-                raise ValueError(
-                    f"stratum {s.name}: SM class of the closure is missing"
-                )
-            term = term * s.csm_closure
-            if eps[i]:
-                term = term * line_totals[i]
-        acc += (weight * _sign((n - 1) * sum(eps))) * term
-    denominator = prod(line_totals, start=one(n)).invert()
-    return _sign(n * r - n) * (
-        _tangent_correction(n, r) * (denominator * acc)
-    )
+    opens = [open_stratum(s) for s in strats]
+    _raise_first_failure(strats, opens)
+    with_open, all_open = [], []
+    for strat, reg, d in zip(strats, opens, degrees):
+        # An open class is missing only where no tuple of nonzero weight
+        # reads it; o_i then cancels from the difference.
+        o = zero(n) if reg.csm_closure is None else _sign(n - 1) * reg.csm_closure
+        with_open.append(milnor_from_strata(strat, d, n) + o)
+        all_open.append(o)
+    return _sign(n * r - n) * (_tangent_correction(n, r) * (prod(with_open) - prod(all_open)))
+
+
+def _raise_first_failure(strats, opens) -> None:
+    """Raise the error that the sum over strata tuples, taken in the order
+    of ``itertools.product``, meets first, if it meets one.  A tuple other
+    than the all-open one fails on a non-open entry without gamma, else on
+    a missing closure class unless a non-open entry has gamma 0."""
+
+    @lru_cache(maxsize=None)
+    def first(i, singular, zero_weight, no_gamma, missing):
+        """The first failing completion by factors i.., or None."""
+        if i == len(strats):
+            return () if singular and (no_gamma or (missing and not zero_weight)) else None
+        for s in strats[i].strata:
+            non_open = s is not opens[i]
+            rest = first(
+                i + 1,
+                singular or non_open,
+                zero_weight or (non_open and s.gamma == 0),
+                no_gamma or (non_open and s.gamma is None),
+                missing or s.csm_closure is None,
+            )
+            if rest is not None:
+                return (s, *rest)
+        return None
+
+    chosen = first(0, False, False, False, False)
+    if chosen is None:
+        return
+    for s, reg in zip(chosen, opens):
+        if s is not reg and s.gamma is None:
+            raise ValueError(f"stratum {s.name}: gamma not computed yet")
+    s = next(s for s in chosen if s.csm_closure is None)
+    raise ValueError(f"stratum {s.name}: SM class of the closure is missing")
 
 
 # ---------------------------------------------------------------------------

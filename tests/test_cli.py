@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import milnorcalc
-from conftest import FIXTURES
+from conftest import FIXTURES, normal_crossing_doc
 from milnorcalc.cli import (
     EXIT_DISAGREEMENT,
     EXIT_INTEGRALITY,
@@ -16,10 +19,11 @@ from milnorcalc.cli import (
     EXIT_UNCHECKED,
     EXIT_VALIDATION,
     MAX_AMBIENT_DIM,
+    MAX_CLOSURE_DEGREES,
     MAX_COMPONENTS,
+    MAX_DEGREE,
     MAX_HYPERSURFACES,
     MAX_STRATA,
-    MAX_STRATA_TUPLES,
     TRANSVERSALITY_WARNING,
     load_document,
     main,
@@ -160,6 +164,49 @@ def hyperplanes_doc(n, components):
     }
 
 
+def smooth_doc(n, degrees):
+    """Smooth hypersurfaces of the given degrees in P^n."""
+    return {
+        "ambient": {"kind": "projective", "dim": n},
+        "transversal": True,
+        "hypersurfaces": [
+            {"name": f"S{i}", "degree": d, "singularity": {"kind": "smooth"}}
+            for i, d in enumerate(degrees)
+        ],
+    }
+
+
+def closures_doc(n, closure_degrees, count=8):
+    """``count`` stratified hypersurfaces of degree MAX_DEGREE in P^n; each
+    stratum but the open one has a ci closure of distinct degrees, one
+    stratum per entry of ``closure_degrees``, the number of its degrees."""
+    return {
+        "ambient": {"kind": "projective", "dim": n},
+        "transversal": True,
+        "hypersurfaces": [
+            {
+                "name": f"Z{i}",
+                "degree": MAX_DEGREE,
+                "singularity": {"kind": "stratified"},
+                "strata": [{"name": "reg", "dim": n - 1, "chiF": 1}] + [
+                    {"name": f"c{j}", "dim": n - k, "chiF": 0,
+                     "closure": {"kind": "ci", "degrees": [
+                         MAX_DEGREE - 2 * (count * j + i) - m for m in range(k)
+                     ]}}
+                    for j, k in enumerate(closure_degrees, start=1)
+                ],
+            }
+            for i in range(count)
+        ],
+    }
+
+
+def _ci_closure_over_the_degree_cap():
+    doc = plane_pair_doc()
+    doc["hypersurfaces"][0]["strata"][1]["closure"] = {"kind": "ci", "degrees": [1, MAX_DEGREE + 1]}
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [
@@ -170,8 +217,24 @@ def hyperplanes_doc(n, components):
             hyperplanes_doc(16, [MAX_COMPONENTS // 2, MAX_COMPONENTS // 2 + 1]),
             "hypersurfaces[1].singularity.components",
         ),
+        (smooth_doc(4, [2, MAX_DEGREE + 1]), "hypersurfaces[1].degree"),
+        (
+            {**hyperplanes_doc(4, []), "hypersurfaces": [{
+                "name": "A", "degree": MAX_DEGREE,
+                "singularity": {"kind": "arrangement", "components": [MAX_DEGREE + 1, -1]},
+            }]},
+            "hypersurfaces[0].singularity.components",
+        ),
+        (_ci_closure_over_the_degree_cap(), "hypersurfaces[0].strata[1].closure.degrees"),
+        (
+            closures_doc(64, [2] * (MAX_CLOSURE_DEGREES // 16 + 1)),
+            "hypersurfaces[7].strata",
+        ),
     ],
-    ids=["dim", "hypersurfaces", "components", "components-in-all"],
+    ids=[
+        "dim", "hypersurfaces", "components", "components-in-all", "degree",
+        "component-degree", "ci-degree", "closure-degrees-in-all",
+    ],
 )
 def test_compute_rejects_oversized_input(tmp_path, capsys, doc, field):
     path = write_doc(tmp_path, doc)
@@ -191,6 +254,46 @@ def test_parse_document_accepts_input_at_the_caps():
     assert len(spec.hypersurfaces) == MAX_HYPERSURFACES
     spec, _, _ = parse_document(hyperplanes_doc(16, [MAX_COMPONENTS // 2] * 2))
     assert sum(len(h.singularity.component_degrees) for h in spec.hypersurfaces) == MAX_COMPONENTS
+    spec, _, _ = parse_document(smooth_doc(4, [MAX_DEGREE] * 4))
+    assert {h.degree for h in spec.hypersurfaces} == {MAX_DEGREE}
+    spec, _, _ = parse_document(closures_doc(64, [2] * (MAX_CLOSURE_DEGREES // 16)))
+    assert sum(len(h.strata.strata) - 1 for h in spec.hypersurfaces) * 2 == MAX_CLOSURE_DEGREES
+
+
+def assert_runs_quickly(tmp_path, doc, command="crosscheck"):
+    """Run ``command`` on ``doc`` as a process: accepted, no traceback,
+    under a second.  Returns the decoded stdout."""
+    start = time.perf_counter()
+    proc = run_cli(command, write_doc(tmp_path, doc))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode != EXIT_VALIDATION, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert elapsed < 1.0
+    return proc.stdout.decode("utf-8")
+
+
+def test_p64_documents_at_the_caps_run_quickly(tmp_path):
+    """Each is among the slowest documents found at the caps: eight
+    arrangements of distinct component degrees, eight smooth
+    hypersurfaces of the largest degree, and eight hypersurfaces whose
+    strata carry every ci closure degree allowed."""
+    n = MAX_AMBIENT_DIM
+    per = MAX_COMPONENTS // MAX_HYPERSURFACES
+    components = [list(range(i + 1, i + per + 1)) for i in range(MAX_HYPERSURFACES)]
+    assert max(map(sum, components)) <= MAX_DEGREE
+    arrangements = {
+        "ambient": {"kind": "projective", "dim": n},
+        "transversal": True,
+        "hypersurfaces": [
+            {"name": f"A{i}", "degree": sum(c),
+             "singularity": {"kind": "arrangement", "components": c}}
+            for i, c in enumerate(components)
+        ],
+    }
+    out = assert_runs_quickly(tmp_path, arrangements)
+    assert "A0 ∩ A1" in out
+    assert_runs_quickly(tmp_path, smooth_doc(n, [MAX_DEGREE - i for i in range(MAX_HYPERSURFACES)]))
+    assert_runs_quickly(tmp_path, closures_doc(n, [2] * (MAX_CLOSURE_DEGREES // 16)))
 
 
 def strata_doc(count, chain=False):
@@ -260,31 +363,107 @@ def stratified_intersection_doc(counts, n=8):
     }
 
 
-@pytest.mark.parametrize("command", ["compute", "crosscheck"])
-def test_strata_tuples_over_the_cap_exit_2_without_traceback(tmp_path, command):
-    """The pp route on an intersection sums one term per choice of a
-    stratum in every factor; eight factors of two strata are 256 > 255."""
-    assert MAX_STRATA_TUPLES + 1 == 2**8
-    start = time.perf_counter()
-    proc = run_cli(command, write_doc(tmp_path, stratified_intersection_doc([2] * 8)))
-    elapsed = time.perf_counter() - start
-    stderr = proc.stderr.decode("utf-8")
-    assert proc.returncode == EXIT_VALIDATION
-    assert (
-        f"error: hypersurfaces[7].strata: the strata counts multiply to at most "
-        f"{MAX_STRATA_TUPLES} in all" in stderr
+def test_eight_hypersurfaces_of_64_strata_in_p64_run_quickly(tmp_path):
+    """The pp route on the intersection factors over the hypersurfaces, so
+    64^8 strata tuples cost eight sums and a few products."""
+    doc = stratified_intersection_doc([MAX_STRATA] * MAX_HYPERSURFACES, n=MAX_AMBIENT_DIM)
+    out = assert_runs_quickly(tmp_path, doc)
+    name = " ∩ ".join(f"Z{i}" for i in range(MAX_HYPERSURFACES))
+    assert any(line.startswith(f"{name}  pp ") for line in out.splitlines())
+
+
+def test_pp_on_an_intersection_skips_an_open_class_no_tuple_reads(tmp_path):
+    """A cubic with a node and no class for its open stratum, cut by a
+    smooth hyperplane: no tuple of nonzero weight pairs the cubic's open
+    stratum with a singular stratum of the hyperplane, so pp still runs."""
+    doc = {
+        "ambient": {"kind": "projective", "dim": 4},
+        "transversal": True,
+        "hypersurfaces": [
+            {"name": "Z", "degree": 3, "singularity": {"kind": "stratified"},
+             "strata": [
+                 {"name": "reg", "dim": 3, "chiF": 1},
+                 {"name": "node", "dim": 0, "chiF": 0, "closure": {"kind": "linear", "dim": 0}},
+             ]},
+            {"name": "H", "degree": 1, "singularity": {"kind": "smooth"}},
+        ],
+    }
+    proc = run_cli("compute", write_doc(tmp_path, doc))
+    assert proc.returncode == EXIT_OK
+    row = proc.stdout.decode("utf-8").split("== Z ∩ H (intersection, dim 2)\n")[1]
+    assert row.startswith(
+        "  c^FJ : 3H^2 + 3H^3 + 9H^4\n"
+        "  c^SM : unavailable\n"
+        "  Milnor class:\n"
+        "    pp : 0\n"
+        "  routes AGREE\n"
     )
-    assert "Traceback" not in stderr
-    assert elapsed < 1.0
 
 
-def test_strata_tuples_at_the_cap_are_accepted(tmp_path):
-    assert 17 * 15 == MAX_STRATA_TUPLES
-    proc = run_cli("crosscheck", write_doc(tmp_path, stratified_intersection_doc([17, 15])))
-    out = proc.stdout.decode("utf-8")
-    assert proc.returncode != EXIT_VALIDATION
-    assert b"Traceback" not in proc.stderr
-    assert any(line.split()[:4] == ["Z0", "∩", "Z1", "pp"] for line in out.splitlines())
+@pytest.mark.parametrize("command", ["compute", "crosscheck"])
+def test_oversized_numbers_exit_2_without_traceback(tmp_path, command):
+    """A JSON integer past Python's digit limit for int conversion, and a
+    3001-digit degree, which once took about a minute to crosscheck."""
+    long_integer = tmp_path / "long-integer.json"
+    long_integer.write_text(json.dumps(plane_pair_doc()).replace('"degree": 1', '"degree": 1' + "0" * 5000))
+    huge_degree = write_doc(tmp_path, smooth_doc(MAX_AMBIENT_DIM, [10**3000, 10**3000 + 1]))
+    for path, message in [
+        (str(long_integer), f"error: {long_integer}: not valid JSON ("),
+        (huge_degree, f"error: hypersurfaces[0].degree: must be at most {MAX_DEGREE}"),
+    ]:
+        start = time.perf_counter()
+        proc = run_cli(command, path)
+        elapsed = time.perf_counter() - start
+        stderr = proc.stderr.decode("utf-8")
+        assert proc.returncode == EXIT_VALIDATION
+        assert message in stderr
+        assert "Traceback" not in stderr
+        assert elapsed < 1.0
+
+
+# -- the normal-crossing family ------------------------------------------------
+
+def crosscheck_exit(doc) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        return main(["crosscheck", write_doc(Path(tmp), doc)])
+
+
+@st.composite
+def normal_crossing_docs(draw, parity):
+    """One or two arrangements in P^n, n of the given parity, each of one
+    to four components of degree 1-3."""
+    n = 2 * draw(st.integers(1, 3)) + parity
+    factors = draw(st.lists(
+        st.lists(st.integers(1, 3), min_size=1, max_size=4), min_size=1, max_size=2
+    ))
+    return normal_crossing_doc(n, factors)
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even-n", "odd-n"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_normal_crossing_family_agrees(parity, data):
+    """Every row agrees on at least two routes, and a chiF changed to 1 or 2
+    on any stratum but the open one makes some row disagree."""
+    doc = data.draw(normal_crossing_docs(parity))
+    assert crosscheck_exit(doc) == EXIT_OK
+    strata = [s for h in doc["hypersurfaces"] for s in h["strata"][1:]]
+    if strata:
+        data.draw(st.sampled_from(strata))["chiF"] = data.draw(st.sampled_from([1, 2]))
+        assert crosscheck_exit(doc) == EXIT_DISAGREEMENT
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_two_normal_crossing_factors_of_five_components(tmp_path, n):
+    """27 strata each, so 729 strata tuples, with ci closures."""
+    doc = normal_crossing_doc(n, [[1, 2, 1, 3, 1], [2, 1, 1, 1, 1]])
+    assert [len(h["strata"]) for h in doc["hypersurfaces"]] == [27, 27]
+    out = assert_runs_quickly(tmp_path, doc)
+    assert out.endswith("crosscheck: AGREE\n")
+    doc["hypersurfaces"][1]["strata"][-1]["chiF"] = 2
+    proc = run_cli("crosscheck", write_doc(tmp_path, doc))
+    assert proc.returncode == EXIT_DISAGREEMENT
+    assert proc.stdout.decode("utf-8").endswith("crosscheck: DISAGREE\n")
 
 
 def test_compute_rejects_float_coefficients(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from milnorcalc.bundles import chern_line
 from milnorcalc.chow import ChowClass, _sign, h_power, line_power, make_class, one, zero
 from milnorcalc.engine import (
     IntegralityError,
@@ -39,6 +40,7 @@ from milnorcalc.varieties import (
     Stratified,
     Stratum,
     csm_linear_subspace,
+    open_stratum,
 )
 
 from conftest import chow_class, coefficients
@@ -171,7 +173,9 @@ def enumerated_csm(n, per_factor):
 def arrangement_intersections(draw, max_pieces=9):
     """Transversal intersections in P^n (n <= 7) of at most three factors,
     each smooth or an arrangement of components of degree 1-3, with at
-    most ``max_pieces`` pieces cut by one component per factor."""
+    most ``max_pieces`` pieces cut by one component per factor.  The
+    components often outnumber n, so the subsets of more than n of them,
+    which cut out nothing, are covered too."""
     n = draw(st.integers(1, 7))
     r = draw(st.integers(1, min(3, n)))
     factors, pieces = [], 1
@@ -189,6 +193,7 @@ def arrangement_intersections(draw, max_pieces=9):
 @settings(max_examples=60, deadline=None)
 @given(arrangement_intersections())
 def test_grouped_inclusion_exclusion_matches_subset_enumeration(ci):
+    """The closed form against the enumeration of every subset of pieces."""
     n = ci.ambient_dim
     per_factor = [
         (h.degree,) if isinstance(h.singularity, Smooth) else h.singularity.component_degrees
@@ -204,7 +209,7 @@ def test_grouped_inclusion_exclusion_matches_subset_enumeration(ci):
 @pytest.mark.parametrize("counts", [(3, 3, 3), (4, 4)], ids=["three-triples", "4+4"])
 def test_hyperplane_arrangements_in_p8_agree_quickly(counts):
     """Three triples of hyperplanes make 27 pieces (about 1.3e8 subsets
-    to enumerate); the grouped sum needs 27 smooth classes at most."""
+    to enumerate); the closed form needs one ring product per factor."""
     factors = tuple(
         HypersurfaceSpec(f"A{i}", 8, k, Arrangement((1,) * k)) for i, k in enumerate(counts)
     )
@@ -588,6 +593,80 @@ def test_milnor_from_strata_ci_smooth_factors_vanish():
     a = trivial_stratification(4, 1, csm_smooth_ci_degrees(4, [1]))
     b = trivial_stratification(4, 2, csm_smooth_ci_degrees(4, [2]))
     assert milnor_from_strata_ci([a, b], [1, 2], 4) == zero(4)
+
+
+def ref_milnor_from_strata_ci(strats, degrees, n):
+    """Reference: the earlier sum over every tuple of strata, one per
+    factor, reading each class and gamma as the tuple needs it."""
+    strats, degrees = list(strats), list(degrees)
+    r = len(strats)
+    open_names = [open_stratum(s).name for s in strats]
+    line_totals = [chern_line(n, d).total for d in degrees]
+    acc = zero(n)
+    for chosen in itertools.product(*(s.strata for s in strats)):
+        eps = [1 if s.name == open_names[i] else 0 for i, s in enumerate(chosen)]
+        if all(eps):
+            continue
+        weight = 1
+        for i, s in enumerate(chosen):
+            if eps[i]:
+                continue
+            if s.gamma is None:
+                raise ValueError(f"stratum {s.name}: gamma not computed yet")
+            weight *= s.gamma
+        if weight == 0:
+            continue
+        term = one(n)
+        for i, s in enumerate(chosen):
+            if s.csm_closure is None:
+                raise ValueError(f"stratum {s.name}: SM class of the closure is missing")
+            term = term * s.csm_closure
+            if eps[i]:
+                term = term * line_totals[i]
+        acc += (weight * _sign((n - 1) * sum(eps))) * term
+    denominator = prod(line_totals, start=one(n)).invert()
+    return _sign(n * r - n) * (
+        line_power(n, 1, -(n + 1) * (r - 1)) * (denominator * acc)
+    )
+
+
+@st.composite
+def stratified_factors(draw):
+    """r = 1..4 stratifications in P^n, up to 5 strata each with the open
+    one anywhere: gammas zero, nonzero or missing, and closure classes
+    missing on any stratum, the open one too."""
+    n = draw(st.integers(2, 6))
+    r = draw(st.integers(1, 4))
+    strats = []
+    for i in range(r):
+        k = draw(st.integers(1, 5))
+        top = draw(st.integers(0, k - 1))
+        strats.append(Stratification(tuple(
+            Stratum(
+                f"f{i}s{j}",
+                n - 1 if j == top else draw(st.integers(0, n - 2)),
+                csm_closure=draw(st.none() | chow_class(n, st.integers(-9, 9))),
+                gamma=draw(st.none() | st.sampled_from([0, 0, 1, -1, 2, -3])),
+            )
+            for j in range(k)
+        )))
+    degrees = draw(st.lists(st.integers(1, 4), min_size=r, max_size=r))
+    return strats, degrees, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(stratified_factors())
+def test_factored_pp_matches_the_tuple_sum(case):
+    """Same value, or the same error the tuple sum meets first."""
+    strats, degrees, n = case
+
+    def outcome(route):
+        try:
+            return route(strats, degrees, n).coeffs
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(milnor_from_strata_ci) == outcome(ref_milnor_from_strata_ci)
 
 
 def test_pair_of_planes_in_p3_all_routes():
