@@ -1,29 +1,7 @@
 """Command-line front end: parse variety documents, run routes, render.
 
-Input is a single JSON document::
-
-    {
-      "ambient": {"kind": "projective", "dim": 4},
-      "transversal": true,
-      "hypersurfaces": [
-        {"name": "Z1", "degree": 2,
-         "singularity": {"kind": "arrangement", "components": [1, 1]},
-         "sing_locus": {"kind": "linear", "dim": 2},
-         "strata": [
-           {"name": "reg", "dim": 3, "chiF": 1},
-           {"name": "sing", "dim": 2, "chiF": 0,
-            "closure": {"kind": "linear", "dim": 2}}
-         ]},
-        {"name": "Z2", "degree": 1, "singularity": {"kind": "smooth"}}
-      ]
-    }
-
-Optional keys: a stratum may carry ``"contains": [names]`` (strata
-inside its closure) and a ``"closure"`` of kind ``linear``, ``ci`` or
-``explicit``; the document may carry ``"intersection": {"csm": ...}``
-with the honest SM class of the intersection (``coeffs`` or a weighted
-``combination`` of linear/ci smooth models), ``"routes"`` to restrict
-the computed routes, and a free-form ``"description"``.
+Input is a single JSON document, declared field by field in the table
+under "JSON -> model" below; ``fixtures/`` and the README hold examples.
 
 Exit codes: 0 success, 2 validation error, 3 route disagreement
 (or identity-check failure), 4 integrality failure, 5 a ``crosscheck``
@@ -34,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -65,17 +44,23 @@ from .varieties import (
 )
 from .bundles import BundleChern, fundamental_class_ci
 
-#: Input size caps.  Ring products cost O(dim^2) operations on integers
-#: that grow with the degrees; the expansion route forms about
+#: Input size caps, one bound for every field of a document (see the
+#: table under "JSON -> model").  Ring products cost O(dim^2) operations
+#: on integers that grow with the degrees; the expansion route forms about
 #: 2^(hypersurfaces) of them, and each distinct component degree and each
 #: ci closure degree costs a few more.  At these caps the slowest
 #: documents found (P^64, 8 hypersurfaces) run in under 1 s as a process.
-MAX_AMBIENT_DIM = 64
+MAX_AMBIENT_DIM = 64  # ambient.dim; every dim, rank, ci degree count and class length
 MAX_HYPERSURFACES = 8
-MAX_COMPONENTS = 256  # arrangement components summed over the document
+MAX_COMPONENTS = 256  # arrangement components, each list and summed over the document
 MAX_DEGREE = 1000  # each degree, component degree and ci degree
-MAX_STRATA = 64  # per hypersurface
-MAX_CLOSURE_DEGREES = 256  # ci closure degrees summed over the document
+MAX_STRATA = 64  # strata per hypersurface, names per contains list
+MAX_CLOSURE_DEGREES = 256  # ci degrees of closures and of combination parts, summed
+MAX_PARTS = 64  # parts of intersection.csm.combination
+MAX_NAME = 64  # characters of a name or a route
+MAX_DIGITS = 700  # digits of chiF, of a weight and of each part of a coefficient
+MAX_LOCUS_DIGITS = 100  # the same in sing_locus, whose normal class gets inverted
+MAX_DENOMINATOR_DIGITS = 5000  # coefficient denominators, summed: a class has one denominator
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -91,212 +76,211 @@ TRANSVERSALITY_WARNING = (
 
 # ---------------------------------------------------------------------------
 # JSON -> model
+#
+# The document format, declared once and checked in one walk by ``_read``.
+# A field is (type, bound, default, sub, total).  Types: int, in the range
+# ``bound``; NUMBER, an int of at most ``bound`` digits; COEFF, a NUMBER or
+# a string [-]digits[/digits] of at most ``bound`` digits a part; bool; str
+# and list, at most ``bound`` long, ``sub`` the item; dict, ``sub`` its
+# fields; KIND, ``sub`` the fields under each "kind".  A ``total`` (cap, noun,
+# weigh) caps the sum of weigh(item), or the item count, over the document.
+# ``default`` is REQUIRED or an absent field's value.  ``_parse_*`` check n.
+
+REQUIRED, NUMBER, COEFF, KIND = "required", "number", "coeff", "kind"
+_POWERS = {MAX_DIGITS: 10**MAX_DIGITS, MAX_LOCUS_DIGITS: 10**MAX_LOCUS_DIGITS}
+_RATIONAL = {d: re.compile(rf"-?[0-9]{{1,{d}}}(/(?!0+$)[0-9]{{1,{d}}})?") for d in _POWERS}
+_TYPES = {NUMBER: int, COEFF: int, KIND: dict}
+_EXPECTED = {int: "an integer", NUMBER: "an integer", COEFF: "an integer or a rational string",
+             str: "a string", bool: "true or false", list: "a list", dict: "an object", KIND: "an object"}
+
+
+def _f(kind, bound=None, default=REQUIRED, sub=None, total=None):
+    return kind, bound, default, sub, total
+
+
+_NAME, _DIM, _DEGREE = _f(str, MAX_NAME), _f(int, (0, MAX_AMBIENT_DIM)), _f(int, (1, MAX_DEGREE))
+_DENOMINATORS = (MAX_DENOMINATOR_DIGITS, "denominator digits",
+                 lambda c: len(str(c.denominator)) if c.denominator > 1 else 0)
+_COEFFS = _f(list, MAX_AMBIENT_DIM + 1, sub=_f(COEFF, MAX_DIGITS), total=_DENOMINATORS)
+_LOCUS_COEFFS = _f(list, MAX_AMBIENT_DIM + 1, sub=_f(COEFF, MAX_LOCUS_DIGITS), total=_DENOMINATORS)
+_SMOOTH_MODEL = {  # a closed smooth subvariety: closures and combination parts
+    "linear": {"dim": _DIM},
+    "ci": {"degrees": _f(list, MAX_AMBIENT_DIM, sub=_DEGREE)},
+    "explicit": {"class": _COEFFS, "csm": _COEFFS},
+}
+_STRATUM = _f(dict, sub={
+    "name": _NAME, "dim": _DIM, "chiF": _f(NUMBER, MAX_DIGITS),
+    "closure": _f(KIND, default=None, sub=_SMOOTH_MODEL),
+    "contains": _f(list, MAX_STRATA, (), _NAME),
+})
+_HYPERSURFACE = _f(dict, sub={
+    "name": _NAME, "degree": _DEGREE,
+    "singularity": _f(KIND, sub={"smooth": {}, "stratified": {}, "arrangement": {
+        "components": _f(list, MAX_COMPONENTS, sub=_DEGREE,
+                         total=(MAX_COMPONENTS, "arrangement components", None)),
+        "pairwise_transversal": _f(bool, default=True),
+    }}),
+    "sing_locus": _f(KIND, default=None, sub={"linear": {"dim": _DIM}, "smooth": {
+        "class": _LOCUS_COEFFS, "normal": _f(dict, sub={"rank": _DIM, "chern": _LOCUS_COEFFS}),
+    }}),
+    "strata": _f(list, MAX_STRATA, None, _STRATUM, (
+        MAX_CLOSURE_DEGREES, "ci closure degrees", lambda s: len((s["closure"] or {}).get("degrees", ())))),
+})
+_PART = _f(KIND, sub={
+    kind: {**fields, "weight": _f(NUMBER, MAX_DIGITS, 1)} for kind, fields in _SMOOTH_MODEL.items()})
+_DOCUMENT = _f(dict, sub={
+    "ambient": _f(KIND, sub={"projective": {"dim": _f(int, (1, MAX_AMBIENT_DIM))}}),
+    "transversal": _f(bool, default=False),
+    "hypersurfaces": _f(list, MAX_HYPERSURFACES, sub=_HYPERSURFACE),
+    "intersection": _f(dict, default=None, sub={"csm": _f(dict, sub={
+        "coeffs": _f(list, MAX_AMBIENT_DIM + 1, None, _f(COEFF, MAX_DIGITS), _DENOMINATORS),
+        "combination": _f(list, MAX_PARTS, None, _PART, (
+            MAX_CLOSURE_DEGREES, "ci closure degrees", lambda part: len(part.get("degrees", ())))),
+    })}),
+    "routes": _f(list, len(ROUTE_ORDER), None, _NAME),
+})
 
 
 class _DocumentError(Exception):
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+    """A problem at a field path, built key by key as the error leaves the walk."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = list(keys)
 
 
-def _expect(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise _DocumentError(path, message)
-
-
-def _is_a(value, kind) -> bool:
-    """isinstance, except that JSON true/false are not integers."""
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-
-
-def _get(obj: dict, key: str, path: str, kind=None, default=_DocumentError):
-    if key not in obj:
-        if default is not _DocumentError:
-            return default
-        raise _DocumentError(f"{path}.{key}", "missing")
-    value = obj[key]
-    if kind is not None and not _is_a(value, kind):
-        names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
-        raise _DocumentError(f"{path}.{key}", f"expected {names}")
-    return value
-
-
-def _parse_coeffs(raw, n: int, path: str) -> ChowClass:
-    _expect(isinstance(raw, list), path, "expected a list of coefficient strings")
-    for i, c in enumerate(raw):
-        _expect(_is_a(c, (int, str)), f"{path}[{i}]", "expected an integer or a rational string")
+def _read(value, field, totals: dict, key=None):
+    """``value`` checked against ``field``, with defaults filled in; ``totals``
+    keeps the sums over the document, ``key`` is a name or index for paths."""
+    kind, bound, _, sub, total = field
     try:
-        return make_class(n, [Fraction(c) for c in raw])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _DocumentError(path, str(exc))
+        if kind is COEFF and type(value) is str:
+            if _RATIONAL[bound].fullmatch(value) is None:
+                raise _DocumentError(f"expected [-]digits[/digits] of at most {bound} digits a part, "
+                                     "with a nonzero denominator")
+            return Fraction(value)
+        if type(value) is not _TYPES.get(kind, kind):
+            raise _DocumentError(f"expected {_EXPECTED[kind]}")
+        if kind is int and not bound[0] <= value <= bound[1]:
+            lo, hi = bound
+            raise _DocumentError(f"must be at least {lo}" if value < lo else f"must be at most {hi}")
+        if (kind is NUMBER or kind is COEFF) and abs(value) >= _POWERS[bound]:
+            raise _DocumentError(f"at most {bound} digits")
+        if kind is str and not (len(value) <= bound and value.isprintable()):  # else printing fails
+            raise _DocumentError(f"expected at most {bound} printable characters")
+        if kind is list:
+            if len(value) > bound:
+                raise _DocumentError(f"at most {bound}")
+            indexed = sub[0] is not int and sub[0] is not str  # else the list's path
+            value = [_read(v, sub, totals, i if indexed else None) for i, v in enumerate(value)]
+            if total is not None:
+                cap, noun, weigh = total
+                totals[noun] = totals.get(noun, 0) + (sum(map(weigh, value)) if weigh else len(value))
+                if totals[noun] > cap:
+                    raise _DocumentError(f"at most {cap} {noun} in all")
+        elif kind is dict or kind is KIND:
+            out = {}
+            if kind is KIND:
+                out["kind"] = choice = value.get("kind")
+                if type(choice) is not str or choice not in sub:
+                    raise _DocumentError(f"expected one of: {', '.join(sub)}", ".kind")
+                sub = sub[choice]
+            for name, member in sub.items():
+                if name in value:
+                    out[name] = _read(value[name], member, totals, name)
+                elif member[2] is REQUIRED:
+                    raise _DocumentError("missing", f".{name}")
+                else:
+                    out[name] = member[2]
+            return out
+        return value
+    except _DocumentError as exc:
+        if key is not None:
+            exc.keys.append(f"[{key}]" if type(key) is int else f".{key}")
+        raise
 
 
-def _smooth_model(entry: dict, n: int, path: str):
-    """A closed smooth subvariety given as a linear space or a smooth
-    complete intersection; returns (fundamental class, SM class)."""
-    kind = _get(entry, "kind", path, str)
-    if kind == "linear":
-        k = _get(entry, "dim", path, int)
-        _expect(0 <= k <= n, f"{path}.dim", f"needs 0 <= dim <= {n}")
-        return make_class(n, [0] * (n - k) + [1]), csm_linear_subspace(n, k)
-    if kind == "ci":
-        degrees = _get(entry, "degrees", path, list)
-        _expect(
-            all(_is_a(d, int) and 1 <= d <= MAX_DEGREE for d in degrees) and len(degrees) <= n,
-            f"{path}.degrees",
-            f"need at most {n} positive integer degrees, each at most {MAX_DEGREE}",
-        )
+def _class(coeffs, n: int, path: str) -> ChowClass:
+    try:
+        return make_class(n, coeffs)
+    except ValueError as exc:  # more coefficients than P^n has codimensions
+        raise _DocumentError(str(exc), path)
+
+
+def _smooth_model(model: dict, n: int, path: str):
+    """(fundamental class, SM class) of a checked smooth model."""
+    if model["kind"] == "linear":
+        if model["dim"] > n:
+            raise _DocumentError(f"must be at most {n}", f"{path}.dim")
+        return make_class(n, [0] * (n - model["dim"]) + [1]), csm_linear_subspace(n, model["dim"])
+    if model["kind"] == "ci":
+        degrees = model["degrees"]
+        if len(degrees) > n:
+            raise _DocumentError(f"at most {n} degrees in P^{n}", f"{path}.degrees")
         return fundamental_class_ci(n, degrees), csm_smooth_ci_degrees(n, degrees)
-    if kind == "explicit":
-        cls = _parse_coeffs(_get(entry, "class", path, list), n, f"{path}.class")
-        csm = _parse_coeffs(_get(entry, "csm", path, list), n, f"{path}.csm")
-        return cls, csm
-    raise _DocumentError(f"{path}.kind", f"unknown closure kind {kind!r}")
+    return _class(model["class"], n, f"{path}.class"), _class(model["csm"], n, f"{path}.csm")
 
 
-def _parse_sing_locus(entry, n: int, path: str):
-    if entry is None:
-        return None
-    kind = _get(entry, "kind", path, str)
-    if kind == "linear":
-        return LinearLocus(_get(entry, "dim", path, int))
-    if kind == "smooth":
-        cls = _parse_coeffs(_get(entry, "class", path, list), n, f"{path}.class")
-        normal = _get(entry, "normal", path, dict)
-        rank = _get(normal, "rank", f"{path}.normal", int)
-        total = _parse_coeffs(
-            _get(normal, "chern", f"{path}.normal", list), n, f"{path}.normal.chern"
-        )
-        try:
-            return SmoothLocus(cls, BundleChern(n, rank, total))
-        except ValueError as exc:
-            raise _DocumentError(f"{path}.normal", str(exc))
-    raise _DocumentError(f"{path}.kind", f"unknown singular-locus kind {kind!r}")
-
-
-def _parse_strata(entries, n: int, path: str) -> Stratification:
-    _expect(len(entries) <= MAX_STRATA, path, f"at most {MAX_STRATA}")
-    strata = []
-    order = []
-    for i, entry in enumerate(entries):
-        spath = f"{path}[{i}]"
-        _expect(isinstance(entry, dict), spath, "expected an object")
-        name = _get(entry, "name", spath, str)
-        dim = _get(entry, "dim", spath, int)
-        chi = _get(entry, "chiF", spath, int)
-        closure_class = csm_closure = None
-        closure = _get(entry, "closure", spath, dict, default=None)
-        if closure is not None:
-            closure_class, csm_closure = _smooth_model(closure, n, f"{spath}.closure")
-        for below in _get(entry, "contains", spath, list, default=[]):
-            _expect(isinstance(below, str), f"{spath}.contains", "expected stratum names")
-            order.append((name, below))
-        strata.append(Stratum(name, dim, chi, closure_class, csm_closure))
+def _parse_strata(entries: list, n: int, path: str) -> Stratification:
+    strata, order = [], []
+    for i, s in enumerate(entries):
+        closure = s["closure"] and _smooth_model(s["closure"], n, f"{path}[{i}].closure")
+        order.extend((s["name"], below) for below in s["contains"])
+        strata.append(Stratum(s["name"], s["dim"], s["chiF"], *(closure or (None, None))))
     return Stratification(tuple(strata), tuple(order))
 
 
-def _parse_hypersurface(entry: dict, n: int, path: str) -> HypersurfaceSpec:
-    _expect(isinstance(entry, dict), path, "expected an object")
-    name = _get(entry, "name", path, str)
-    degree = _get(entry, "degree", path, int)
-    _expect(degree <= MAX_DEGREE, f"{path}.degree", f"must be at most {MAX_DEGREE}")
-    sing = _get(entry, "singularity", path, dict)
-    kind = _get(sing, "kind", f"{path}.singularity", str)
-    if kind == "smooth":
-        singularity = Smooth()
-    elif kind == "arrangement":
-        components = _get(sing, "components", f"{path}.singularity", list)
-        _expect(
-            all(_is_a(d, int) and d <= MAX_DEGREE for d in components),
-            f"{path}.singularity.components",
-            f"expected integer degrees, each at most {MAX_DEGREE}",
-        )
-        _expect(
-            _get(sing, "pairwise_transversal", f"{path}.singularity", bool, default=True),
-            f"{path}.singularity.pairwise_transversal",
+def _parse_hypersurface(h: dict, n: int, path: str) -> HypersurfaceSpec:
+    sing, kind, strata = h["singularity"], h["singularity"]["kind"], h["strata"]
+    if kind == "arrangement" and not sing["pairwise_transversal"]:
+        raise _DocumentError(
             "only pairwise-transversal arrangements are supported",
+            f"{path}.singularity.pairwise_transversal",
         )
-        singularity = Arrangement(tuple(components))
-    elif kind == "stratified":
-        singularity = Stratified()
-    else:
-        raise _DocumentError(f"{path}.singularity.kind", f"unknown kind {kind!r}")
-    strata_entries = _get(entry, "strata", path, list, default=None)
-    strata = (
-        _parse_strata(strata_entries, n, f"{path}.strata")
-        if strata_entries is not None
-        else None
+    singularity = Arrangement(tuple(sing["components"])) if kind == "arrangement" else (
+        Smooth() if kind == "smooth" else Stratified()
     )
-    locus = _parse_sing_locus(_get(entry, "sing_locus", path, dict, default=None), n, f"{path}.sing_locus")
-    return HypersurfaceSpec(name, n, degree, singularity, locus, strata)
+    if strata is not None:
+        strata = _parse_strata(strata, n, f"{path}.strata")
+    locus = h["sing_locus"]
+    if locus is not None and locus["kind"] == "linear":
+        locus = LinearLocus(locus["dim"])
+    elif locus is not None:
+        cls = _class(locus["class"], n, f"{path}.sing_locus.class")
+        chern = _class(locus["normal"]["chern"], n, f"{path}.sing_locus.normal.chern")
+        try:
+            locus = SmoothLocus(cls, BundleChern(n, locus["normal"]["rank"], chern))
+        except ValueError as exc:
+            raise _DocumentError(str(exc), f"{path}.sing_locus.normal")
+    return HypersurfaceSpec(h["name"], n, h["degree"], singularity, locus, strata)
 
 
-def _parse_intersection_csm(entry, n: int, path: str) -> ChowClass | None:
-    if entry is None:
-        return None
-    csm = _get(entry, "csm", path, dict)
-    if "coeffs" in csm:
-        return _parse_coeffs(csm["coeffs"], n, f"{path}.csm.coeffs")
-    combination = _get(csm, "combination", f"{path}.csm", list)
-    total = make_class(n, [])
-    for i, part in enumerate(combination):
-        ppath = f"{path}.csm.combination[{i}]"
-        _expect(isinstance(part, dict), ppath, "expected an object")
-        weight = _get(part, "weight", ppath, int, default=1)
-        _, csm_part = _smooth_model(part, n, ppath)
-        total += weight * csm_part
-    return total
+def _parse_intersection_csm(csm: dict, n: int) -> ChowClass:
+    if csm["coeffs"] is not None:
+        return _class(csm["coeffs"], n, "intersection.csm.coeffs")
+    if csm["combination"] is None:
+        raise _DocumentError("missing", "intersection.csm.combination")
+    parts = enumerate(csm["combination"])
+    return sum((p["weight"] * _smooth_model(p, n, f"intersection.csm.combination[{i}]")[1] for i, p in parts),
+               make_class(n, []))
 
 
-def parse_document(doc: dict):
-    """Turn a JSON document into a validated spec.
-
-    Returns (spec, intersection_csm, requested_routes).  Raises
-    ValidationError with one message per problem.
-    """
+def parse_document(doc):
+    """Turn a JSON document into a validated spec: returns (spec,
+    intersection_csm, requested_routes) or raises ValidationError."""
     try:
-        _expect(isinstance(doc, dict), "document", "expected a JSON object")
-        ambient = _get(doc, "ambient", "document", dict)
-        _expect(
-            _get(ambient, "kind", "ambient", str) == "projective",
-            "ambient.kind",
-            "only projective ambient spaces are supported",
+        checked = _read(doc, _DOCUMENT, {})
+        n, routes, intersection = checked["ambient"]["dim"], checked["routes"], checked["intersection"]
+        hypersurfaces = tuple(
+            _parse_hypersurface(h, n, f"hypersurfaces[{i}]") for i, h in enumerate(checked["hypersurfaces"])
         )
-        n = _get(ambient, "dim", "ambient", int)
-        _expect(n >= 1, "ambient.dim", "must be at least 1")
-        _expect(n <= MAX_AMBIENT_DIM, "ambient.dim", f"must be at most {MAX_AMBIENT_DIM}")
-        transversal = _get(doc, "transversal", "document", bool, default=False)
-        entries = _get(doc, "hypersurfaces", "document", list)
-        _expect(
-            len(entries) <= MAX_HYPERSURFACES, "hypersurfaces", f"at most {MAX_HYPERSURFACES}"
-        )
-        hypersurfaces, components, closure_degrees = [], 0, 0
-        for i, entry in enumerate(entries):
-            h = _parse_hypersurface(entry, n, f"hypersurfaces[{i}]")
-            hypersurfaces.append(h)
-            components += len(getattr(h.singularity, "component_degrees", ()))
-            _expect(
-                components <= MAX_COMPONENTS,
-                f"hypersurfaces[{i}].singularity.components",
-                f"at most {MAX_COMPONENTS} arrangement components in all",
-            )
-            # the entry parsed, so every closure present is a checked object
-            closures = [s["closure"] for s in entry.get("strata", ()) if "closure" in s]
-            closure_degrees += sum(len(c["degrees"]) for c in closures if c["kind"] == "ci")
-            _expect(
-                closure_degrees <= MAX_CLOSURE_DEGREES,
-                f"hypersurfaces[{i}].strata",
-                f"at most {MAX_CLOSURE_DEGREES} ci closure degrees in all",
-            )
-        intersection_csm = _parse_intersection_csm(
-            _get(doc, "intersection", "document", dict, default=None), n, "intersection"
-        )
-        routes = _get(doc, "routes", "document", list, default=None)
-        if routes is not None:
-            unknown = set(routes) - set(ROUTE_ORDER)
-            _expect(not unknown, "routes", f"unknown routes {sorted(unknown)}")
+        intersection_csm = intersection and _parse_intersection_csm(intersection["csm"], n)
+        unknown = set(routes or ()) - set(ROUTE_ORDER)
+        if unknown:
+            raise _DocumentError(f"unknown routes {sorted(unknown)}", "routes")
     except _DocumentError as exc:
-        raise ValidationError([str(exc)])
-    spec = CompleteIntersectionSpec(n, tuple(hypersurfaces), transversal)
+        raise ValidationError([f"{''.join(reversed(exc.keys)).lstrip('.') or 'document'}: {exc}"])
+    spec = CompleteIntersectionSpec(n, hypersurfaces, checked["transversal"])
     validate(spec)
     return spec, intersection_csm, routes
 
@@ -307,7 +291,7 @@ def load_document(path: str):
             doc = json.load(handle)
     except OSError as exc:
         raise ValidationError([f"{path}: {exc.strerror or exc}"])
-    except ValueError as exc:  # also integers past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # also too long integers, too deep nesting
         raise ValidationError([f"{path}: not valid JSON ({exc})"])
     return parse_document(doc)
 
@@ -462,29 +446,20 @@ def render_crosscheck(report: ClassReport) -> str:
 # subcommands
 
 
-def _select_methods(args, requested):
-    if getattr(args, "method", "all") != "all":
-        return {args.method}
-    if requested is not None:
-        return set(requested)
-    return None
+def _report(args, crosscheck: bool) -> ClassReport:
+    spec, intersection_csm, requested = load_document(args.input)
+    sys.set_int_max_str_digits(0)  # print every number the caps allow; main restores the limit
+    if crosscheck and requested is not None and len(set(requested)) < 2:
+        raise ValidationError(["routes: crosscheck needs at least two distinct routes"])
+    if not crosscheck and args.method != "all":
+        requested = [args.method]
+    return compute_report(spec, None if requested is None else set(requested), intersection_csm)
 
 
 def cmd_compute(args) -> int:
-    try:
-        spec, intersection_csm, requested = load_document(args.input)
-        methods = _select_methods(args, requested)
-        report = compute_report(spec, methods, intersection_csm)
-    except ValidationError as exc:
-        for message in exc.errors:
-            print(f"error: {message}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except IntegralityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRALITY
+    report = _report(args, crosscheck=False)
     if not any(v.milnor for v in report.varieties):
-        print("error: the requested method applies to nothing in this input", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError(["the requested method applies to nothing in this input"])
     if args.output == "json":
         print(report_to_json(report))
     else:
@@ -496,18 +471,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    try:
-        spec, intersection_csm, requested = load_document(args.input)
-        if requested is not None and len(set(requested)) < 2:
-            raise ValidationError(["routes: crosscheck needs at least two distinct routes"])
-        report = compute_report(spec, requested and set(requested), intersection_csm)
-    except ValidationError as exc:
-        for message in exc.errors:
-            print(f"error: {message}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except IntegralityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRALITY
+    report = _report(args, crosscheck=True)
     if args.output == "json":
         print(report_to_json(report))
     else:
@@ -517,13 +481,16 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_identity(args) -> int:
-    if args.n < 1 or args.r < 1 or args.r > args.n or args.trials < 1:
-        print("error: need 1 <= r <= n and trials >= 1", file=sys.stderr)
-        return EXIT_VALIDATION
-    reports = [
-        check_expansion_identity(args.n, args.r, args.trials, args.seed),
-        check_telescope_identity(args.n, args.r, args.trials, args.seed),
-    ]
+    """The document caps bound n and r; ``identities`` checks the ranges."""
+    if args.n > MAX_AMBIENT_DIM or args.r > MAX_HYPERSURFACES:
+        raise ValidationError([f"need n <= {MAX_AMBIENT_DIM} and r <= {MAX_HYPERSURFACES}"])
+    try:
+        reports = [
+            check_expansion_identity(args.n, args.r, args.trials, args.seed),
+            check_telescope_identity(args.n, args.r, args.trials, args.seed),
+        ]
+    except ValueError as exc:
+        raise ValidationError([str(exc)])
     for report in reports:
         print(report.render())
     total = sum(len(r.failures) for r in reports)
@@ -573,7 +540,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    limit = sys.get_int_max_str_digits()
+    try:
+        return args.func(args)
+    except ValidationError as exc:
+        for message in exc.errors:
+            print(f"error: {message}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except IntegralityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTEGRALITY
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -83,14 +83,18 @@ CONVENTIONS = {
 
 
 class IntegralityError(ValueError):
-    """A reported class came out non-integral; the route or input is wrong."""
+    """A reported class came out non-integral; the route or input is wrong.
+
+    The message names the first non-integral codimension, not the class,
+    whose digits can run past what Python converts to a string."""
 
     def __init__(self, variety: str, label: str, value: ChowClass):
         self.variety = variety
         self.label = label
         self.value = value
+        codim = next(j for j, a in enumerate(value.coeffs) if a.denominator != 1)
         super().__init__(
-            f"{variety}: {label} has non-integral coefficients ({value})"
+            f"{variety}: {label} has non-integral coefficients, the first in codimension {codim}"
         )
 
 
@@ -685,7 +689,7 @@ def _check_integral(row: VarietyReport) -> None:
     if not row.cfj.is_integral():
         raise IntegralityError(row.name, "c^FJ", row.cfj)
     if row.csm is not None and not row.csm.is_integral():
-        raise IntegralityError(row.name, "c^SM", row.csm)
+        raise IntegralityError(row.name, f"c^SM ({row.csm_route} route)", row.csm)
     for rv in row.milnor:
         if not rv.value.is_integral():
             raise IntegralityError(row.name, f"Milnor class ({rv.route} route)", rv.value)

@@ -69,12 +69,6 @@ class Stratification(Record):
     strata: tuple[Stratum, ...]
     closure_order: tuple[tuple[str, str], ...] = ()
 
-    def by_name(self, name: str) -> Stratum:
-        for s in self.strata:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
 
 class HypersurfaceSpec(Record):
     """A degree-d hypersurface of P^n with its singularity description.

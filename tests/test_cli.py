@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import milnorcalc
@@ -22,9 +24,18 @@ from milnorcalc.cli import (
     MAX_CLOSURE_DEGREES,
     MAX_COMPONENTS,
     MAX_DEGREE,
+    MAX_DENOMINATOR_DIGITS,
+    MAX_DIGITS,
     MAX_HYPERSURFACES,
+    MAX_LOCUS_DIGITS,
+    MAX_PARTS,
     MAX_STRATA,
     TRANSVERSALITY_WARNING,
+    _DOCUMENT,
+    _POWERS,
+    KIND,
+    NUMBER,
+    COEFF,
     load_document,
     main,
     parse_document,
@@ -421,6 +432,298 @@ def test_oversized_numbers_exit_2_without_traceback(tmp_path, command):
         assert elapsed < 1.0
 
 
+def quadric_doc(**changes):
+    doc = json.loads((FIXTURES / "quadric-tangent-plane.json").read_text())
+    doc.update(changes)
+    return doc
+
+
+def _with(doc, edit):
+    edit(doc)
+    return doc
+
+
+def _closure_csm(coeffs):
+    return lambda doc: doc["hypersurfaces"][0]["strata"][1].update(
+        closure={"kind": "explicit", "class": ["0", "0", "1"], "csm": coeffs}
+    )
+
+
+def integrality_doc(digits=601, count=8, n=8):
+    """A cubic in P^n whose point stratum has an explicit closure csm of
+    ``count`` coefficients 1/d with distinct ``digits``-digit d: the
+    common denominator has about count * digits digits."""
+    denominators = [10 ** (digits - 1) + 2 * k + 1 for k in range(count)]
+    return {
+        "ambient": {"kind": "projective", "dim": n},
+        "hypersurfaces": [{
+            "name": "C", "degree": 3, "singularity": {"kind": "stratified"},
+            "strata": [
+                {"name": "reg", "dim": n - 1, "chiF": 1},
+                {"name": "p", "dim": 0, "chiF": 0, "closure": {
+                    "kind": "explicit", "class": [0] * n + [1],
+                    "csm": ["0"] + [f"1/{d}" for d in denominators],
+                }},
+            ],
+        }],
+    }
+
+
+def distinct_denominators_doc(digits=5):
+    """Eight cubics in P^64 of 64 strata, each point stratum with an explicit
+    closure csm whose coefficients have distinct ``digits``-digit
+    denominators: their common denominator grows with every stratum, and
+    crosscheck ran for more than 20 s."""
+    doc = stratified_intersection_doc([MAX_STRATA] * MAX_HYPERSURFACES, n=MAX_AMBIENT_DIM)
+    denominators = iter(range(10 ** (digits - 1) + 1, 10**digits, 2))
+    for h in doc["hypersurfaces"]:
+        for s in h["strata"][1:]:
+            s["closure"] = {"kind": "explicit", "class": [0] * MAX_AMBIENT_DIM + [1],
+                            "csm": [f"1/{next(denominators)}" for _ in range(MAX_AMBIENT_DIM + 1)]}
+    return doc
+
+
+@pytest.mark.parametrize("command", ["compute", "crosscheck"])
+@pytest.mark.parametrize(
+    "doc, code, message",
+    [
+        (_with(plane_pair_doc(), lambda d: d.update(routes=[["x"], "pp"])),
+         EXIT_VALIDATION, "error: routes: expected a string"),
+        (_with(plane_pair_doc(), lambda d: d["hypersurfaces"][0]["strata"][1].update(dim=1 - 10**4300)),
+         EXIT_VALIDATION, "error: hypersurfaces[0].strata[1].dim: must be at least 0"),
+        (_with(quadric_doc(), lambda d: d["intersection"]["csm"]["combination"][0].update(weight=-(10**4299))),
+         EXIT_VALIDATION, f"error: intersection.csm.combination[0].weight: at most {MAX_DIGITS} digits"),
+        (_with(plane_pair_doc(), _closure_csm(["0", "0", "1e10000000"])),
+         EXIT_VALIDATION, "error: hypersurfaces[0].strata[1].closure.csm[2]: expected [-]digits[/digits]"),
+        (quadric_doc(intersection={"csm": {"combination": [
+            {"kind": "ci", "degrees": [k % 7 + 1, k // 7 % 5 + 1], "weight": 1} for k in range(2000)
+        ]}}), EXIT_VALIDATION, f"error: intersection.csm.combination: at most {MAX_PARTS}\n"),
+        (integrality_doc(), EXIT_INTEGRALITY,
+         "error: C: Milnor class (expansion route) has non-integral coefficients, the first in codimension 1"),
+        (_with(smooth_doc(3, [2]), lambda d: d["hypersurfaces"][0].update(name="Q\ud800")),
+         EXIT_VALIDATION, "error: hypersurfaces[0].name: expected at most 64 printable characters"),
+        (distinct_denominators_doc(), EXIT_VALIDATION,
+         "error: hypersurfaces[0].strata[16].closure.csm: "
+         f"at most {MAX_DENOMINATOR_DIGITS} denominator digits in all"),
+    ],
+    ids=["route-list", "huge-dim", "huge-weight", "exponent", "combination-2000", "integrality-message",
+         "surrogate-name", "distinct-denominators"],
+)
+def test_documents_that_once_crashed_or_ran_long(tmp_path, command, doc, code, message):
+    """Each of these ended in a traceback, or ran for seconds, before every
+    field had a bound and the integrality message left the class out."""
+    start = time.perf_counter()
+    proc = run_cli(command, write_doc(tmp_path, doc))
+    elapsed = time.perf_counter() - start
+    stderr = proc.stderr.decode("utf-8")
+    assert proc.returncode == code
+    assert message in stderr
+    assert "Traceback" not in stderr
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command", ["compute", "crosscheck"])
+def test_deeply_nested_json_exits_2_without_traceback(tmp_path, command):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    start = time.perf_counter()
+    proc = run_cli(command, str(path))
+    elapsed = time.perf_counter() - start
+    stderr = proc.stderr.decode("utf-8")
+    assert proc.returncode == EXIT_VALIDATION
+    assert f"error: {path}: not valid JSON (" in stderr
+    assert "Traceback" not in stderr
+    assert elapsed < 1.0
+
+
+def _big_numbers_doc(edit_stratum, n=MAX_AMBIENT_DIM):
+    """Eight hypersurfaces with a codimension-2 stratum each, edited by
+    ``edit_stratum``: products over the factors add up the digits."""
+    doc = {
+        "ambient": {"kind": "projective", "dim": n},
+        "transversal": True,
+        "hypersurfaces": [
+            {"name": f"Z{i}", "degree": MAX_DEGREE, "singularity": {"kind": "stratified"},
+             "strata": [
+                 {"name": "reg", "dim": n - 1, "chiF": 1, "closure": {"kind": "ci", "degrees": [MAX_DEGREE]}},
+                 {"name": "s", "dim": n - 2, "chiF": 0, "closure": {"kind": "linear", "dim": n - 2}},
+             ]}
+            for i in range(MAX_HYPERSURFACES)
+        ],
+    }
+    for h in doc["hypersurfaces"]:
+        edit_stratum(h, h["strata"][1])
+    return doc
+
+
+def _locus(h, s):
+    big = 10**MAX_LOCUS_DIGITS - 1
+    h.update(
+        singularity={"kind": "arrangement", "components": [1, MAX_DEGREE - 1]},
+        sing_locus={"kind": "smooth", "class": [0, 0, big], "normal": {"rank": 2, "chern": [1, big, big]}},
+    )
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h, s: s.update(chiF=1 - 10**MAX_DIGITS),
+        lambda h, s: s["closure"].update(
+            kind="explicit", **{"class": [0, 0, 1], "csm": [0, 0, str(10**MAX_DIGITS - 1)]}
+        ),
+        _locus,
+    ],
+    ids=["chiF", "explicit-csm", "sing-locus"],
+)
+def test_numbers_at_the_digit_caps_print_and_run_quickly(tmp_path, edit):
+    """Classes with more digits than Python converts to a string by default
+    are printed, and the slowest documents found at the digit caps (the
+    sing_locus normal class is inverted, so its digits multiply) take under
+    a second as a process."""
+    start = time.perf_counter()
+    proc = run_cli("crosscheck", write_doc(tmp_path, _big_numbers_doc(edit)))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == EXIT_DISAGREEMENT, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert elapsed < 1.0
+
+
+def _fields(field, path="document"):
+    """(path, field) for every field declared below ``field``."""
+    kind, _, _, sub, _ = field
+    yield path, field
+    if kind is list:
+        yield from _fields(sub, f"{path}[]")
+    elif kind is dict:
+        for key, member in sub.items():
+            yield from _fields(member, f"{path}.{key}")
+    elif kind is KIND:
+        for choice, fields in sub.items():
+            for key, member in fields.items():
+                yield from _fields(member, f"{path}<{choice}>.{key}")
+
+
+def test_every_declared_field_has_a_bound():
+    fields = list(_fields(_DOCUMENT))
+    assert len(fields) > 40
+    for path, (kind, bound, _, _, _) in fields:
+        if kind is int:
+            assert isinstance(bound, tuple) and len(bound) == 2, path
+        elif kind in (NUMBER, COEFF):
+            assert bound in _POWERS, path
+        elif kind in (str, list):
+            assert isinstance(bound, int) and bound > 0, path
+        else:
+            assert kind in (bool, dict, KIND) and bound is None, path
+
+
+@pytest.mark.parametrize(
+    "coeff, accepted",
+    [
+        ("1/2", True), ("-3", True), ("007/010", True), (-5, True), ("9" * MAX_DIGITS, True),
+        ("1/" + "7" * MAX_DIGITS, True), ("1e5", False), ("1.5", False), (" 1", False), ("+1", False),
+        ("1/-2", False), ("1/0", False), ("1/000", False), ("1_000", False), ("\u0661", False),
+        ("9" * (MAX_DIGITS + 1), False), ("1/" + "7" * (MAX_DIGITS + 1), False), (10**MAX_DIGITS, False),
+        (1.0, False), (True, False), (None, False),
+    ],
+)
+def test_coefficient_format(coeff, accepted):
+    """Integers and [-]digits[/digits] strings, each part at most MAX_DIGITS
+    digits and the denominator nonzero; nothing that Fraction alone accepts."""
+    doc = _with(plane_pair_doc(), _closure_csm(["0", "0", coeff]))
+    if accepted:
+        parse_document(doc)
+    else:
+        with pytest.raises(ValidationError, match=r"hypersurfaces\[0\]\.strata\[1\]\.closure\.csm\[2\]: "):
+            parse_document(doc)
+
+
+def test_empty_strata_reach_validation():
+    doc = smooth_doc(3, [2])
+    doc["hypersurfaces"][0]["strata"] = []
+    with pytest.raises(ValidationError, match=r"^hypersurfaces\[0\]\.strata: need at least one stratum$"):
+        parse_document(doc)
+
+
+def test_root_paths_have_no_document_prefix():
+    doc = plane_pair_doc()
+    doc["routes"] = "pp"
+    with pytest.raises(ValidationError, match=r"^routes: expected a list$"):
+        parse_document(doc)
+    with pytest.raises(ValidationError, match=r"^document: expected an object$"):
+        parse_document([])
+
+
+# -- fuzzing the front end ------------------------------------------------------
+
+FIELD_NAMES = sorted({
+    path.rsplit(".", 1)[-1].split("<")[0] for path, _ in _fields(_DOCUMENT) if "." in path
+} | {"linear", "ci", "explicit", "smooth", "arrangement", "stratified", "projective"})
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(FIELD_NAMES),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(max_size=6), children, max_size=5),
+    max_leaves=24,
+)
+
+HUGE = [10**4000, -(10**4000), 10**MAX_DIGITS, -(10**MAX_DIGITS) + 1, 2**64, "1e100000", "7" * 4000 + "/3"]
+
+
+def _locations(node, out):
+    """(container, key) of every value below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        out.append((node, key))
+        _locations(value, out)
+    return out
+
+
+@st.composite
+def mutated_docs(draw):
+    """A normal-crossing document with one field replaced by another JSON
+    value, deleted, grown past every list bound, or made huge."""
+    doc = draw(normal_crossing_docs(draw(st.sampled_from([0, 1]))))
+    container, key = draw(st.sampled_from(_locations(doc, [])))
+    mutation = draw(st.sampled_from(["replace", "delete", "grow", "huge"]))
+    value = container[key]
+    if mutation == "delete":
+        del container[key]
+    elif mutation == "grow" and isinstance(value, list) and value:
+        container[key] = (value * (MAX_COMPONENTS + 1))[: MAX_COMPONENTS + 1]
+    elif mutation == "huge":
+        container[key] = draw(st.sampled_from(HUGE))
+    else:
+        container[key] = draw(json_values)
+    return doc
+
+
+def assert_front_end_holds(doc):
+    """compute and crosscheck end in a documented exit code, raise
+    nothing, and take under a second each."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_doc(Path(tmp), doc)
+        for command in ("compute", "crosscheck"):
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, path])
+            assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_DISAGREEMENT, EXIT_INTEGRALITY, EXIT_UNCHECKED)
+            assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=json_values)
+def test_fuzz_any_json_value(doc):
+    assert_front_end_holds(doc)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=mutated_docs())
+def test_fuzz_mutated_normal_crossing_documents(doc):
+    assert_front_end_holds(doc)
+
+
 # -- the normal-crossing family ------------------------------------------------
 
 def crosscheck_exit(doc) -> int:
@@ -655,6 +958,22 @@ def test_identity_rejects_bad_ranges(capsys):
     assert main(["identity", "--n", "4", "--r", "0"]) == EXIT_VALIDATION
     capsys.readouterr()
     assert main(["identity", "--n", "2", "--r", "3"]) == EXIT_VALIDATION
+
+
+def test_identity_takes_the_document_caps():
+    """r = n = 18 took 23 s and r = 64 never finished; at the caps the
+    command takes a fraction of a second."""
+    for n, r in [(MAX_AMBIENT_DIM + 1, 1), (MAX_HYPERSURFACES + 1, MAX_HYPERSURFACES + 1), (64, 64)]:
+        start = time.perf_counter()
+        proc = run_cli("identity", "--n", str(n), "--r", str(r), "--trials", "1")
+        assert proc.returncode == EXIT_VALIDATION
+        assert f"error: need n <= {MAX_AMBIENT_DIM} and r <= {MAX_HYPERSURFACES}" in proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
+        assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    proc = run_cli("identity", "--n", str(MAX_AMBIENT_DIM), "--r", str(MAX_HYPERSURFACES), "--trials", "1")
+    assert proc.returncode == EXIT_OK
+    assert time.perf_counter() - start < 1.0
 
 
 def test_identity_output_is_deterministic(capsys):
