@@ -47,6 +47,7 @@ from .identities import (
     IdentityReport,
     RandomInstance,
     check_expansion_identity,
+    check_identities,
     check_telescope_identity,
     sweep,
 )

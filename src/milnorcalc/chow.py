@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, gcd, lcm
 from numbers import Rational
+from operator import add
 
 
 def _coerce(value) -> int | Fraction:
@@ -121,9 +122,12 @@ class ChowClass:
             )
 
     def __add__(self, other):
-        if not isinstance(other, ChowClass):
+        if other.__class__ is not ChowClass:
             return NotImplemented
-        self._check_compatible(other)
+        if other.ambient_dim != self.ambient_dim:
+            self._check_compatible(other)
+        if self._den == 1 == other._den:
+            return _from_ints(self.ambient_dim, tuple(map(add, self._num, other._num)))
         den = lcm(self._den, other._den)
         f, g = den // self._den, den // other._den
         return _reduced(
@@ -145,12 +149,13 @@ class ChowClass:
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, ChowClass):
+        if other.__class__ is not ChowClass:
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
-        self._check_compatible(other)
         n = self.ambient_dim
+        if other.ambient_dim != n:
+            self._check_compatible(other)
         out = [0] * (n + 1)
         terms = [(j, b) for j, b in enumerate(other._num) if b]
         for i, a in enumerate(self._num):

@@ -27,7 +27,7 @@ from .engine import (
     compute_report,
     csm_smooth_ci_degrees,
 )
-from .identities import check_expansion_identity, check_telescope_identity
+from .identities import check_identities
 from .varieties import (
     Arrangement,
     CompleteIntersectionSpec,
@@ -485,10 +485,7 @@ def cmd_identity(args) -> int:
     if args.n > MAX_AMBIENT_DIM or args.r > MAX_HYPERSURFACES:
         raise ValidationError([f"need n <= {MAX_AMBIENT_DIM} and r <= {MAX_HYPERSURFACES}"])
     try:
-        reports = [
-            check_expansion_identity(args.n, args.r, args.trials, args.seed),
-            check_telescope_identity(args.n, args.r, args.trials, args.seed),
-        ]
+        reports = check_identities(args.n, args.r, args.trials, args.seed)
     except ValueError as exc:
         raise ValidationError([str(exc)])
     for report in reports:

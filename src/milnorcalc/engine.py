@@ -221,6 +221,15 @@ def _tangent_correction(n: int, r: int) -> ChowClass:
     return line_power(n, 1, -(n + 1) * (r - 1))
 
 
+def _corrected(c: ChowClass, r: int) -> ChowClass:
+    """c divided by c(TP^n)^(r-1); one factor needs no product."""
+    return c if r == 1 else _tangent_correction(c.ambient_dim, r) * c
+
+
+def _prod(classes: list) -> ChowClass:
+    return prod(classes[1:], start=classes[0])
+
+
 def product_rule(classes, n: int) -> ChowClass:
     """Class of a transversal intersection from its factors' classes:
     their product divided by c(TP^n)^(r-1).  Holds for SM and for
@@ -228,15 +237,18 @@ def product_rule(classes, n: int) -> ChowClass:
     classes = list(classes)
     if not classes:
         raise ValueError("need at least one class")
-    return prod(classes, start=_tangent_correction(n, len(classes)))
+    return _corrected(_prod(classes), len(classes))
 
 
 def milnor_product(cfj_list, csm_list, n: int, dim_x: int) -> ChowClass:
-    """Milnor class of the intersection from the factors' class products."""
+    """(-1)^dim(X) (prod c^FJ_i - prod c^SM_i), divided once by c(TP^n)^(r-1)."""
     cfj_list, csm_list = list(cfj_list), list(csm_list)
     if len(cfj_list) != len(csm_list):
         raise ValueError("need one virtual and one SM class per factor")
-    return _sign(dim_x) * (product_rule(cfj_list, n) - product_rule(csm_list, n))
+    if not cfj_list:
+        raise ValueError("need at least one class")
+    diff = _corrected(_prod(cfj_list) - _prod(csm_list), len(cfj_list))
+    return -diff if dim_x % 2 else diff
 
 
 def _signed(classes, codims, parity: int) -> list[ChowClass]:
@@ -267,7 +279,8 @@ def milnor_expansion(m_list, csm_list, codims, n: int) -> ChowClass:
     # zip stops on m_list first, so the full all-SM product is never formed
     for m, s, all_sm in zip(m_list[1:], signed[1:], itertools.accumulate(signed, mul)):
         mixed = [p * c for p in mixed for c in (m, s)] + [all_sm * m]
-    return _sign(n * r - n) * (_tangent_correction(n, r) * sum(mixed[1:], mixed[0]))
+    total = _corrected(sum(mixed[1:], mixed[0]), r)
+    return -total if (n * r - n) % 2 else total
 
 
 def milnor_telescope(m_list, csm_list, cfj_list, codims, n: int) -> ChowClass:
@@ -288,7 +301,7 @@ def milnor_telescope(m_list, csm_list, cfj_list, codims, n: int) -> ChowClass:
     acc = zero(n)
     for head, m, tail in zip(heads, m_list, reversed(tails)):
         acc += prod([c for c in (head, tail) if c is not None], start=m)
-    return _tangent_correction(n, r) * acc
+    return _corrected(acc, r)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +433,8 @@ def milnor_from_strata_ci(strats, degrees, n: int) -> ChowClass:
         o = zero(n) if reg.csm_closure is None else _sign(n - 1) * reg.csm_closure
         with_open.append(milnor_from_strata(strat, d, n) + o)
         all_open.append(o)
-    return _sign(n * r - n) * (_tangent_correction(n, r) * (prod(with_open) - prod(all_open)))
+    total = _corrected(_prod(with_open) - _prod(all_open), r)
+    return -total if (n * r - n) % 2 else total
 
 
 def _raise_first_failure(strats, opens) -> None:
@@ -685,7 +699,7 @@ def _build_row(name, kind, dim, cfj, csm, csm_route, milnor, skipped, methods):
     return VarietyReport(name, kind, dim, cfj, csm, csm_route, values, dropped)
 
 
-def _check_integral(row: VarietyReport) -> None:
+def _check_integral(row: VarietyReport) -> VarietyReport:
     if not row.cfj.is_integral():
         raise IntegralityError(row.name, "c^FJ", row.cfj)
     if row.csm is not None and not row.csm.is_integral():
@@ -693,6 +707,7 @@ def _check_integral(row: VarietyReport) -> None:
     for rv in row.milnor:
         if not rv.value.is_integral():
             raise IntegralityError(row.name, f"Milnor class ({rv.route} route)", rv.value)
+    return row
 
 
 def compute_report(
@@ -712,25 +727,19 @@ def compute_report(
         unknown = set(methods) - set(ROUTE_ORDER)
         if unknown:
             raise ValueError(f"unknown routes: {sorted(unknown)}")
-    factors = [_analyze_factor(h) for h in ci.hypersurfaces]
-    rows = [
-        _build_row(
-            f.spec.name,
-            "hypersurface",
-            ci.ambient_dim - 1,
-            f.cfj,
-            f.csm,
-            f.csm_route,
-            f.milnor,
-            f.skipped,
-            methods,
-        )
-        for f in factors
-    ]
+    # Check each row once built: a non-integral factor stops the later ones.
+    factors, rows = [], []
+    for h in ci.hypersurfaces:
+        f = _analyze_factor(h)
+        factors.append(f)
+        rows.append(_check_integral(_build_row(
+            h.name, "hypersurface", ci.ambient_dim - 1, f.cfj, f.csm,
+            f.csm_route, f.milnor, f.skipped, methods,
+        )))
     if len(factors) != 1:
-        rows.append(_intersection_report(ci, factors, intersection_csm, methods))
-    for row in rows:
-        _check_integral(row)
+        rows.append(_check_integral(
+            _intersection_report(ci, factors, intersection_csm, methods)
+        ))
     return ClassReport(
         ci.ambient_dim, ci.transversality_asserted, tuple(rows)
     )

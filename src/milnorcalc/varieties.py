@@ -241,7 +241,7 @@ def _stratification_errors(
                 errors.append(f"{path}.{s.name}.closure: wrong ambient dimension")
             else:
                 codim = ambient_dim - s.dim
-                for j, a in enumerate(s.closure_class.coeffs):
+                for j, a in enumerate(s.closure_class._num):
                     if j != codim and a != 0:
                         errors.append(
                             f"{path}.{s.name}.closure: class must be concentrated "

@@ -303,6 +303,23 @@ def test_kernel_matches_fraction_reference(operands, t, k, q):
     _same(line_power(a.ambient_dim, t, k), ref_pow(ref_line(a.ambient_dim, t), k))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_sum_matches_fraction_reference_for_any_denominators(n, data):
+    """Integral summands add their numerators directly; integral with
+    rational, and rational with rational, go through the common
+    denominator.  Each pairing matches the Fraction sum."""
+    kinds = [st.integers(-9, 9), coefficients]
+    a, b = (
+        ChowClass(n, data.draw(st.lists(data.draw(st.sampled_from(kinds)), min_size=n + 1, max_size=n + 1)))
+        for _ in range(2)
+    )
+    _same(a + b, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    _same(b + a, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    _same(a - b, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+    _same(a + -a, (Fraction(0),) * (n + 1))
+
+
 def test_representation_is_canonical():
     half = ChowClass(2, (Fraction(2, 4), 1, 0))
     assert half == ChowClass(2, (Fraction(1, 2), 1, 0))

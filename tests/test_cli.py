@@ -43,6 +43,7 @@ from milnorcalc.cli import (
     report_to_json,
 )
 from milnorcalc.engine import compute_report
+from milnorcalc.identities import check_identities
 from milnorcalc.varieties import Arrangement, ValidationError
 
 ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle" / "fixtures.json"
@@ -816,6 +817,25 @@ def test_compute_integrality_failure(tmp_path, capsys):
     assert "route" in err
 
 
+def test_integrality_failure_stops_at_the_first_factor(tmp_path, capsys, monkeypatch):
+    """Eight cubics in P^64 whose first factor's closure classes carry a
+    1/2: the run stops on that row without analysing the other seven."""
+    doc = stratified_intersection_doc([MAX_STRATA] * MAX_HYPERSURFACES, n=MAX_AMBIENT_DIM)
+    for s in doc["hypersurfaces"][0]["strata"][1:]:
+        s["closure"] = {"kind": "explicit", "class": [0] * MAX_AMBIENT_DIM + [1],
+                        "csm": ["0"] * MAX_AMBIENT_DIM + ["1/2"]}
+    calls = []
+    analyze = milnorcalc.engine._analyze_factor
+    monkeypatch.setattr(milnorcalc.engine, "_analyze_factor", lambda h: calls.append(h.name) or analyze(h))
+    code = main(["compute", write_doc(tmp_path, doc)])
+    assert code == EXIT_INTEGRALITY
+    assert capsys.readouterr().err == (
+        "error: Z0: Milnor class (pp route) has non-integral coefficients, "
+        f"the first in codimension {MAX_AMBIENT_DIM}\n"
+    )
+    assert calls == ["Z0"]
+
+
 def test_compute_json_output_round_trips(fixtures_dir, capsys):
     code = main([
         "compute", str(fixtures_dir / "paper-example.json"), "--output", "json",
@@ -979,6 +999,7 @@ def test_identity_takes_the_document_caps():
 def test_identity_output_is_deterministic(capsys):
     main(["identity", "--n", "3", "--r", "2", "--trials", "25", "--seed", "5"])
     first = capsys.readouterr().out
+    check_identities.cache_clear()  # recompute, do not read the memo
     main(["identity", "--n", "3", "--r", "2", "--trials", "25", "--seed", "5"])
     second = capsys.readouterr().out
     assert first == second

@@ -460,6 +460,20 @@ def test_routes_with_no_factor_are_zero():
     assert milnor_telescope([], [], [], [], 5) == zero(5)
     with pytest.raises(ValueError):
         product_rule([], 5)
+    with pytest.raises(ValueError):
+        milnor_product([], [], 5, 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 4), st.integers(0, 7), st.data())
+def test_milnor_product_matches_the_two_product_rules(n, r, dim_x, data):
+    """One correction applied to the difference of the products, with the
+    sign taken by negation, equals (-1)^dim(X) times the difference of
+    the two product rules, each started at the correction."""
+    coeff = data.draw(st.sampled_from([st.integers(-9, 9), coefficients]))
+    cfj, csm = ([data.draw(chow_class(n, coeff)) for _ in range(r)] for _ in range(2))
+    expected = _sign(dim_x) * (ref_product_rule(cfj, n) - ref_product_rule(csm, n))
+    assert milnor_product(cfj, csm, n, dim_x).coeffs == expected.coeffs
 
 
 def test_product_counts(monkeypatch):

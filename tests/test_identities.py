@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from milnorcalc.chow import zero
+from milnorcalc import identities
+from milnorcalc.chow import one, zero
 from milnorcalc.engine import milnor_expansion, milnor_product, milnor_telescope
 from milnorcalc.identities import (
     RandomInstance,
     check_expansion_identity,
+    check_identities,
     check_telescope_identity,
     random_instance,
     sweep,
@@ -75,6 +77,7 @@ def test_invalid_ranges_rejected():
 
 def test_reports_render_deterministically():
     first = check_expansion_identity(5, 2, trials=20, seed=7).render()
+    check_identities.cache_clear()  # recompute, do not read the memo
     second = check_expansion_identity(5, 2, trials=20, seed=7).render()
     assert first == second
     assert "failures=0" in first
@@ -97,3 +100,40 @@ def test_sweep_covers_the_grid():
     cells = {(r.n, r.r, r.identity) for r in reports}
     assert len(cells) == len(reports) == 2 * (2 + 2)
     assert all(r.passed for r in reports)
+
+
+def test_paired_checks_draw_each_trial_once(monkeypatch):
+    drawn = []
+    draw = identities.random_instance
+    monkeypatch.setattr(identities, "random_instance", lambda *a: drawn.append(1) or draw(*a))
+    check_identities.cache_clear()
+    expansion = check_expansion_identity(5, 3, trials=30, seed=12)
+    telescope = check_telescope_identity(5, 3, trials=30, seed=12)
+    check_identities.cache_clear()
+    assert len(drawn) == 30
+    assert (expansion, telescope) == check_identities(5, 3, 30, 12)
+    assert [rep.identity for rep in (expansion, telescope)] == [
+        "expansion identity", "telescope identity (cor11)",
+    ]
+
+
+def test_a_broken_telescope_fails_only_its_own_report(monkeypatch):
+    """Every trial is still compared with both routes: a telescope that is
+    off on trials 2 and 5 leaves the expansion report clean."""
+    calls = []
+    telescope = identities.milnor_telescope
+
+    def broken(*args):
+        value = telescope(*args)
+        calls.append(1)
+        return value + one(value.ambient_dim) if len(calls) in (3, 6) else value
+
+    check_identities.cache_clear()
+    monkeypatch.setattr(identities, "milnor_telescope", broken)
+    try:
+        expansion, tele = check_identities(4, 2, 8, 3)
+    finally:
+        check_identities.cache_clear()
+    assert expansion.failures == ()
+    assert tele.failures == (2, 5)
+    assert tele.render().endswith("failures=2 (trials 2, 5)")
