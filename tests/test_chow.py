@@ -357,3 +357,34 @@ def test_line_power_closed_form():
     assert line_power(3, Fraction(1, 2), 2) == make_class(3, [1, 1, Fraction(1, 4)])
     assert line_power(3, 2, -1) == make_class(3, [1, 2]).invert()
     assert line_power(0, 7, 3) == one(0)
+    assert line_power(3, 2, -2) == make_class(3, [1, -4, 12, -32])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 64), line_scalars, st.integers(0, 64))
+@example(63, Fraction(-5, 3), 63)
+@example(64, 1000, 64)
+def test_negative_line_power_is_the_inverse(n, t, j):
+    """The generalized binomial row of (1 + tH)^e, e = -(n+1)..-1, equals
+    the inverse of the positive power, in both parities of n."""
+    e = -1 - j % (n + 1)
+    assert line_power(n, t, e) == line_power(n, t, -e).invert()
+
+
+@st.composite
+def sparse_units(draw):
+    """A class in P^n, n = 1..64, with a nonzero rational constant term and
+    at most three other nonzero terms, anywhere."""
+    n = draw(st.integers(1, 64))
+    coeffs = [draw(nonzero_rationals)] + [0] * n
+    for j in draw(st.lists(st.integers(1, n), max_size=3)):
+        coeffs[j] = draw(coefficients)
+    return ChowClass(n, coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_units())
+@example(ChowClass(63, [Fraction(-5, 6), 0, 3] + [0] * 60 + [Fraction(1, 2)]))
+@example(ChowClass(64, [Fraction(7, 2), 1000] + [0] * 63))
+def test_sparse_invert_matches_fraction_reference(u):
+    _same(u.invert(), ref_invert(u.coeffs))

@@ -4,13 +4,22 @@ import time
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from milnorcalc.bundles import chern_line
+from milnorcalc.bundles import (
+    BundleChern,
+    chern_cotangent,
+    chern_line,
+    chern_tangent,
+    chern_twist,
+    fundamental_class_ci,
+    segre_smooth,
+)
 from milnorcalc.chow import ChowClass, _sign, h_power, line_power, make_class, one, zero
 from milnorcalc.engine import (
     IntegralityError,
+    _cfj,
     cfj_ci,
     compute_report,
     csm_inclusion_exclusion,
@@ -225,10 +234,8 @@ def test_hyperplane_arrangements_in_p8_agree_quickly(counts):
     assert elapsed < 1.0
 
 
-def test_pair_of_hyperplanes_cut_by_a_hyperplane_in_p128_agrees_quickly():
-    """Long products in the truncated ring: about 12 s with Fraction
-    coefficients, well under a second on integer numerators."""
-    n = 128
+def pair_cut_by_hyperplane(n):
+    """A pair of hyperplanes, singular along a P^(n-2), cut by a hyperplane."""
     pair = HypersurfaceSpec(
         "pair",
         n,
@@ -242,15 +249,70 @@ def test_pair_of_hyperplanes_cut_by_a_hyperplane_in_p128_agrees_quickly():
             )
         ),
     )
-    ci = CompleteIntersectionSpec(n, (pair, HypersurfaceSpec("H", n, 1, Smooth())), True)
+    return CompleteIntersectionSpec(n, (pair, HypersurfaceSpec("H", n, 1, Smooth())), True)
+
+
+def test_pair_of_hyperplanes_cut_by_a_hyperplane_in_p128_agrees_quickly():
+    """Long products in the truncated ring: about 12 s with Fraction
+    coefficients, well under a second on integer numerators."""
     routes = ["definition", "thm1", "expansion", "cor11", "pp"]
     start = time.perf_counter()
-    report = compute_report(ci, methods=set(routes))
+    report = compute_report(pair_cut_by_hyperplane(128), methods=set(routes))
     elapsed = time.perf_counter() - start
     x_row = report.varieties[-1]
     assert [rv.route for rv in x_row.milnor] == routes
     assert x_row.agree and report.all_agree
     assert elapsed < 2.0
+
+
+def test_line_bundle_classes_take_closed_forms_in_a_report(monkeypatch):
+    """c(O(d))^(-1), c(T*P^n (x) O(d)) and the Segre class of a linear
+    locus are closed forms: the only twist left is the regrading of the
+    mu-class in ``milnor_from_mu``, one per row with a singular-locus
+    descriptor, and no bundle record is built once c(TP^n) is memoised."""
+    n = 32
+    ci = pair_cut_by_hyperplane(n)
+    chern_tangent(n)
+    twists, bundles = [], []
+    tensor_line, post_init = ChowClass.tensor_line, BundleChern.__post_init__
+    monkeypatch.setattr(ChowClass, "tensor_line", lambda c, t: twists.append(t) or tensor_line(c, t))
+    monkeypatch.setattr(BundleChern, "__post_init__", lambda b: bundles.append(b) or post_init(b))
+    report = compute_report(ci)
+    assert report.all_agree
+    assert "aluffi" in [rv.route for rv in report.varieties[0].milnor]
+    assert twists == [h.degree for h in ci.hypersurfaces if h.sing_locus is not None] == [2]
+    assert bundles == []
+
+
+@st.composite
+def ambient_and_degrees(draw):
+    """P^n with n = 1..64 and 1..min(8, n) degrees in 1..1000, drawn from
+    a pool of at most three so that degrees repeat."""
+    n = draw(st.integers(1, 64))
+    pool = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=3))
+    return n, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=min(8, n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ambient_and_degrees())
+@example((63, [1000, 1000, 7]))
+@example((64, [1, 1, 2, 2, 3, 3, 3, 999]))
+def test_cfj_matches_the_bundle_composition(case):
+    n, degrees = case
+    lines = prod([chern_line(n, d).total for d in degrees], start=one(n))
+    expected = chern_tangent(n).total * lines.invert() * fundamental_class_ci(n, degrees)
+    assert _cfj(n, degrees) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 1000), st.integers(0, 63))
+@example(63, 1000, 61)
+@example(64, 2, 62)
+def test_mu_class_of_a_linear_locus_matches_the_bundle_composition(n, d, j):
+    k = j % n
+    normal = BundleChern(n, n - k, line_power(n, 1, n - k))
+    expected = chern_twist(chern_cotangent(n), d).total * segre_smooth(normal, h_power(n, n - k))
+    assert mu_class(n, d, LinearLocus(k)) == expected
 
 
 # -- definition route -------------------------------------------------------
