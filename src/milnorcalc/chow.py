@@ -322,27 +322,15 @@ def _degree_one_scalar(n: int, c1) -> int | Fraction:
     return c1.coeffs[1] if n >= 1 else 0
 
 
-def _fmt_coeff(q: Fraction) -> str:
-    return str(q) if q.denominator == 1 else f"({q})"
-
-
 def format_class(c: ChowClass) -> str:
-    """Render like ``2H + 7H^2 - 5H^3``, omitting zero terms."""
-    parts = []
-    for j, a in enumerate(c.coeffs):
-        if a == 0:
-            continue
-        mag = abs(a)
-        if j == 0:
-            body = _fmt_coeff(mag)
-        else:
-            h = "H" if j == 1 else f"H^{j}"
-            body = h if mag == 1 else f"{_fmt_coeff(mag)}{h}"
-        parts.append((a < 0, body))
-    if not parts:
-        return "0"
-    negative, body = parts[0]
-    text = ("-" if negative else "") + body
-    for negative, body in parts[1:]:
-        text += (" - " if negative else " + ") + body
-    return text
+    """Render like ``2H + 7H^2 - 5H^3``, omitting zero terms; a coefficient
+    that is not an integer shows as ``(p/q)``."""
+    den, terms = c._den, []
+    for j, a in enumerate(c._num):
+        if a:
+            mag = abs(a) if den == 1 else Fraction(abs(a), den)
+            h = "" if j == 0 else "H" if j == 1 else f"H^{j}"
+            coeff = "" if h and mag == 1 else str(mag) if mag.denominator == 1 else f"({mag})"
+            terms.append(("- " if a < 0 else "+ ") + coeff + h)
+    text = " ".join(terms) or "+ 0"  # e.g. "+ 2H - 5H^3"; a leading "+ " is dropped
+    return text[2:] if text[0] == "+" else "-" + text[2:]

@@ -556,9 +556,9 @@ class _Factor(Record):
     strat: Stratification | None
 
 
-def _factor_csm(h: HypersurfaceSpec):
+def _factor_csm(h: HypersurfaceSpec, cfj: ChowClass):
     if isinstance(h.singularity, Smooth):
-        return _cfj(h.ambient_dim, [h.degree]), "smooth model"
+        return cfj, "smooth model"
     if isinstance(h.singularity, Arrangement):
         return csm_inclusion_exclusion(h), "inclusion-exclusion"
     supplied = open_stratum(h.strata).csm_closure
@@ -585,7 +585,7 @@ def _factor_stratification(h: HypersurfaceSpec, csm):
 def _analyze_factor(h: HypersurfaceSpec) -> _Factor:
     n = h.ambient_dim
     cfj = _cfj(n, [h.degree])
-    csm, csm_route = _factor_csm(h)
+    csm, csm_route = _factor_csm(h, cfj)
     strat = _factor_stratification(h, csm)
     milnor: dict = {}
     skipped: dict = {}

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from milnorcalc.chow import ChowClass, format_class, h_power, line_power, make_class, one, zero
+from milnorcalc.cli import _coeff_strings
 
 from conftest import classes, coefficients, unit_classes
 
@@ -136,6 +137,52 @@ def test_integer_coeff_check():
 )
 def test_format_class(value, text):
     assert format_class(value) == text
+
+
+def format_class_by_fractions(c: ChowClass) -> str:
+    """The earlier ``format_class``, which read every coefficient as a
+    ``Fraction``: the oracle for the one that reads the numerators."""
+    def fmt(q):
+        return str(q) if q.denominator == 1 else f"({q})"
+
+    parts = []
+    for j, a in enumerate(c.coeffs):
+        if a == 0:
+            continue
+        mag = abs(a)
+        if j == 0:
+            body = fmt(mag)
+        else:
+            h = "H" if j == 1 else f"H^{j}"
+            body = h if mag == 1 else f"{fmt(mag)}{h}"
+        parts.append((a < 0, body))
+    if not parts:
+        return "0"
+    negative, body = parts[0]
+    text = ("-" if negative else "") + body
+    for negative, body in parts[1:]:
+        text += (" - " if negative else " + ") + body
+    return text
+
+
+format_coefficients = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-(10**30), 10**30),
+    st.fractions(max_denominator=10**40),
+    st.builds(Fraction, st.integers(-(10**60), 10**60), st.integers(1, 10**60)),
+)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 64).flatmap(lambda n: st.lists(format_coefficients, max_size=n + 1).map(
+    lambda cs: make_class(n, cs))))
+@example(zero(0))
+@example(make_class(3, [-1, 1, -1]))
+@example(make_class(2, [0, Fraction(-2, 1), Fraction(1, 3)]))
+@example(make_class(64, [Fraction(7, 10**50), 0, Fraction(-1, 10**50)]))
+def test_format_class_matches_the_fraction_oracle(c):
+    assert format_class(c) == format_class_by_fractions(c)
+    assert _coeff_strings(c) == [str(a) for a in c.coeffs]
 
 
 # -- ring laws (hypothesis) -------------------------------------------------

@@ -9,12 +9,14 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import milnorcalc
 from conftest import FIXTURES, normal_crossing_doc
+from milnorcalc.chow import ChowClass
 from milnorcalc.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_DISAGREEMENT,
     EXIT_INTEGRALITY,
     EXIT_OK,
@@ -36,10 +38,14 @@ from milnorcalc.cli import (
     KIND,
     NUMBER,
     COEFF,
+    _json,
     load_document,
     main,
     parse_document,
+    render_crosscheck,
+    render_text,
     report_from_json,
+    report_to_dict,
     report_to_json,
 )
 from milnorcalc.engine import compute_report
@@ -47,18 +53,15 @@ from milnorcalc.identities import check_identities
 from milnorcalc.varieties import Arrangement, ValidationError
 
 ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle" / "fixtures.json"
+COMPUTE_TEXT = Path(__file__).resolve().parent / "golden" / "compute-text.json"
+FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json"))
+CLI = [sys.executable, "-m", "milnorcalc.cli"]
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(milnorcalc.__file__).parent.parent), PYTHONIOENCODING="utf-8")
 
 
 def run_cli(*argv):
     """``milnorcalc`` as a child process, the way a user runs it."""
-    env = dict(
-        os.environ,
-        PYTHONPATH=str(Path(milnorcalc.__file__).parent.parent),
-        PYTHONIOENCODING="utf-8",
-    )
-    return subprocess.run(
-        [sys.executable, "-m", "milnorcalc.cli", *argv], capture_output=True, env=env
-    )
+    return subprocess.run([*CLI, *argv], capture_output=True, env=CLI_ENV)
 
 
 def write_doc(tmp_path, doc, name="input.json"):
@@ -701,14 +704,14 @@ def mutated_docs(draw):
 
 
 def assert_front_end_holds(doc):
-    """compute and crosscheck end in a documented exit code, raise
-    nothing, and take under a second each."""
+    """compute (text and JSON) and crosscheck end in a documented exit
+    code, raise nothing, and take under a second each."""
     with tempfile.TemporaryDirectory() as tmp:
         path = write_doc(Path(tmp), doc)
-        for command in ("compute", "crosscheck"):
+        for argv in (["compute"], ["compute", "--output", "json"], ["crosscheck"]):
             start = time.perf_counter()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = main([command, path])
+                code = main([*argv, path])
             assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_DISAGREEMENT, EXIT_INTEGRALITY, EXIT_UNCHECKED)
             assert time.perf_counter() - start < 1.0
 
@@ -755,6 +758,23 @@ def test_normal_crossing_family_agrees(parity, data):
     if strata:
         data.draw(st.sampled_from(strata))["chiF"] = data.draw(st.sampled_from([1, 2]))
         assert crosscheck_exit(doc) == EXIT_DISAGREEMENT
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even-n", "odd-n"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_normal_crossing_json_output_is_exact(parity, data):
+    """An accepted document's compute JSON is what ``json.dumps`` writes
+    of the report, and reads back as the same report."""
+    doc = data.draw(normal_crossing_docs(parity))
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        assert main(["compute", write_doc(Path(tmp), doc), "--output", "json"]) == EXIT_OK
+    spec, intersection_csm, _ = parse_document(doc)
+    report = compute_report(spec, None, intersection_csm)
+    assert out.getvalue() == json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    assert report_from_json(out.getvalue()) == report
+    assert ('"A0 \\u2229 A1"' in out.getvalue()) == (len(doc["hypersurfaces"]) == 2)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -849,6 +869,52 @@ def test_compute_json_output_round_trips(fixtures_dir, capsys):
     assert data["conventions"]["aluffi_global_sign"] == -1
     x_row = data["varieties"][-1]
     assert x_row["milnor"] == ["0", "0", "0", "-1", "0"]
+
+
+json_strings = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f é∩\u2028') | st.characters(), max_size=8)
+writable_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_strings,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(json_strings, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300)
+@given(writable_values)
+@example([])
+@example({})
+@example({"a": [], "b": {}, "c": [[], {}], "d": ["x", "y"]})
+def test_json_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [0.5, [0.5], ["a", 0.5], {"a": [None, {"b": 1e300}]}, {1, 2}])
+def test_json_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _json(value)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_rendering_a_report_builds_no_fraction_view(fixtures_dir, name):
+    """Reports are integral, so every renderer reads the numerators and no
+    class in the report gets its ``Fraction`` view built."""
+    spec, intersection_csm, routes = load_document(str(fixtures_dir / f"{name}.json"))
+    report = compute_report(spec, None if routes is None else set(routes), intersection_csm)
+    for render in (render_crosscheck, render_text, report_to_json):
+        render(report)
+    classes = [c for v in report.varieties for c in (v.cfj, v.csm, *(rv.value for rv in v.milnor))]
+    assert all(c._coeffs is None for c in classes if isinstance(c, ChowClass))
+
+
+@pytest.mark.parametrize("argv", [["crosscheck"], ["compute", "--output", "json"]])
+def test_a_reader_that_quits_early_ends_quietly(fixtures_dir, argv):
+    """The reader closes its end before the child writes anything."""
+    proc = subprocess.Popen([*CLI, *argv, str(fixtures_dir / "paper-example.json")],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV)
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert stderr == b""
 
 
 # -- crosscheck ---------------------------------------------------------------
@@ -950,7 +1016,7 @@ def test_crosscheck_row_with_one_route_is_unchecked(fixtures_dir, tmp_path):
     assert b"routes UNCHECKED" not in compute.stdout
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_default_output_matches_the_oracle(fixtures_dir, name):
     """Default crosscheck text and compute JSON, byte for byte, with their
     exit codes, as recorded in the benchmark's oracle."""
@@ -962,6 +1028,14 @@ def test_default_output_matches_the_oracle(fixtures_dir, name):
     assert cross.returncode == expected["crosscheck_exit"]
     assert compute.stdout == expected["compute_json_stdout"].encode("utf-8")
     assert compute.returncode == expected["compute_exit"]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_compute_text_matches_the_golden_file(fixtures_dir, name):
+    expected = json.loads(COMPUTE_TEXT.read_text(encoding="utf-8"))[name]
+    proc = run_cli("compute", str(fixtures_dir / f"{name}.json"))
+    assert proc.stdout == expected["stdout"].encode("utf-8")
+    assert proc.returncode == expected["exit"]
 
 
 # -- identity ------------------------------------------------------------------

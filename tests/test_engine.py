@@ -19,6 +19,7 @@ from milnorcalc.bundles import (
 from milnorcalc.chow import ChowClass, _sign, h_power, line_power, make_class, one, zero
 from milnorcalc.engine import (
     IntegralityError,
+    _analyze_factor,
     _cfj,
     cfj_ci,
     compute_report,
@@ -282,6 +283,17 @@ def test_line_bundle_classes_take_closed_forms_in_a_report(monkeypatch):
     assert "aluffi" in [rv.route for rv in report.varieties[0].milnor]
     assert twists == [h.degree for h in ci.hypersurfaces if h.sing_locus is not None] == [2]
     assert bundles == []
+
+
+def test_a_smooth_factor_computes_its_cfj_once(monkeypatch):
+    """The SM class of a smooth factor is its c^FJ, taken from the one
+    inversion of c(O(d)), not computed a second time."""
+    invert, calls = ChowClass.invert, []
+    monkeypatch.setattr(ChowClass, "invert", lambda c: calls.append(c) or invert(c))
+    factor = _analyze_factor(HypersurfaceSpec("S", 16, 5, Smooth()))
+    assert len(calls) == 1
+    assert factor.csm == factor.cfj == _cfj(16, [5])
+    assert factor.csm_route == "smooth model"
 
 
 @st.composite
