@@ -86,7 +86,7 @@ def segre_smooth(normal: BundleChern, z_class: ChowClass) -> ChowClass:
     """Segre class of a smooth subvariety: c(N)^(-1) times its class."""
     if normal.ambient_dim != z_class.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return normal.total.invert() * z_class
+    return z_class / normal.total
 
 
 def fundamental_class_ci(n: int, degrees) -> ChowClass:

@@ -8,7 +8,8 @@ floating point anywhere in this module.
 
 A class is stored as integer numerators over one positive common
 denominator in lowest terms (zero over 1), like FLINT's ``fmpq_poly``.
-Ring operations work on the integers and reduce once per result, and
+Ring operations (``+``, ``-``, ``*``, and ``/`` by a class with nonzero
+constant term) work on the integers and reduce once per result, and
 ``coeffs`` builds the ``Fraction`` view on first use.
 
 The regrading operations ``dual`` and ``tensor_line`` act on the
@@ -23,7 +24,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 from numbers import Rational
-from operator import add, sub
+from operator import add, mul, sub
 
 
 def _coerce(value) -> int | Fraction:
@@ -173,33 +174,45 @@ class ChowClass:
             return self.scale(other)
         return NotImplemented
 
-    def invert(self) -> "ChowClass":
-        """Multiplicative inverse, solved degree by degree over the integers.
+    def __truediv__(self, other):
+        """Exact quotient by a class with nonzero constant term, solved
+        degree by degree over the integers.
 
-        Any nonzero rational constant term is accepted.  With c0 the
-        constant numerator, the inverse of the numerator polynomial has
-        H^k coefficient q_k / c0^(k+1) with q_k an integer.  Each q_k sums
-        over the nonzero terms only, so a class with t of them costs O(n t).
+        With c0 the constant numerator of ``other``, the numerator quotient
+        has H^k coefficient g_k / c0^(k+1), where the integer
+        g_k = c0^k a_k - sum_(i >= 1) b_i c0^(i-1) g_(k-i) sums over the
+        nonzero b_i only, so a divisor with t of them costs O(n t).
+
+        >>> print(make_class(4, [1, 3, 2]) / make_class(4, [1, 1]))
+        1 + 2H
+        """
+        if other.__class__ is not ChowClass:
+            return NotImplemented
+        self._check_compatible(other)
+        n, c0 = self.ambient_dim, other._num[0]
+        if c0 == 0:
+            raise ValueError("cannot divide by a class with zero constant term")
+        powers = list(accumulate([c0] * n, mul, initial=1))
+        terms = [(i, b * powers[i - 1]) for i, b in enumerate(other._num) if i and b]
+        g = []
+        for k, a in enumerate(self._num):
+            s = a * powers[k]
+            for i, w in terms:
+                if i > k:
+                    break
+                s -= w * g[k - i]
+            g.append(s)
+        sign = 1 if c0 > 0 or n % 2 else -1  # the sign of c0^(n+1)
+        num = [sign * other._den * x * powers[n - k] for k, x in enumerate(g)]
+        return _reduced(n, num, sign * c0 * powers[n] * self._den)
+
+    def invert(self) -> "ChowClass":
+        """Multiplicative inverse: ``one(n) / self``.
 
         >>> print(make_class(4, [1, 2]).invert())
         1 - 2H + 4H^2 - 8H^3 + 16H^4
         """
-        c0 = self._num[0]
-        if c0 == 0:
-            raise ValueError("cannot invert a class with zero constant term")
-        n, den = self.ambient_dim, self._den
-        terms = [(i, a * c0 ** (i - 1)) for i, a in enumerate(self._num) if i and a]
-        q = [1]
-        for k in range(1, n + 1):
-            s = 0
-            for i, w in terms:
-                if i > k:
-                    break
-                s += w * q[k - i]
-            q.append(-s)
-        top = c0 ** (n + 1)
-        sign = 1 if top > 0 else -1
-        return _reduced(n, [sign * den * b * c0 ** (n - k) for k, b in enumerate(q)], sign * top)
+        return one(self.ambient_dim) / self
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -303,13 +316,18 @@ def line_power(n: int, t, e: int) -> ChowClass:
     """(1 + tH)^e in P^n, for any integer e: C(e, m) t^m over q^n when
     t = p/q.  The row C(e, m) = C(e, m-1) (e - m + 1) / m is exact in
     integers, and for e < 0 it is the generalized binomial row
-    (-1)^m C(m - e - 1, m), so no inversion is needed."""
+    (-1)^m C(m - e - 1, m), so no inversion is needed.  For e >= 0 the
+    row stops after its e + 1 nonzero terms."""
     t = _coerce(t)
     p, q = t.numerator, t.denominator
-    row = [1]
-    for m in range(n):
-        row.append(row[-1] * (e - m) // (m + 1))
-    return _reduced(n, [c * p**m * q ** (n - m) for m, c in enumerate(row)], q**n)
+    top = n if e < 0 else min(n, e)
+    num, c, pm = [1], 1, 1
+    for m in range(top):
+        c, pm = c * (e - m) // (m + 1), pm * p
+        num.append(c * pm)
+    if q != 1:
+        num = [a * q ** (top - m) for m, a in enumerate(num)]
+    return _reduced(n, num + [0] * (n - top), q**top)
 
 
 def _degree_one_scalar(n: int, c1) -> int | Fraction:

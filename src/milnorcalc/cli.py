@@ -62,7 +62,7 @@ MAX_CLOSURE_DEGREES = 256  # ci degrees of closures and of combination parts, su
 MAX_PARTS = 64  # parts of intersection.csm.combination
 MAX_NAME = 64  # characters of a name or a route
 MAX_DIGITS = 700  # digits of chiF, of a weight and of each part of a coefficient
-MAX_LOCUS_DIGITS = 100  # the same in sing_locus, whose normal class gets inverted
+MAX_LOCUS_DIGITS = 100  # the same in sing_locus, whose Segre class divides by its normal class
 MAX_DENOMINATOR_DIGITS = 5000  # coefficient denominators, summed: a class has one denominator
 
 EXIT_OK = 0
@@ -572,14 +572,20 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except ValidationError as exc:
-        for message in exc.errors:
-            print(f"error: {message}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _fail(EXIT_VALIDATION, exc.errors)
     except IntegralityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRALITY
+        return _fail(EXIT_INTEGRALITY, [exc])
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _fail(code: int, messages) -> int:
+    """Print the messages to stderr; a closed stderr keeps the exit code."""
+    try:
+        print(*(f"error: {m}" for m in messages), sep="\n", file=sys.stderr)
+    except BrokenPipeError:  # and keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return code
 
 
 if __name__ == "__main__":

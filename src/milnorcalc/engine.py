@@ -33,7 +33,7 @@ dimension of the hypersurface, not of the ambient space.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 from operator import mul
 
@@ -114,13 +114,14 @@ def _degrees(spec) -> tuple[int, tuple[int, ...]]:
 
 def _lines(n: int, degrees) -> ChowClass:
     """c(O(d_1) + ... + O(d_r)) = prod_d (1 + dH)^(k_d), k_d the number of
-    d_i equal to d: at most r + 1 nonzero terms, so cheap to invert."""
-    return prod([line_power(n, d, degrees.count(d)) for d in set(degrees)], start=one(n))
+    d_i equal to d: at most r + 1 nonzero terms, so cheap to divide by."""
+    lines = [line_power(n, d, degrees.count(d)) for d in set(degrees)]
+    return _prod(lines) if lines else one(n)
 
 
 def _cfj(n: int, degrees) -> ChowClass:
     """c(TP^n) c(N)^(-1) [X], N the sum of the O(d_i)."""
-    return chern_tangent(n).total * _lines(n, degrees).invert() * fundamental_class_ci(n, degrees)
+    return chern_tangent(n).total / _lines(n, degrees) * fundamental_class_ci(n, degrees)
 
 
 def cfj_ci(spec) -> ChowClass:
@@ -170,13 +171,11 @@ def _csm_intersection_of_unions(n: int, per_factor) -> ChowClass:
 
 @lru_cache(maxsize=1024)
 def _csm_of_sorted_unions(n: int, per_factor: tuple[tuple[int, ...], ...]) -> ChowClass:
-    # 1 - L^(-1) = (L - 1) / L, so one inversion serves every factor
-    numerator, denominator = one(n), one(n)
-    for degrees in per_factor:
-        lines = _lines(n, degrees)
-        numerator *= lines - one(n)
-        denominator *= lines
-    return chern_tangent(n).total * numerator * denominator.invert()
+    # 1 - L^(-1) = (L - 1) / L, so one division serves every factor
+    lines = [_lines(n, degrees) for degrees in per_factor]
+    if not lines:  # no factors cut anything out of P^n
+        return chern_tangent(n).total
+    return chern_tangent(n).total * _prod([c - one(n) for c in lines]) / _prod(lines)
 
 
 def csm_inclusion_exclusion(h: HypersurfaceSpec) -> ChowClass:
@@ -333,7 +332,7 @@ def mu_class(n: int, degree: int, locus) -> ChowClass:
         segre = segre_smooth(locus.normal, locus.locus_class)
     else:
         raise ValueError(f"unsupported singular-locus descriptor {locus!r}")
-    return line_power(n, degree - 1, n + 1) * line_power(n, degree, -1) * segre
+    return line_power(n, degree - 1, n + 1) / line_power(n, degree, 1) * segre
 
 
 def milnor_from_mu(mu: ChowClass, degree: int, n: int) -> ChowClass:
@@ -395,7 +394,7 @@ def milnor_from_strata(strat: Stratification, degree: int, n: int) -> ChowClass:
         if s.csm_closure is None:
             raise ValueError(f"stratum {s.name}: SM class of the closure is missing")
         acc += s.gamma * s.csm_closure
-    return acc if acc.is_zero() else line_power(n, degree, -1) * acc
+    return acc if acc.is_zero() else acc / line_power(n, degree, 1)
 
 
 def trivial_stratification(n: int, degree: int, csm: ChowClass) -> Stratification:
@@ -507,7 +506,7 @@ class VarietyReport(Record):
     milnor: tuple[RouteValue, ...]
     skipped: tuple[SkippedRoute, ...] = ()
 
-    @property
+    @cached_property
     def agree(self) -> bool:
         values = [rv.value for rv in self.milnor]
         return all(v == values[0] for v in values[1:])

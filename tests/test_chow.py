@@ -274,6 +274,14 @@ def ref_invert(a):
     return tuple(inv)
 
 
+def ref_div(a, b):
+    """Long division: the quotient's H^k coefficient clears degree k."""
+    q = []
+    for k in range(len(a)):
+        q.append((a[k] - sum(b[i] * q[k - i] for i in range(1, k + 1))) / b[0])
+    return tuple(q)
+
+
 def ref_pow(a, k):
     if k < 0:
         return ref_pow(ref_invert(a), -k)
@@ -336,10 +344,22 @@ def _same(kernel, reference):
     -3,
     Fraction(5, 4),
 )
+@example(
+    (make_class(3, [Fraction(1, 6), 2, 0, Fraction(-5, 4)]), zero(3),
+     make_class(3, [Fraction(-3, 2), 0, Fraction(7, 10)])),
+    Fraction(2, 3),
+    5,
+    -1,
+)
 def test_kernel_matches_fraction_reference(operands, t, k, q):
+    """``u`` has a negative or rational constant term in some examples, and
+    ``a`` and ``u`` have different denominators."""
     a, b, u = operands
+    n = a.ambient_dim
     _same(a * b, ref_mul(a.coeffs, b.coeffs))
     _same(u.invert(), ref_invert(u.coeffs))
+    _same(a / u, ref_div(a.coeffs, u.coeffs))
+    assert a / u == a * u.invert() and a / u * u == a
     _same(u ** k, ref_pow(u.coeffs, k))
     _same(a.tensor_line(t), ref_tensor_line(a.coeffs, t))
     _same(a + b, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
@@ -347,7 +367,8 @@ def test_kernel_matches_fraction_reference(operands, t, k, q):
     _same(-a, tuple(-x for x in a.coeffs))
     _same(a.scale(q), tuple(Fraction(q) * x for x in a.coeffs))
     _same(a.dual(), tuple(x if j % 2 == 0 else -x for j, x in enumerate(a.coeffs)))
-    _same(line_power(a.ambient_dim, t, k), ref_pow(ref_line(a.ambient_dim, t), k))
+    for e in (k, 0, n // 2, n + 1):  # the row of e >= 0 stops at its last nonzero term
+        _same(line_power(n, t, e), ref_pow(ref_line(n, t), e))
 
 
 @settings(max_examples=200, deadline=None)
@@ -435,3 +456,12 @@ def sparse_units(draw):
 @example(ChowClass(64, [Fraction(7, 2), 1000] + [0] * 63))
 def test_sparse_invert_matches_fraction_reference(u):
     _same(u.invert(), ref_invert(u.coeffs))
+
+
+def test_division_needs_a_unit_in_the_same_ambient_space():
+    with pytest.raises(ValueError):
+        make_class(3, [1, 2]) / h_power(3, 1)
+    with pytest.raises(ValueError):
+        make_class(3, [1, 2]) / make_class(4, [1, 2])
+    with pytest.raises(ValueError):
+        one(2) / zero(2)

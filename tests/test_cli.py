@@ -582,8 +582,8 @@ def _locus(h, s):
 def test_numbers_at_the_digit_caps_print_and_run_quickly(tmp_path, edit):
     """Classes with more digits than Python converts to a string by default
     are printed, and the slowest documents found at the digit caps (the
-    sing_locus normal class is inverted, so its digits multiply) take under
-    a second as a process."""
+    sing_locus class is divided by its normal class, so their digits
+    multiply) take under a second as a process."""
     start = time.perf_counter()
     proc = run_cli("crosscheck", write_doc(tmp_path, _big_numbers_doc(edit)))
     elapsed = time.perf_counter() - start
@@ -915,6 +915,17 @@ def test_a_reader_that_quits_early_ends_quietly(fixtures_dir, argv):
     _, stderr = proc.communicate(timeout=60)
     assert proc.returncode == EXIT_BROKEN_PIPE
     assert stderr == b""
+
+
+@pytest.mark.parametrize("doc, code", [({}, EXIT_VALIDATION), (integrality_doc(), EXIT_INTEGRALITY)])
+def test_an_error_message_to_a_closed_stderr_keeps_its_exit_code(tmp_path, doc, code):
+    """stdout and stderr share one pipe whose reader quit at once, as in
+    ``compute doc.json 2>&1 | head -c 0``: the message has nowhere to go,
+    and the exit code still says what went wrong."""
+    proc = subprocess.Popen([*CLI, "compute", write_doc(tmp_path, doc)],
+                            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=CLI_ENV)
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == code
 
 
 # -- crosscheck ---------------------------------------------------------------

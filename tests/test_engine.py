@@ -152,6 +152,13 @@ def test_csm_empty_intersection_vanishes():
     assert csm_smooth_ci_degrees(2, [1, 1, 1]) == zero(2)
 
 
+def test_no_hypersurfaces_leave_the_whole_ambient_space():
+    """With nothing cut out, c^FJ and c^SM are both c(TP^n)."""
+    assert _cfj(3, []) == csm_smooth_ci_degrees(3, []) == chern_tangent(3).total
+    (row,) = compute_report(CompleteIntersectionSpec(3, ())).varieties
+    assert row.cfj == row.csm == chern_tangent(3).total and row.agree
+
+
 def enumerated_csm(n, per_factor):
     """Reference c^SM: inclusion-exclusion over every non-empty subset of
     the pieces cut by one component per factor, 2^(prod k_i) - 1 terms,
@@ -287,9 +294,9 @@ def test_line_bundle_classes_take_closed_forms_in_a_report(monkeypatch):
 
 def test_a_smooth_factor_computes_its_cfj_once(monkeypatch):
     """The SM class of a smooth factor is its c^FJ, taken from the one
-    inversion of c(O(d)), not computed a second time."""
-    invert, calls = ChowClass.invert, []
-    monkeypatch.setattr(ChowClass, "invert", lambda c: calls.append(c) or invert(c))
+    division by c(O(d)), not computed a second time."""
+    divide, calls = ChowClass.__truediv__, []
+    monkeypatch.setattr(ChowClass, "__truediv__", lambda c, u: calls.append(u) or divide(c, u))
     factor = _analyze_factor(HypersurfaceSpec("S", 16, 5, Smooth()))
     assert len(calls) == 1
     assert factor.csm == factor.cfj == _cfj(16, [5])
