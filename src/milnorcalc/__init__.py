@@ -2,7 +2,7 @@
 
 Computes Schwartz-MacPherson, Fulton-Johnson and Milnor classes of
 hypersurfaces of projective space and of their transversal
-intersections, each Milnor class along several independent routes, and
+intersections, each Milnor class along several routes, and
 cross-validates the routes exactly (arbitrary-precision rational
 arithmetic throughout).
 """

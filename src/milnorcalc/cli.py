@@ -49,8 +49,8 @@ from .bundles import BundleChern, fundamental_class_ci
 
 #: Input size caps, one bound for every field of a document (see the
 #: table under "JSON -> model").  Ring products cost O(dim^2) operations
-#: on integers that grow with the degrees; the expansion route forms about
-#: 2^(hypersurfaces) of them, and each distinct component degree and each
+#: on integers that grow with the degrees; each product-rule route forms
+#: about two per hypersurface, and each distinct component degree and each
 #: ci closure degree costs a few more.  At these caps the slowest
 #: documents found (P^64, 8 hypersurfaces) run in under 1 s as a process.
 MAX_AMBIENT_DIM = 64  # ambient.dim; every dim, rank, ci degree count and class length

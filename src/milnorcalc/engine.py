@@ -3,18 +3,21 @@
 Every class on a subvariety X of P^n is computed as its pushforward to
 the ambient ring Q[H]/(H^(n+1)); cap products and refined intersection
 products then both become truncated polynomial multiplication.  The
-Milnor class of X is computed along several independent routes and the
-report records whether they agree after pushforward:
+Milnor class of X is computed along several routes, three of them
+restatements of the product rule, and the report records whether they
+agree after pushforward:
 
 * ``definition``  (-1)^dim(X) (c^FJ(X) - c^SM(X)), with c^SM obtained
   by inclusion-exclusion over arrangement components or supplied
   explicitly.
 * ``thm1``        the product rule: divide the product of the factors'
   classes by c(TP^n)^(r-1).
-* ``expansion``   the same rule expanded factor by factor into a signed
-  sum over mixed products of Milnor and SM classes.
-* ``cor11``       the telescoped form of the expansion, one Milnor
-  class per summand.
+* ``expansion``   the same rule on the factors' Milnor and SM classes,
+  whose 2^r - 1 mixed products are summed in closed form, in r products.
+* ``cor11``       the telescoped form of that sum: the same value, reported
+  under the paper's name.  ``milnor_expansion`` and ``milnor_telescope``
+  form the sums term by term; ``identities`` checks them against the
+  product rule.
 * ``aluffi``      from the mu-class of the singular locus (single
   hypersurfaces only).
 * ``pp``          from per-stratum Milnor-fibre data.
@@ -247,6 +250,17 @@ def product_rule(classes, n: int) -> ChowClass:
     return _corrected(_prod(classes), len(classes))
 
 
+def _milnor_product_rule(m_list, csm_list, n: int) -> ChowClass:
+    """The product rule on the factors' Milnor classes m_i of hypersurfaces:
+    with o_i = (-1)^(n-1) c^SM_i, (-1)^(n(r-1)) (prod_i (m_i + o_i) - prod_i o_i)
+    divided by c(TP^n)^(r-1).  The sum of ``milnor_expansion``'s 2^r - 1
+    mixed products, formed in r products."""
+    o_list = [c if n % 2 else -c for c in csm_list]
+    r = len(o_list)
+    total = _corrected(_prod([m + o for m, o in zip(m_list, o_list)]) - _prod(o_list), r)
+    return -total if (n * r - n) % 2 else total
+
+
 def milnor_product(cfj_list, csm_list, n: int, dim_x: int) -> ChowClass:
     """(-1)^dim(X) (prod c^FJ_i - prod c^SM_i), divided once by c(TP^n)^(r-1)."""
     cfj_list, csm_list = list(cfj_list), list(csm_list)
@@ -421,8 +435,8 @@ def milnor_from_strata_ci(strats, degrees, n: int) -> ChowClass:
     open stratum.  So the sum is prod_i (A_i + o_i) - prod_i o_i, with A_i
     the gamma-weighted sum over the non-open strata of factor i.  It is
     divided by c(O(d_1) + ... + O(d_r)), one c(O(d_i)) per factor, which
-    turns A_i into the factor's own ``milnor_from_strata``, and corrected
-    like every other product-rule route.
+    turns A_i into the factor's own ``milnor_from_strata``: the product
+    rule on the factors' Milnor classes.
 
     A class is read only where a tuple of nonzero weight reads it, so o_i
     only when another factor has a non-open stratum of nonzero gamma.
@@ -434,18 +448,15 @@ def milnor_from_strata_ci(strats, degrees, n: int) -> ChowClass:
         raise ValueError("need one stratification per degree")
     if not strats:
         raise ValueError("need at least one factor")
-    r = len(strats)
     opens = [open_stratum(s) for s in strats]
     _raise_first_failure(strats, opens)
-    with_open, all_open = [], []
-    for strat, reg, d in zip(strats, opens, degrees):
-        # An open class is missing only where no tuple of nonzero weight
-        # reads it; o_i then cancels from the difference.
-        o = zero(n) if reg.csm_closure is None else _sign(n - 1) * reg.csm_closure
-        with_open.append(milnor_from_strata(strat, d, n) + o)
-        all_open.append(o)
-    total = _corrected(_prod(with_open) - _prod(all_open), r)
-    return -total if (n * r - n) % 2 else total
+    # An open class is missing only where no tuple of nonzero weight
+    # reads it; o_i then cancels from the difference.
+    return _milnor_product_rule(
+        [milnor_from_strata(strat, d, n) for strat, d in zip(strats, degrees)],
+        [zero(n) if reg.csm_closure is None else reg.csm_closure for reg in opens],
+        n,
+    )
 
 
 def _raise_first_failure(strats, opens) -> None:
@@ -551,7 +562,6 @@ class _Factor(Record):
     csm_route: str | None
     milnor: dict
     skipped: dict
-    reference: RouteValue | None
     strat: Stratification | None
 
 
@@ -590,8 +600,8 @@ def _analyze_factor(h: HypersurfaceSpec) -> _Factor:
     skipped: dict = {}
 
     if csm is not None:
-        milnor["definition"] = milnor_definition(cfj, csm, n - 1)
-        milnor["thm1"] = milnor_product([cfj], [csm], n, n - 1)
+        # with one factor the product rule is the definition
+        milnor["definition"] = milnor["thm1"] = milnor_definition(cfj, csm, n - 1)
     else:
         reason = "no SM class without arrangement or supplied data"
         skipped["definition"] = reason
@@ -612,25 +622,14 @@ def _analyze_factor(h: HypersurfaceSpec) -> _Factor:
     else:
         skipped["pp"] = "no stratification"
 
-    reference = None
-    for route in ("definition", "pp", "aluffi"):
-        if route in milnor:
-            reference = RouteValue(route, milnor[route])
-            break
-
+    # A one-term expansion or telescoped sum is its term: the reference.
+    reference = next((route for route in ("definition", "pp", "aluffi") if route in milnor), None)
     if reference is not None:
-        csm_or_zero = csm if csm is not None else zero(n)
-        milnor["expansion"] = milnor_expansion(
-            [reference.value], [csm_or_zero], [1], n
-        )
-        milnor["cor11"] = milnor_telescope(
-            [reference.value], [csm_or_zero], [cfj], [1], n
-        )
+        milnor["expansion"] = milnor["cor11"] = milnor[reference]
     else:
-        skipped["expansion"] = "no Milnor class available for the factor"
-        skipped["cor11"] = "no Milnor class available for the factor"
+        skipped["expansion"] = skipped["cor11"] = "no Milnor class available for the factor"
 
-    return _Factor(h, cfj, csm, csm_route, milnor, skipped, reference, strat)
+    return _Factor(h, cfj, csm, csm_route, milnor, skipped, strat)
 
 
 def _intersection_report(ci, factors, intersection_csm, methods):
@@ -641,12 +640,11 @@ def _intersection_report(ci, factors, intersection_csm, methods):
     milnor: dict = {}
     skipped: dict = {}
 
+    pieces = [_component_degrees(f.spec) for f in factors]
     if intersection_csm is not None:
         csm, csm_route = intersection_csm, "supplied"
-    elif all(_component_degrees(f.spec) is not None for f in factors) and (
-        ci.transversality_asserted or r == 0
-    ):
-        csm, csm_route = csm_intersection_inclusion_exclusion(ci), "inclusion-exclusion"
+    elif None not in pieces and (ci.transversality_asserted or r == 0):
+        csm, csm_route = _csm_intersection_of_unions(n, pieces), "inclusion-exclusion"
     else:
         csm, csm_route = None, None
 
@@ -661,23 +659,15 @@ def _intersection_report(ci, factors, intersection_csm, methods):
         skipped.update(dict.fromkeys(PRODUCT_ROUTES, "transversality not asserted"))
     else:
         if all(f.csm is not None for f in factors):
-            milnor["thm1"] = milnor_product(
-                [f.cfj for f in factors], [f.csm for f in factors], n, n - r
+            csm_list = [f.csm for f in factors]
+            milnor["thm1"] = milnor_product([f.cfj for f in factors], csm_list, n, n - r)
+            # A factor with c^SM has the definition route as its reference.
+            milnor["expansion"] = milnor["cor11"] = _milnor_product_rule(
+                [f.milnor["definition"] for f in factors], csm_list, n
             )
         else:
             skipped["thm1"] = "a factor is missing its SM class"
-
-        if all(f.reference is not None and f.csm is not None for f in factors):
-            m_list = [f.reference.value for f in factors]
-            csm_list = [f.csm for f in factors]
-            milnor["expansion"] = milnor_expansion(m_list, csm_list, [1] * r, n)
-            milnor["cor11"] = milnor_telescope(
-                m_list, csm_list, [f.cfj for f in factors], [1] * r, n
-            )
-        else:
-            reason = "a factor is missing its Milnor or SM class"
-            skipped["expansion"] = reason
-            skipped["cor11"] = reason
+            skipped["expansion"] = skipped["cor11"] = "a factor is missing its Milnor or SM class"
 
         if all(f.strat is not None for f in factors):
             try:

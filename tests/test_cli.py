@@ -592,6 +592,26 @@ def test_numbers_at_the_digit_caps_print_and_run_quickly(tmp_path, edit):
     assert elapsed < 1.0
 
 
+def test_a_report_sums_the_expansion_in_closed_form(monkeypatch):
+    """The report forms the expansion and telescoped routes by the product
+    rule, in r products: on the sing-locus digit-cap document it calls
+    neither term-by-term sum and makes at most 150 ring products (the 2^8
+    mixed products of the expansion took over 600)."""
+    spec, intersection_csm, _ = parse_document(_big_numbers_doc(_locus))
+
+    def term_by_term(*args):
+        raise AssertionError("the report formed a sum term by term")
+
+    monkeypatch.setattr(milnorcalc.engine, "milnor_expansion", term_by_term)
+    monkeypatch.setattr(milnorcalc.engine, "milnor_telescope", term_by_term)
+    calls = []
+    mul = ChowClass.__mul__
+    monkeypatch.setattr(ChowClass, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    report = compute_report(spec, None, intersection_csm)
+    assert {"expansion", "cor11"} <= {rv.route for rv in report.varieties[-1].milnor}
+    assert len(calls) <= 150
+
+
 def _fields(field, path="document"):
     """(path, field) for every field declared below ``field``."""
     kind, _, _, sub, _ = field
