@@ -49,10 +49,11 @@ from .bundles import BundleChern, fundamental_class_ci
 
 #: Input size caps, one bound for every field of a document (see the
 #: table under "JSON -> model").  Ring products cost O(dim^2) operations
-#: on integers that grow with the degrees; each product-rule route forms
-#: about two per hypersurface, and each distinct component degree and each
-#: ci closure degree costs a few more.  At these caps the slowest
-#: documents found (P^64, 8 hypersurfaces) run in under 1 s as a process.
+#: on integers that grow with the degrees; the product rule, run once for
+#: thm1/expansion/cor11 and once for pp, forms about two per hypersurface,
+#: and each distinct component degree and ci closure degree a few more.
+#: At these caps the slowest documents found (P^64, 8 hypersurfaces) run
+#: in under 1 s as a process.
 MAX_AMBIENT_DIM = 64  # ambient.dim; every dim, rank, ci degree count and class length
 MAX_HYPERSURFACES = 8
 MAX_COMPONENTS = 256  # arrangement components, each list and summed over the document
@@ -498,12 +499,16 @@ def cmd_compute(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     report = _report(args, crosscheck=True)
-    if args.output == "json":
-        print(report_to_json(report))
+    verdict = crosscheck_verdict(report)
+    if args.output == "json":  # "agree" alone is true on an UNCHECKED row
+        data = report_to_dict(report) | {"verdict": verdict}
+        for row, v in zip(data["varieties"], report.varieties):
+            row["verdict"] = row_verdict(v)
+        print(_json(data))
     else:
         print(render_crosscheck(report), end="")
     exits = {"AGREE": EXIT_OK, "DISAGREE": EXIT_DISAGREEMENT, "UNCHECKED": EXIT_UNCHECKED}
-    return exits[crosscheck_verdict(report)]
+    return exits[verdict]
 
 
 def cmd_identity(args) -> int:

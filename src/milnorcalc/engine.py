@@ -12,12 +12,12 @@ agree after pushforward:
   explicitly.
 * ``thm1``        the product rule: divide the product of the factors'
   classes by c(TP^n)^(r-1).
-* ``expansion``   the same rule on the factors' Milnor and SM classes,
-  whose 2^r - 1 mixed products are summed in closed form, in r products.
-* ``cor11``       the telescoped form of that sum: the same value, reported
-  under the paper's name.  ``milnor_expansion`` and ``milnor_telescope``
-  form the sums term by term; ``identities`` checks them against the
-  product rule.
+* ``expansion``   the same rule on the factors' Milnor and SM classes, as
+  2^r - 1 mixed products; with m_i the factor's ``definition`` value,
+  m_i + (-1)^(n-1) c^SM_i = (-1)^(n-1) c^FJ_i, so the sum is thm1's class.
+* ``cor11``       the telescoped form of that sum: thm1's class again.
+  ``milnor_expansion`` and ``milnor_telescope`` form the sums term by
+  term; ``identities`` checks them against the product rule.
 * ``aluffi``      from the mu-class of the singular locus (single
   hypersurfaces only).
 * ``pp``          from per-stratum Milnor-fibre data.
@@ -250,19 +250,9 @@ def product_rule(classes, n: int) -> ChowClass:
     return _corrected(_prod(classes), len(classes))
 
 
-def _milnor_product_rule(m_list, csm_list, n: int) -> ChowClass:
-    """The product rule on the factors' Milnor classes m_i of hypersurfaces:
-    with o_i = (-1)^(n-1) c^SM_i, (-1)^(n(r-1)) (prod_i (m_i + o_i) - prod_i o_i)
-    divided by c(TP^n)^(r-1).  The sum of ``milnor_expansion``'s 2^r - 1
-    mixed products, formed in r products."""
-    o_list = [c if n % 2 else -c for c in csm_list]
-    r = len(o_list)
-    total = _corrected(_prod([m + o for m, o in zip(m_list, o_list)]) - _prod(o_list), r)
-    return -total if (n * r - n) % 2 else total
-
-
 def milnor_product(cfj_list, csm_list, n: int, dim_x: int) -> ChowClass:
-    """(-1)^dim(X) (prod c^FJ_i - prod c^SM_i), divided once by c(TP^n)^(r-1)."""
+    """(-1)^dim(X) (prod c^FJ_i - prod c^SM_i), divided once by c(TP^n)^(r-1):
+    the report's one product-rule kernel, for thm1, expansion, cor11 and pp."""
     cfj_list, csm_list = list(cfj_list), list(csm_list)
     if len(cfj_list) != len(csm_list):
         raise ValueError("need one virtual and one SM class per factor")
@@ -435,8 +425,9 @@ def milnor_from_strata_ci(strats, degrees, n: int) -> ChowClass:
     open stratum.  So the sum is prod_i (A_i + o_i) - prod_i o_i, with A_i
     the gamma-weighted sum over the non-open strata of factor i.  It is
     divided by c(O(d_1) + ... + O(d_r)), one c(O(d_i)) per factor, which
-    turns A_i into the factor's own ``milnor_from_strata``: the product
-    rule on the factors' Milnor classes.
+    turns A_i into the factor's own ``milnor_from_strata`` m_i and o_i into
+    (-1)^(n-1) c_i, c_i the SM class of the open stratum's closure: so with
+    v_i = c_i + (-1)^(n-1) m_i it is ``milnor_product(v, c, n, n - r)``.
 
     A class is read only where a tuple of nonzero weight reads it, so o_i
     only when another factor has a non-open stratum of nonzero gamma.
@@ -451,12 +442,11 @@ def milnor_from_strata_ci(strats, degrees, n: int) -> ChowClass:
     opens = [open_stratum(s) for s in strats]
     _raise_first_failure(strats, opens)
     # An open class is missing only where no tuple of nonzero weight
-    # reads it; o_i then cancels from the difference.
-    return _milnor_product_rule(
-        [milnor_from_strata(strat, d, n) for strat, d in zip(strats, degrees)],
-        [zero(n) if reg.csm_closure is None else reg.csm_closure for reg in opens],
-        n,
-    )
+    # reads it; it then cancels from the difference.
+    c_list = [zero(n) if reg.csm_closure is None else reg.csm_closure for reg in opens]
+    v_list = [c + _sign(n - 1) * milnor_from_strata(s, d, n)
+              for c, s, d in zip(c_list, strats, degrees)]
+    return milnor_product(v_list, c_list, n, n - len(strats))
 
 
 def _raise_first_failure(strats, opens) -> None:
@@ -569,7 +559,8 @@ def _factor_csm(h: HypersurfaceSpec, cfj: ChowClass):
     if isinstance(h.singularity, Smooth):
         return cfj, "smooth model"
     if isinstance(h.singularity, Arrangement):
-        return csm_inclusion_exclusion(h), "inclusion-exclusion"
+        pieces = [h.singularity.component_degrees]
+        return _csm_intersection_of_unions(h.ambient_dim, pieces), "inclusion-exclusion"
     supplied = open_stratum(h.strata).csm_closure
     if supplied is not None:
         return supplied, "supplied"
@@ -659,11 +650,10 @@ def _intersection_report(ci, factors, intersection_csm, methods):
         skipped.update(dict.fromkeys(PRODUCT_ROUTES, "transversality not asserted"))
     else:
         if all(f.csm is not None for f in factors):
-            csm_list = [f.csm for f in factors]
-            milnor["thm1"] = milnor_product([f.cfj for f in factors], csm_list, n, n - r)
-            # A factor with c^SM has the definition route as its reference.
-            milnor["expansion"] = milnor["cor11"] = _milnor_product_rule(
-                [f.milnor["definition"] for f in factors], csm_list, n
+            # A factor's m_i is its definition value, so the expansion and
+            # its telescoped form sum to thm1's class (module docstring).
+            milnor["thm1"] = milnor["expansion"] = milnor["cor11"] = milnor_product(
+                [f.cfj for f in factors], [f.csm for f in factors], n, n - r
             )
         else:
             skipped["thm1"] = "a factor is missing its SM class"

@@ -593,10 +593,11 @@ def test_numbers_at_the_digit_caps_print_and_run_quickly(tmp_path, edit):
 
 
 def test_a_report_sums_the_expansion_in_closed_form(monkeypatch):
-    """The report forms the expansion and telescoped routes by the product
-    rule, in r products: on the sing-locus digit-cap document it calls
-    neither term-by-term sum and makes at most 150 ring products (the 2^8
-    mixed products of the expansion took over 600)."""
+    """The report gives the expansion and telescoped routes thm1's class,
+    evaluating the product rule once: on the sing-locus digit-cap document
+    it calls neither term-by-term sum and makes at most 90 ring products
+    (the 2^8 mixed products of the expansion took over 600, and a second
+    closed-form evaluation 95)."""
     spec, intersection_csm, _ = parse_document(_big_numbers_doc(_locus))
 
     def term_by_term(*args):
@@ -609,7 +610,19 @@ def test_a_report_sums_the_expansion_in_closed_form(monkeypatch):
     monkeypatch.setattr(ChowClass, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
     report = compute_report(spec, None, intersection_csm)
     assert {"expansion", "cor11"} <= {rv.route for rv in report.varieties[-1].milnor}
-    assert len(calls) <= 150
+    assert len(calls) <= 90
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_a_report_validates_its_document_once(fixtures_dir, monkeypatch, name):
+    """compute_report validates the whole spec; no factor or intersection
+    class formula validates its part again."""
+    spec, intersection_csm, routes = load_document(str(fixtures_dir / f"{name}.json"))
+    calls = []
+    validate = milnorcalc.engine.validate
+    monkeypatch.setattr(milnorcalc.engine, "validate", lambda s: calls.append(s) or validate(s))
+    compute_report(spec, None if routes is None else set(routes), intersection_csm)
+    assert calls == [spec]
 
 
 def _fields(field, path="document"):
@@ -1045,6 +1058,31 @@ def test_crosscheck_row_with_one_route_is_unchecked(fixtures_dir, tmp_path):
     compute = run_cli("compute", path)
     assert compute.returncode == EXIT_OK
     assert b"routes UNCHECKED" not in compute.stdout
+
+
+@pytest.mark.parametrize(
+    "name, routes, verdict, rows",
+    [
+        ("quadric-tangent-plane", ["definition", "aluffi"], "UNCHECKED",
+         {"Q": "AGREE", "T": "AGREE", "Q ∩ T": "UNCHECKED"}),
+        ("quadric-tangent-plane", None, "DISAGREE", {"Q ∩ T": "DISAGREE"}),
+        ("paper-example", None, "AGREE", {"Z1": "AGREE", "Z2": "AGREE", "Z1 ∩ Z2": "AGREE"}),
+    ],
+)
+def test_crosscheck_json_carries_the_verdicts(fixtures_dir, tmp_path, name, routes, verdict, rows):
+    """``agree`` only says that no two routes differ; the verdicts say
+    whether anything was compared, as the exit code does."""
+    doc = json.loads((fixtures_dir / f"{name}.json").read_text())
+    if routes is not None:
+        doc["routes"] = routes
+    path = write_doc(tmp_path, doc)
+    proc = run_cli("crosscheck", path, "--output", "json")
+    data = json.loads(proc.stdout)
+    exits = {"AGREE": EXIT_OK, "DISAGREE": EXIT_DISAGREEMENT, "UNCHECKED": EXIT_UNCHECKED}
+    assert proc.returncode == exits[verdict]
+    assert data["verdict"] == verdict
+    assert rows.items() <= {v["name"]: v["verdict"] for v in data["varieties"]}.items()
+    assert "verdict" not in run_cli("compute", path, "--output", "json").stdout.decode("utf-8")
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -21,7 +21,6 @@ from milnorcalc.engine import (
     IntegralityError,
     _analyze_factor,
     _cfj,
-    _milnor_product_rule,
     cfj_ci,
     compute_report,
     csm_inclusion_exclusion,
@@ -540,13 +539,13 @@ def test_shared_prefix_routes_match_the_references(factors):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 7), st.integers(1, 6), st.data())
 def test_the_report_product_rule_sums_the_expansion_and_the_telescope(n, r, data):
-    """The closed form the report uses for hypersurface factors equals
-    the 2^r - 1 mixed products summed one by one and, with
-    cfj_i = csm_i + (-1)^(n-1) m_i, the telescoped sum."""
+    """The product rule the report evaluates once per intersection, on
+    cfj_i = csm_i + (-1)^(n-1) m_i, equals the 2^r - 1 mixed products of
+    the hypersurface factors' m_i summed one by one and the telescoped sum."""
     coeff = data.draw(st.sampled_from([st.integers(-9, 9), coefficients]))
     m, csm = ([data.draw(chow_class(n, coeff)) for _ in range(r)] for _ in range(2))
     cfj = [s + _sign(n - 1) * x for s, x in zip(csm, m)]
-    value = _milnor_product_rule(m, csm, n)
+    value = milnor_product(cfj, csm, n, n - r)
     assert value == milnor_expansion(m, csm, [1] * r, n)
     assert value == milnor_telescope(m, csm, cfj, [1] * r, n)
 
