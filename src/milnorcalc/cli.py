@@ -276,6 +276,8 @@ def parse_document(doc):
     try:
         checked = _read(doc, _DOCUMENT, {})
         n, routes, intersection = checked["ambient"]["dim"], checked["routes"], checked["intersection"]
+        if intersection is not None and len(checked["hypersurfaces"]) == 1:
+            raise _DocumentError("a single hypersurface has no intersection row", "intersection")
         hypersurfaces = tuple(
             _parse_hypersurface(h, n, f"hypersurfaces[{i}]") for i, h in enumerate(checked["hypersurfaces"])
         )

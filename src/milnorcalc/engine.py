@@ -546,12 +546,13 @@ class ClassReport(Record):
 
 
 class _Factor(Record):
+    """A hypersurface with its classes, its gamma-filled stratification and
+    ``routes``: each route's Milnor class, or the reason it was skipped."""
     spec: HypersurfaceSpec
     cfj: ChowClass
     csm: ChowClass | None
     csm_route: str | None
-    milnor: dict
-    skipped: dict
+    routes: dict
     strat: Stratification | None
 
 
@@ -582,55 +583,47 @@ def _factor_stratification(h: HypersurfaceSpec, csm):
     return None
 
 
+def _or_reason(route, *args):
+    """The route's class, or the message of the ValueError it raises."""
+    try:
+        return route(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
 def _analyze_factor(h: HypersurfaceSpec) -> _Factor:
     n = h.ambient_dim
     cfj = _cfj(n, [h.degree])
     csm, csm_route = _factor_csm(h, cfj)
     strat = _factor_stratification(h, csm)
-    milnor: dict = {}
-    skipped: dict = {}
-
+    routes: dict = {}
     if csm is not None:
         # with one factor the product rule is the definition
-        milnor["definition"] = milnor["thm1"] = milnor_definition(cfj, csm, n - 1)
+        routes["definition"] = routes["thm1"] = milnor_definition(cfj, csm, n - 1)
     else:
-        reason = "no SM class without arrangement or supplied data"
-        skipped["definition"] = reason
-        skipped["thm1"] = reason
-
-    if isinstance(h.singularity, Smooth):
-        milnor["aluffi"] = zero(n)
-    elif h.sing_locus is not None:
-        milnor["aluffi"] = milnor_from_mu(mu_class(n, h.degree, h.sing_locus), h.degree, n)
+        routes["definition"] = routes["thm1"] = "no SM class without arrangement or supplied data"
+    if h.sing_locus is not None:
+        routes["aluffi"] = milnor_from_mu(mu_class(n, h.degree, h.sing_locus), h.degree, n)
+    elif isinstance(h.singularity, Smooth):  # validation rejects a locus on a smooth one
+        routes["aluffi"] = zero(n)
     else:
-        skipped["aluffi"] = "no singular-locus descriptor"
-
-    if strat is not None:
-        try:
-            milnor["pp"] = milnor_from_strata(strat, h.degree, n)
-        except ValueError as exc:
-            skipped["pp"] = str(exc)
-    else:
-        skipped["pp"] = "no stratification"
-
+        routes["aluffi"] = "no singular-locus descriptor"
+    routes["pp"] = (
+        "no stratification" if strat is None else _or_reason(milnor_from_strata, strat, h.degree, n)
+    )
     # A one-term expansion or telescoped sum is its term: the reference.
-    reference = next((route for route in ("definition", "pp", "aluffi") if route in milnor), None)
-    if reference is not None:
-        milnor["expansion"] = milnor["cor11"] = milnor[reference]
-    else:
-        skipped["expansion"] = skipped["cor11"] = "no Milnor class available for the factor"
-
-    return _Factor(h, cfj, csm, csm_route, milnor, skipped, strat)
+    routes["expansion"] = routes["cor11"] = next(
+        (routes[route] for route in ("definition", "pp", "aluffi") if isinstance(routes[route], ChowClass)),
+        "no Milnor class available for the factor",
+    )
+    return _Factor(h, cfj, csm, csm_route, routes, strat)
 
 
-def _intersection_report(ci, factors, intersection_csm, methods):
+def _intersection_report(ci, factors, intersection_csm, selected):
     n = ci.ambient_dim
     r = len(factors)
     degrees = [f.spec.degree for f in factors]
     cfj = _cfj(n, degrees)
-    milnor: dict = {}
-    skipped: dict = {}
-
     pieces = [_component_degrees(f.spec) for f in factors]
     if intersection_csm is not None:
         csm, csm_route = intersection_csm, "supplied"
@@ -638,67 +631,52 @@ def _intersection_report(ci, factors, intersection_csm, methods):
         csm, csm_route = _csm_intersection_of_unions(n, pieces), "inclusion-exclusion"
     else:
         csm, csm_route = None, None
-
-    if csm is not None:
-        milnor["definition"] = milnor_definition(cfj, csm, n - r)
-    else:
-        skipped["definition"] = "no SM class for the intersection"
-
-    if r == 0:
-        skipped.update(dict.fromkeys(PRODUCT_ROUTES, "no factors"))
-    elif not ci.transversality_asserted:
-        skipped.update(dict.fromkeys(PRODUCT_ROUTES, "transversality not asserted"))
+    routes = {
+        "definition": "no SM class for the intersection" if csm is None
+        else milnor_definition(cfj, csm, n - r),
+        "aluffi": "mu-class route covers single hypersurfaces only",
+    }
+    if r == 0 or not ci.transversality_asserted:
+        reason = "no factors" if r == 0 else "transversality not asserted"
+        routes.update(dict.fromkeys(PRODUCT_ROUTES, reason))
     else:
         if all(f.csm is not None for f in factors):
             # A factor's m_i is its definition value, so the expansion and
             # its telescoped form sum to thm1's class (module docstring).
-            milnor["thm1"] = milnor["expansion"] = milnor["cor11"] = milnor_product(
+            routes["thm1"] = routes["expansion"] = routes["cor11"] = milnor_product(
                 [f.cfj for f in factors], [f.csm for f in factors], n, n - r
             )
         else:
-            skipped["thm1"] = "a factor is missing its SM class"
-            skipped["expansion"] = skipped["cor11"] = "a factor is missing its Milnor or SM class"
-
-        if all(f.strat is not None for f in factors):
-            try:
-                milnor["pp"] = milnor_from_strata_ci(
-                    [f.strat for f in factors], degrees, n
-                )
-            except ValueError as exc:
-                skipped["pp"] = str(exc)
-        else:
-            skipped["pp"] = "a factor is missing its stratification"
-
-    skipped["aluffi"] = "mu-class route covers single hypersurfaces only"
+            routes["thm1"] = "a factor is missing its SM class"
+            routes["expansion"] = routes["cor11"] = "a factor is missing its Milnor or SM class"
+        routes["pp"] = (
+            _or_reason(milnor_from_strata_ci, [f.strat for f in factors], degrees, n)
+            if all(f.strat is not None for f in factors)
+            else "a factor is missing its stratification"
+        )
 
     name = " ∩ ".join(f.spec.name for f in factors) if factors else f"P^{n}"
-    return _build_row(name, "intersection", n - r, cfj, csm, csm_route,
-                      milnor, skipped, methods)
+    return _build_row(name, "intersection", n - r, cfj, csm, csm_route, routes, selected)
 
 
-def _build_row(name, kind, dim, cfj, csm, csm_route, milnor, skipped, methods):
-    values = tuple(
-        RouteValue(route, milnor[route])
-        for route in ROUTE_ORDER
-        if route in milnor and (methods is None or route in methods)
-    )
-    dropped = tuple(
-        SkippedRoute(route, skipped[route])
-        for route in ROUTE_ORDER
-        if route in skipped and (methods is None or route in methods)
-    )
-    return VarietyReport(name, kind, dim, cfj, csm, csm_route, values, dropped)
-
-
-def _check_integral(row: VarietyReport) -> VarietyReport:
-    if not row.cfj.is_integral():
-        raise IntegralityError(row.name, "c^FJ", row.cfj)
-    if row.csm is not None and not row.csm.is_integral():
-        raise IntegralityError(row.name, f"c^SM ({row.csm_route} route)", row.csm)
-    for rv in row.milnor:
-        if not rv.value.is_integral():
-            raise IntegralityError(row.name, f"Milnor class ({rv.route} route)", rv.value)
-    return row
+def _build_row(name, kind, dim, cfj, csm, csm_route, routes, selected):
+    """The report row: each selected route read once from ``routes``, as a
+    class or a skip reason; a route missing there raises KeyError.  The
+    first non-integral class, in row order, raises IntegralityError."""
+    if not cfj.is_integral():
+        raise IntegralityError(name, "c^FJ", cfj)
+    if csm is not None and not csm.is_integral():
+        raise IntegralityError(name, f"c^SM ({csm_route} route)", csm)
+    values, dropped = [], []
+    for route in selected:
+        value = routes[route]
+        if not isinstance(value, ChowClass):
+            dropped.append(SkippedRoute(route, value))
+        elif value.is_integral():
+            values.append(RouteValue(route, value))
+        else:
+            raise IntegralityError(name, f"Milnor class ({route} route)", value)
+    return VarietyReport(name, kind, dim, cfj, csm, csm_route, tuple(values), tuple(dropped))
 
 
 def compute_report(
@@ -710,27 +688,24 @@ def compute_report(
 
     ``methods`` restricts the routes (None means all).  A single
     hypersurface yields one row; an intersection of r >= 2 adds a row
-    per factor plus one for the intersection itself.  Any non-integral
-    reported class aborts with IntegralityError.
+    per factor plus one for the intersection itself, whose SM class
+    ``intersection_csm`` supplies (ValueError on a single hypersurface).
+    Any non-integral reported class aborts with IntegralityError.
     """
     validate(ci)
     if methods is not None:
         unknown = set(methods) - set(ROUTE_ORDER)
         if unknown:
             raise ValueError(f"unknown routes: {sorted(unknown)}")
-    # Check each row once built: a non-integral factor stops the later ones.
+    if intersection_csm is not None and len(ci.hypersurfaces) == 1:
+        raise ValueError("intersection_csm: a single hypersurface has no intersection row")
+    selected = [route for route in ROUTE_ORDER if methods is None or route in methods]
+    # Each row is checked once built: a non-integral factor stops the later ones.
     factors, rows = [], []
     for h in ci.hypersurfaces:
-        f = _analyze_factor(h)
-        factors.append(f)
-        rows.append(_check_integral(_build_row(
-            h.name, "hypersurface", ci.ambient_dim - 1, f.cfj, f.csm,
-            f.csm_route, f.milnor, f.skipped, methods,
-        )))
+        factors.append(f := _analyze_factor(h))
+        rows.append(_build_row(h.name, "hypersurface", ci.ambient_dim - 1, f.cfj, f.csm,
+                               f.csm_route, f.routes, selected))
     if len(factors) != 1:
-        rows.append(_check_integral(
-            _intersection_report(ci, factors, intersection_csm, methods)
-        ))
-    return ClassReport(
-        ci.ambient_dim, ci.transversality_asserted, tuple(rows)
-    )
+        rows.append(_intersection_report(ci, factors, intersection_csm, selected))
+    return ClassReport(ci.ambient_dim, ci.transversality_asserted, tuple(rows))

@@ -166,6 +166,8 @@ def _hypersurface_errors(h: HypersurfaceSpec, path: str) -> list[str]:
         errors.append(f"{path}.singularity: unknown kind {type(sing).__name__}")
     if isinstance(sing, Smooth) and h.strata is not None and len(h.strata.strata) > 1:
         errors.append(f"{path}.strata: a smooth hypersurface has only its open stratum")
+    if isinstance(sing, Smooth) and h.sing_locus is not None:
+        errors.append(f"{path}.sing_locus: a smooth hypersurface has no singular locus")
     locus = h.sing_locus
     if isinstance(locus, LinearLocus) and not 0 <= locus.dim <= n - 2:
         errors.append(

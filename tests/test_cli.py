@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -48,7 +49,7 @@ from milnorcalc.cli import (
     report_to_dict,
     report_to_json,
 )
-from milnorcalc.engine import compute_report
+from milnorcalc.engine import ROUTE_ORDER, compute_report
 from milnorcalc.identities import check_identities
 from milnorcalc.varieties import Arrangement, ValidationError
 
@@ -808,6 +809,49 @@ def test_normal_crossing_json_output_is_exact(parity, data):
     assert out.getvalue() == json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
     assert report_from_json(out.getvalue()) == report
     assert ('"A0 \\u2229 A1"' in out.getvalue()) == (len(doc["hypersurfaces"]) == 2)
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even-n", "odd-n"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_every_selected_route_is_listed_once_in_order(parity, data):
+    """Each row lists every selected route exactly once, as a class or a
+    skip reason, and each list follows ROUTE_ORDER."""
+    doc = data.draw(normal_crossing_docs(parity))
+    methods = data.draw(st.none() | st.sets(st.sampled_from(ROUTE_ORDER), min_size=1))
+    spec, intersection_csm, _ = parse_document(doc)
+    selected = [r for r in ROUTE_ORDER if methods is None or r in methods]
+    for row in compute_report(spec, methods, intersection_csm).varieties:
+        computed, skipped = [rv.route for rv in row.milnor], [sk.route for sk in row.skipped]
+        assert sorted(computed + skipped, key=ROUTE_ORDER.index) == selected
+        assert computed == sorted(computed, key=ROUTE_ORDER.index)
+        assert skipped == sorted(skipped, key=ROUTE_ORDER.index)
+
+
+CONTRADICTIONS = {
+    "intersection": _with(
+        smooth_doc(3, [2]), lambda d: d.update(intersection={"csm": {"coeffs": [0, 2, 0, 99]}})
+    ),
+    "hypersurfaces[0].sing_locus": _with(
+        smooth_doc(3, [2]),
+        lambda d: d["hypersurfaces"][0].update(sing_locus={"kind": "linear", "dim": 0}),
+    ),
+}
+
+
+@pytest.mark.parametrize("field", CONTRADICTIONS, ids=["intersection-csm", "smooth-sing-locus"])
+def test_a_contradictory_document_exits_2_with_the_field_path(tmp_path, field):
+    """An intersection class on one hypersurface, and a singular locus on a
+    smooth one (a quadric in P^3 in both), are rejected.  Earlier both documents ran, the first
+    ignoring its class and the second its locus, to routes AGREE and exit 0."""
+    doc = CONTRADICTIONS[field]
+    proc = run_cli("crosscheck", write_doc(tmp_path, doc))
+    stderr = proc.stderr.decode("utf-8")
+    assert proc.returncode == EXIT_VALIDATION
+    assert stderr.startswith(f"error: {field}: ")
+    assert "Traceback" not in stderr and proc.stdout == b""
+    with pytest.raises(ValidationError, match=f"^{re.escape(field)}: "):
+        parse_document(doc)
 
 
 @pytest.mark.parametrize("n", [5, 6])

@@ -19,7 +19,9 @@ from milnorcalc.bundles import (
 from milnorcalc.chow import ChowClass, _sign, h_power, line_power, make_class, one, zero
 from milnorcalc.engine import (
     IntegralityError,
+    ROUTE_ORDER,
     _analyze_factor,
+    _build_row,
     _cfj,
     cfj_ci,
     compute_report,
@@ -810,6 +812,30 @@ def test_report_methods_filter():
     report = compute_report(PAPER_CI, methods={"definition"})
     for row in report.varieties:
         assert [rv.route for rv in row.milnor] == ["definition"]
+
+
+def test_a_route_neither_computed_nor_skipped_raises():
+    """A row reads every selected route from its one route table, so a
+    route missing from the table fails loudly instead of vanishing."""
+    n, c = 2, chern_tangent(2).total
+    routes = dict.fromkeys(ROUTE_ORDER, zero(n)) | {"aluffi": "skipped for the test"}
+    row = _build_row("P", "hypersurface", 1, c, c, "supplied", routes, ROUTE_ORDER)
+    assert [rv.route for rv in row.milnor] == [r for r in ROUTE_ORDER if r != "aluffi"]
+    assert [(sk.route, sk.reason) for sk in row.skipped] == [("aluffi", "skipped for the test")]
+    del routes["pp"]
+    with pytest.raises(KeyError, match="pp"):
+        _build_row("P", "hypersurface", 1, c, c, "supplied", routes, ROUTE_ORDER)
+    assert _build_row("P", "hypersurface", 1, c, c, "supplied", routes, ["thm1"]).agree
+
+
+def test_an_intersection_class_needs_no_or_several_hypersurfaces():
+    """A single hypersurface has no intersection row to take a supplied
+    intersection class; with no hypersurfaces it is the class of P^n."""
+    quadric = CompleteIntersectionSpec(3, (HypersurfaceSpec("Q", 3, 2, Smooth()),))
+    with pytest.raises(ValueError, match="single hypersurface"):
+        compute_report(quadric, None, make_class(3, [0, 2, 0, 99]))
+    (row,) = compute_report(CompleteIntersectionSpec(3, ()), None, chern_tangent(3).total).varieties
+    assert row.csm_route == "supplied" and row.agree
 
 
 def test_report_rejects_unknown_method():

@@ -59,6 +59,15 @@ def test_arrangement_degree_sum_checked():
     assert any("components" in e and "sum" in e for e in errors)
 
 
+def test_a_smooth_hypersurface_has_no_singular_locus():
+    """Earlier a smooth quadric declaring a singular point passed, and its
+    aluffi route reported 0 regardless of the locus."""
+    bad = HypersurfaceSpec("Q", 3, 2, Smooth(), LinearLocus(0))
+    assert validation_errors(bad) == ["Q.sing_locus: a smooth hypersurface has no singular locus"]
+    with pytest.raises(ValidationError, match=r"hypersurfaces\[0\]\.sing_locus: a smooth"):
+        validate(CompleteIntersectionSpec(3, (bad,)))
+
+
 def test_stratified_requires_strata():
     bad = HypersurfaceSpec("B", 3, 2, Stratified())
     assert any("strata: required" in e for e in validation_errors(bad))
