@@ -24,8 +24,6 @@ from .engine import (
     ROUTE_ORDER,
     ClassReport,
     IntegralityError,
-    RouteValue,
-    SkippedRoute,
     VarietyReport,
     compute_report,
     csm_smooth_ci_degrees,
@@ -62,6 +60,7 @@ MAX_STRATA = 64  # strata per hypersurface, names per contains list
 MAX_CLOSURE_DEGREES = 256  # ci degrees of closures and of combination parts, summed
 MAX_PARTS = 64  # parts of intersection.csm.combination
 MAX_NAME = 64  # characters of a name or a route
+MAX_DESCRIPTION = 1000  # characters of the document's description
 MAX_DIGITS = 700  # digits of chiF, of a weight and of each part of a coefficient
 MAX_LOCUS_DIGITS = 100  # the same in sing_locus, whose Segre class divides by its normal class
 MAX_DENOMINATOR_DIGITS = 5000  # coefficient denominators, summed: a class has one denominator
@@ -89,7 +88,8 @@ TRANSVERSALITY_WARNING = (
 # and list, at most ``bound`` long, ``sub`` the item; dict, ``sub`` its
 # fields; KIND, ``sub`` the fields under each "kind".  A ``total`` (cap, noun,
 # weigh) caps the sum of weigh(item), or the item count, over the document.
-# ``default`` is REQUIRED or an absent field's value.  ``_parse_*`` check n.
+# ``default`` is REQUIRED or an absent field's value; an undeclared key is
+# an error.  ``_parse_*`` check n.
 
 REQUIRED, NUMBER, COEFF, KIND = "required", "number", "coeff", "kind"
 _POWERS = {MAX_DIGITS: 10**MAX_DIGITS, MAX_LOCUS_DIGITS: 10**MAX_LOCUS_DIGITS}
@@ -134,6 +134,7 @@ _HYPERSURFACE = _f(dict, sub={
 _PART = _f(KIND, sub={
     kind: {**fields, "weight": _f(NUMBER, MAX_DIGITS, 1)} for kind, fields in _SMOOTH_MODEL.items()})
 _DOCUMENT = _f(dict, sub={
+    "description": _f(str, MAX_DESCRIPTION, None),
     "ambient": _f(KIND, sub={"projective": {"dim": _f(int, (1, MAX_AMBIENT_DIM))}}),
     "transversal": _f(bool, default=False),
     "hypersurfaces": _f(list, MAX_HYPERSURFACES, sub=_HYPERSURFACE),
@@ -190,6 +191,11 @@ def _read(value, field, totals: dict, key=None):
                 if type(choice) is not str or choice not in sub:
                     raise _DocumentError(f"expected one of: {', '.join(sub)}", ".kind")
                 sub = sub[choice]
+            unknown = value.keys() - sub.keys() - out.keys()
+            if unknown:
+                name = min(unknown)
+                raise _DocumentError("unknown field", f".{name}" if name.isprintable() and len(name) <= MAX_NAME
+                                     else f".{ascii(name[:MAX_NAME])}")
             for name, member in sub.items():
                 if name in value:
                     out[name] = _read(value[name], member, totals, name)
@@ -316,7 +322,7 @@ def report_to_dict(report: ClassReport) -> dict:
         "ambient_dim": report.ambient_dim,
         "transversality_asserted": report.transversality_asserted,
         "transversality_warning": report.used_product_routes,
-        "conventions": dict(report.conventions),
+        "conventions": report.conventions,
         "agree": report.all_agree,
         "varieties": [
             {
@@ -343,36 +349,6 @@ def report_to_dict(report: ClassReport) -> dict:
     }
 
 
-def report_from_dict(data: dict) -> ClassReport:
-    n = data["ambient_dim"]
-
-    def cls(coeffs):
-        return None if coeffs is None else make_class(n, [Fraction(c) for c in coeffs])
-
-    varieties = tuple(
-        VarietyReport(
-            v["name"],
-            v["kind"],
-            v["dim"],
-            cls(v["cfj"]),
-            cls(v["csm"]),
-            v["csm_route"],
-            tuple(
-                RouteValue(rv["route"], cls(rv["coeffs"]))
-                for rv in v["milnor_routes"]
-            ),
-            tuple(SkippedRoute(sk["route"], sk["reason"]) for sk in v["skipped"]),
-        )
-        for v in data["varieties"]
-    )
-    return ClassReport(
-        n,
-        data["transversality_asserted"],
-        varieties,
-        dict(data["conventions"]),
-    )
-
-
 def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` of str, int, bool, None, lists, tuples and
     dicts with str keys, in half the time: with ``indent`` set, ``json.dumps`` runs pure Python."""
@@ -397,10 +373,6 @@ def _json(value, indent: str = "\n") -> str:
 
 def report_to_json(report: ClassReport) -> str:
     return _json(report_to_dict(report))
-
-
-def report_from_json(text: str) -> ClassReport:
-    return report_from_dict(json.loads(text))
 
 
 def render_text(report: ClassReport) -> str:

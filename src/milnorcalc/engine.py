@@ -520,14 +520,15 @@ class VarietyReport(Record):
 
 
 class ClassReport(Record):
+    """One row per variety; every report follows the module's ``CONVENTIONS``."""
     ambient_dim: int
     transversality_asserted: bool
     varieties: tuple[VarietyReport, ...]
-    conventions: dict = None
 
-    def __post_init__(self):
-        if self.conventions is None:
-            object.__setattr__(self, "conventions", dict(CONVENTIONS))
+    @property
+    def conventions(self) -> dict:
+        """A copy of ``CONVENTIONS``."""
+        return dict(CONVENTIONS)
 
     @property
     def all_agree(self) -> bool:

@@ -168,6 +168,11 @@ def _hypersurface_errors(h: HypersurfaceSpec, path: str) -> list[str]:
         errors.append(f"{path}.strata: a smooth hypersurface has only its open stratum")
     if isinstance(sing, Smooth) and h.sing_locus is not None:
         errors.append(f"{path}.sing_locus: a smooth hypersurface has no singular locus")
+    if isinstance(sing, (Smooth, Arrangement)) and h.strata is not None and h.strata.strata:
+        reg = open_stratum(h.strata)
+        if reg.closure_class is not None or reg.csm_closure is not None:
+            errors.append(f"{path}.strata.{reg.name}.closure: the open stratum's closure is the "
+                          "hypersurface, whose classes are derived")
     locus = h.sing_locus
     if isinstance(locus, LinearLocus) and not 0 <= locus.dim <= n - 2:
         errors.append(

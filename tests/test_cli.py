@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import milnorcalc
 from conftest import FIXTURES, normal_crossing_doc
-from milnorcalc.chow import ChowClass
+from milnorcalc.chow import ChowClass, make_class
 from milnorcalc.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_DISAGREEMENT,
@@ -28,9 +28,11 @@ from milnorcalc.cli import (
     MAX_COMPONENTS,
     MAX_DEGREE,
     MAX_DENOMINATOR_DIGITS,
+    MAX_DESCRIPTION,
     MAX_DIGITS,
     MAX_HYPERSURFACES,
     MAX_LOCUS_DIGITS,
+    MAX_NAME,
     MAX_PARTS,
     MAX_STRATA,
     TRANSVERSALITY_WARNING,
@@ -45,7 +47,6 @@ from milnorcalc.cli import (
     parse_document,
     render_crosscheck,
     render_text,
-    report_from_json,
     report_to_dict,
     report_to_json,
 )
@@ -69,6 +70,17 @@ def write_doc(tmp_path, doc, name="input.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def assert_classes_read_back(data, report):
+    """Every coefficient list of a JSON report reads back as the report's class."""
+    n = data["ambient_dim"]
+    assert len(data["varieties"]) == len(report.varieties)
+    for row, v in zip(data["varieties"], report.varieties):
+        assert make_class(n, row["cfj"]) == v.cfj
+        assert (None if row["csm"] is None else make_class(n, row["csm"])) == v.csm
+        assert [make_class(n, rv["coeffs"]) for rv in row["milnor_routes"]] == [rv.value for rv in v.milnor]
+        assert (None if row["milnor"] is None else make_class(n, row["milnor"])) == v.consensus
 
 
 def plane_pair_doc():
@@ -563,6 +575,7 @@ def _big_numbers_doc(edit_stratum, n=MAX_AMBIENT_DIM):
 
 def _locus(h, s):
     big = 10**MAX_LOCUS_DIGITS - 1
+    del h["strata"][0]["closure"]  # an arrangement derives its own c^SM
     h.update(
         singularity={"kind": "arrangement", "components": [1, MAX_DEGREE - 1]},
         sing_locus={"kind": "smooth", "class": [0, 0, big], "normal": {"rank": 2, "chern": [1, big, big]}},
@@ -573,9 +586,7 @@ def _locus(h, s):
     "edit",
     [
         lambda h, s: s.update(chiF=1 - 10**MAX_DIGITS),
-        lambda h, s: s["closure"].update(
-            kind="explicit", **{"class": [0, 0, 1], "csm": [0, 0, str(10**MAX_DIGITS - 1)]}
-        ),
+        lambda h, s: s.update(closure={"kind": "explicit", "class": [0, 0, 1], "csm": [0, 0, str(10**MAX_DIGITS - 1)]}),
         _locus,
     ],
     ids=["chiF", "explicit-csm", "sing-locus"],
@@ -681,6 +692,35 @@ def test_empty_strata_reach_validation():
     doc["hypersurfaces"][0]["strata"] = []
     with pytest.raises(ValidationError, match=r"^hypersurfaces\[0\]\.strata: need at least one stratum$"):
         parse_document(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (lambda d: d.update(transversel=True), "transversel"),
+        (lambda d: d["ambient"].update(dimension=4), "ambient.dimension"),
+        (lambda d: d["hypersurfaces"][0].update(sing_lucus=None), "hypersurfaces[0].sing_lucus"),
+        (lambda d: d["hypersurfaces"][0]["singularity"].update(weights=[1, 1]),
+         "hypersurfaces[0].singularity.weights"),
+        (lambda d: d["hypersurfaces"][0]["strata"][1]["closure"].update(degrees=[1]),
+         "hypersurfaces[0].strata[1].closure.degrees"),
+        (lambda d: d.update({"x" * 100: 1}), "'" + "x" * MAX_NAME + "'"),
+        (lambda d: d.update({"\n": 1}), "'\\n'"),
+    ],
+    ids=["top", "kind-object", "hypersurface", "singularity", "closure", "long-key", "unprintable-key"],
+)
+def test_an_undeclared_key_is_rejected_with_its_path(edit, path):
+    """A key that the format does not declare is rejected, never ignored;
+    a long or unprintable key is shown cut and escaped."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(path)}: unknown field$"):
+        parse_document(_with(plane_pair_doc(), edit))
+
+
+def test_a_description_of_bounded_printable_text_is_accepted():
+    parse_document(_with(plane_pair_doc(), lambda d: d.update(description="d" * MAX_DESCRIPTION)))
+    for description in ["d" * (MAX_DESCRIPTION + 1), "a\nb", 1]:
+        with pytest.raises(ValidationError, match="^description: expected "):
+            parse_document(_with(plane_pair_doc(), lambda d: d.update(description=description)))
 
 
 def test_root_paths_have_no_document_prefix():
@@ -799,7 +839,7 @@ def test_normal_crossing_family_agrees(parity, data):
 @given(data=st.data())
 def test_normal_crossing_json_output_is_exact(parity, data):
     """An accepted document's compute JSON is what ``json.dumps`` writes
-    of the report, and reads back as the same report."""
+    of the report, and each of its classes reads back exactly."""
     doc = data.draw(normal_crossing_docs(parity))
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
@@ -807,7 +847,7 @@ def test_normal_crossing_json_output_is_exact(parity, data):
     spec, intersection_csm, _ = parse_document(doc)
     report = compute_report(spec, None, intersection_csm)
     assert out.getvalue() == json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-    assert report_from_json(out.getvalue()) == report
+    assert_classes_read_back(json.loads(out.getvalue()), report)
     assert ('"A0 \\u2229 A1"' in out.getvalue()) == (len(doc["hypersurfaces"]) == 2)
 
 
@@ -836,14 +876,27 @@ CONTRADICTIONS = {
         smooth_doc(3, [2]),
         lambda d: d["hypersurfaces"][0].update(sing_locus={"kind": "linear", "dim": 0}),
     ),
+    "intersecton": _with(quadric_doc(), lambda d: d.update(intersecton=d.pop("intersection"))),
+    "hypersurfaces[0].strata.reg.closure": _with(
+        json.loads((FIXTURES / "paper-example.json").read_text()),
+        lambda d: d["hypersurfaces"][0]["strata"][0].update(
+            closure={"kind": "explicit", "class": [0, 2, 0, 0, 0], "csm": [0, 2, 0, 0, 99]}
+        ),
+    ),
 }
 
 
-@pytest.mark.parametrize("field", CONTRADICTIONS, ids=["intersection-csm", "smooth-sing-locus"])
+@pytest.mark.parametrize(
+    "field", CONTRADICTIONS, ids=["intersection-csm", "smooth-sing-locus", "misspelt-key", "arrangement-open-closure"]
+)
 def test_a_contradictory_document_exits_2_with_the_field_path(tmp_path, field):
-    """An intersection class on one hypersurface, and a singular locus on a
-    smooth one (a quadric in P^3 in both), are rejected.  Earlier both documents ran, the first
-    ignoring its class and the second its locus, to routes AGREE and exit 0."""
+    """An intersection class on one hypersurface, a singular locus on a
+    smooth one (a quadric in P^3 in both), a misspelt key and a closure class
+    on an arrangement's open stratum are rejected.  Earlier each document ran
+    to AGREE and exit 0: the first ignored its class, the second its locus,
+    the third its intersection class (DISAGREE, exit 3, when spelt right),
+    and the fourth read the closure class in the intersection's pp route
+    only."""
     doc = CONTRADICTIONS[field]
     proc = run_cli("crosscheck", write_doc(tmp_path, doc))
     stderr = proc.stderr.decode("utf-8")
@@ -934,14 +987,15 @@ def test_integrality_failure_stops_at_the_first_factor(tmp_path, capsys, monkeyp
 
 
 def test_compute_json_output_round_trips(fixtures_dir, capsys):
-    code = main([
-        "compute", str(fixtures_dir / "paper-example.json"), "--output", "json",
-    ])
+    path = fixtures_dir / "paper-example.json"
+    code = main(["compute", str(path), "--output", "json"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    rendered = out.strip()
-    assert report_to_json(report_from_json(rendered)) == rendered
-    data = json.loads(rendered)
+    spec, intersection_csm, _ = load_document(str(path))
+    report = compute_report(spec, None, intersection_csm)
+    assert out == json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    data = json.loads(out)
+    assert_classes_read_back(data, report)
     assert data["transversality_warning"] is True
     assert data["conventions"]["aluffi_global_sign"] == -1
     x_row = data["varieties"][-1]

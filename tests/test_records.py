@@ -10,7 +10,7 @@ import pytest
 import milnorcalc
 from milnorcalc.bundles import BundleChern
 from milnorcalc.chow import make_class, one
-from milnorcalc.engine import ClassReport, CONVENTIONS, RouteValue, SkippedRoute
+from milnorcalc.engine import ClassReport, CONVENTIONS, RouteValue, SkippedRoute, VarietyReport
 from milnorcalc.identities import RandomInstance
 from milnorcalc.records import Record, replace
 from milnorcalc.varieties import Smooth, Stratified, Stratum
@@ -77,11 +77,29 @@ def test_post_init_still_validates_bundles():
         replace(BundleChern(n, 1, one(n)), total=one(n + 1))
 
 
-def test_post_init_fills_class_report_conventions():
+def test_post_init_fills_a_derived_default():
+    class Span(Record):
+        lo: int
+        hi: int = None
+
+        def __post_init__(self):
+            if self.hi is None:
+                object.__setattr__(self, "hi", self.lo + 1)
+
+    assert Span(1) == Span(1, 2) != Span(1, 3)
+    assert replace(Span(1), lo=5).hi == 2  # the filled value is a field like any other
+
+
+def test_class_report_conventions_are_a_copy_of_the_constant():
     report = ClassReport(2, True, ())
     assert report.conventions == CONVENTIONS
     assert report.conventions is not CONVENTIONS
-    assert ClassReport(2, True, (), {"x": 1}).conventions == {"x": 1}
+    report.conventions["aluffi_global_sign"] = 1  # changes a copy only
+    assert report.conventions == CONVENTIONS
+    with pytest.raises(TypeError, match="takes 3 positional arguments but 4 were given"):
+        ClassReport(2, True, (), {"x": 1})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'conventions'"):
+        ClassReport(2, True, (), conventions={"x": 1})
 
 
 def test_equality_within_one_class_only():
@@ -97,8 +115,12 @@ def test_hash_agrees_with_equality():
     assert hash(Pair(1, 2)) == hash(Pair(1, 2)) == hash((1, 2))
     assert len({Pair(1, 2), Pair(1, 2), Pair(2, 1)}) == 2
     assert {Stratum("a", 1): 1}[Stratum("a", 1, 1)] == 1
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(ClassReport(2, True, ()))  # its conventions are a dict
+    def report(asserted):
+        rows = (VarietyReport("Z", "hypersurface", 1, one(2), None, None, (RouteValue("pp", one(2)),)),)
+        return ClassReport(2, asserted, rows)
+
+    assert report(True) is not report(True) and hash(report(True)) == hash(report(True))
+    assert len({report(True), report(True), report(False)}) == 2
 
 
 def test_repr_format():

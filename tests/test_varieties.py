@@ -1,6 +1,7 @@
 import pytest
 
 from milnorcalc.chow import h_power, make_class
+from milnorcalc.records import replace
 from milnorcalc.varieties import (
     Arrangement,
     CompleteIntersectionSpec,
@@ -66,6 +67,21 @@ def test_a_smooth_hypersurface_has_no_singular_locus():
     assert validation_errors(bad) == ["Q.sing_locus: a smooth hypersurface has no singular locus"]
     with pytest.raises(ValidationError, match=r"hypersurfaces\[0\]\.sing_locus: a smooth"):
         validate(CompleteIntersectionSpec(3, (bad,)))
+
+
+@pytest.mark.parametrize("sing", [Smooth(), Arrangement((1, 1))], ids=["smooth", "arrangement"])
+def test_the_open_stratum_of_a_derived_hypersurface_has_no_closure_class(sing):
+    """Earlier the supplied class was ignored on the hypersurface's own row,
+    which derives its c^SM, and read by the intersection's pp route."""
+    closure = make_class(3, [0, 2, 0, 0]), make_class(3, [0, 2, 0, 99])
+    bad = HypersurfaceSpec("Q", 3, 2, sing, strata=Stratification((Stratum("reg", 2, 1, *closure),)))
+    assert validation_errors(bad) == [
+        "Q.strata.reg.closure: the open stratum's closure is the hypersurface, whose classes are derived"
+    ]
+    with pytest.raises(ValidationError, match=r"^hypersurfaces\[0\]\.strata\.reg\.closure: "):
+        validate(CompleteIntersectionSpec(3, (bad,)))
+    validate(replace(bad, strata=Stratification((Stratum("reg", 2),))))
+    validate(replace(bad, singularity=Stratified()))
 
 
 def test_stratified_requires_strata():
