@@ -40,16 +40,16 @@ def _sign(exponent: int) -> int:
     return 1 if exponent % 2 == 0 else -1
 
 
-_new, _set = object.__new__, object.__setattr__
+_new = object.__new__
 
 
 def _from_ints(n: int, num: tuple[int, ...], den: int = 1) -> "ChowClass":
     """Unchecked: numerators over a positive denominator, in lowest terms."""
     c = _new(ChowClass)
-    _set(c, "ambient_dim", n)
-    _set(c, "_num", num)
-    _set(c, "_den", den)
-    _set(c, "_coeffs", None)
+    _set_dim(c, n)
+    _set_num(c, num)
+    _set_den(c, den)
+    _set_coeffs(c, None)
     return c
 
 
@@ -61,6 +61,19 @@ def _reduced(n: int, num, den: int) -> "ChowClass":
             num = [a // g for a in num]
             den //= g
     return _from_ints(n, tuple(num), den)
+
+
+def _accumulate(out: list, x: tuple, y: tuple, f: int) -> None:
+    """Add f x y, truncated above H^n, into ``out``: the one loop of ``*`` and ``dot``."""
+    n = len(out) - 1
+    terms = [(j, b) for j, b in enumerate(y) if b]
+    for i, a in enumerate(x):
+        if a:
+            a *= f
+            for j, b in terms:
+                if i + j > n:
+                    break
+                out[i + j] += a * b
 
 
 class ChowClass:
@@ -100,7 +113,7 @@ class ChowClass:
         if self._coeffs is None:
             den = self._den
             view = map(Fraction, self._num) if den == 1 else (Fraction(a, den) for a in self._num)
-            _set(self, "_coeffs", tuple(view))
+            _set_coeffs(self, tuple(view))
         return self._coeffs
 
     def __eq__(self, other):
@@ -160,13 +173,7 @@ class ChowClass:
         if other.ambient_dim != n:
             self._check_compatible(other)
         out = [0] * (n + 1)
-        terms = [(j, b) for j, b in enumerate(other._num) if b]
-        for i, a in enumerate(self._num):
-            if a:
-                for j, b in terms:
-                    if i + j > n:
-                        break
-                    out[i + j] += a * b
+        _accumulate(out, self._num, other._num, 1)
         return _reduced(n, out, self._den * other._den)
 
     def __rmul__(self, other):
@@ -281,6 +288,28 @@ class ChowClass:
 
     def __str__(self) -> str:
         return format_class(self)
+
+
+# Each slot's own descriptor, bound once: about half the cost of object.__setattr__.
+_set_dim, _set_num, _set_den, _set_coeffs = (ChowClass.__dict__[s].__set__ for s in ChowClass.__slots__)
+
+
+def dot(pairs, n: int) -> ChowClass:
+    """The sum of x * y over the (x, y) pairs, all in P^n, accumulated in one
+    list of integer numerators over the lcm of the pairs' denominators and
+    reduced once: no class is built per product.
+
+    >>> a, b = make_class(2, ["1/2", 1]), make_class(2, [1, 0, "1/3"])
+    >>> print(dot([(a, a), (b, h_power(2, 1))], 2))
+    (1/4) + 2H + H^2
+    """
+    pairs = list(pairs)
+    if any(x.ambient_dim != n or y.ambient_dim != n for x, y in pairs):
+        raise ValueError(f"ambient dimensions differ from {n}")
+    den, out = lcm(*[x._den * y._den for x, y in pairs]), [0] * (n + 1)
+    for x, y in pairs:
+        _accumulate(out, x._num, y._num, den // (x._den * y._den))
+    return _reduced(n, out, den)
 
 
 def make_class(n: int, coeffs) -> ChowClass:

@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -147,6 +148,17 @@ _DOCUMENT = _f(dict, sub={
 })
 
 
+_TWICE = object()  # the value of a key that a JSON object gives more than once
+
+
+def _object(pairs: list) -> dict:
+    """A JSON object; each key given twice maps to ``_TWICE``, which ``_read`` rejects."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        out.update((key, _TWICE) for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+    return out
+
+
 class _DocumentError(Exception):
     """A problem at a field path, built key by key as the error leaves the walk."""
 
@@ -160,6 +172,8 @@ def _read(value, field, totals: dict, key=None):
     keeps the sums over the document, ``key`` is a name or index for paths."""
     kind, bound, _, sub, total = field
     try:
+        if value is _TWICE:
+            raise _DocumentError("given twice")
         if kind is COEFF and type(value) is str:
             if _RATIONAL[bound].fullmatch(value) is None:
                 raise _DocumentError(f"expected [-]digits[/digits] of at most {bound} digits a part, "
@@ -189,7 +203,8 @@ def _read(value, field, totals: dict, key=None):
             if kind is KIND:
                 out["kind"] = choice = value.get("kind")
                 if type(choice) is not str or choice not in sub:
-                    raise _DocumentError(f"expected one of: {', '.join(sub)}", ".kind")
+                    raise _DocumentError("given twice" if choice is _TWICE else f"expected one of: {', '.join(sub)}",
+                                         ".kind")
                 sub = sub[choice]
             unknown = value.keys() - sub.keys() - out.keys()
             if unknown:
@@ -301,7 +316,7 @@ def parse_document(doc):
 def load_document(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_object)
     except OSError as exc:
         raise ValidationError([f"{path}: {exc.strerror or exc}"])
     except (ValueError, RecursionError) as exc:  # also too long integers, too deep nesting

@@ -16,8 +16,9 @@ agree after pushforward:
   2^r - 1 mixed products; with m_i the factor's ``definition`` value,
   m_i + (-1)^(n-1) c^SM_i = (-1)^(n-1) c^FJ_i, so the sum is thm1's class.
 * ``cor11``       the telescoped form of that sum: thm1's class again.
-  ``milnor_expansion`` and ``milnor_telescope`` form the sums term by
-  term; ``identities`` checks them against the product rule.
+  ``milnor_expansion`` and ``milnor_telescope`` form each term on its own
+  and sum all in one ``chow.dot`` accumulator, as ``milnor_product`` takes
+  its difference; ``identities`` checks them against the product rule.
 * ``aluffi``      from the mu-class of the singular locus (single
   hypersurfaces only).
 * ``pp``          from per-stratum Milnor-fibre data.
@@ -51,7 +52,7 @@ from .bundles import (
     fundamental_class_ci,
     segre_smooth,
 )
-from .chow import ChowClass, _sign, h_power, line_power, one, zero
+from .chow import ChowClass, _sign, dot, h_power, line_power, one, zero
 from .records import Record, replace
 from .varieties import (
     Arrangement,
@@ -119,7 +120,7 @@ def _lines(n: int, degrees) -> ChowClass:
     """c(O(d_1) + ... + O(d_r)) = prod_d (1 + dH)^(k_d), k_d the number of
     d_i equal to d: at most r + 1 nonzero terms, so cheap to divide by."""
     lines = [line_power(n, d, degrees.count(d)) for d in set(degrees)]
-    return _prod(lines) if lines else one(n)
+    return _prod(lines, n)
 
 
 def _cfj(n: int, degrees) -> ChowClass:
@@ -175,10 +176,8 @@ def _csm_intersection_of_unions(n: int, per_factor) -> ChowClass:
 @lru_cache(maxsize=1024)
 def _csm_of_sorted_unions(n: int, per_factor: tuple[tuple[int, ...], ...]) -> ChowClass:
     # 1 - L^(-1) = (L - 1) / L, so one division serves every factor
-    lines = [_lines(n, degrees) for degrees in per_factor]
-    if not lines:  # no factors cut anything out of P^n
-        return chern_tangent(n).total
-    return chern_tangent(n).total * _prod([c - one(n) for c in lines]) / _prod(lines)
+    lines = [_lines(n, degrees) for degrees in per_factor]  # none: P^n itself
+    return chern_tangent(n).total * _prod([c - one(n) for c in lines], n) / _prod(lines, n)
 
 
 def csm_inclusion_exclusion(h: HypersurfaceSpec) -> ChowClass:
@@ -236,8 +235,9 @@ def _corrected(c: ChowClass, r: int) -> ChowClass:
     return c if r == 1 else _tangent_correction(c.ambient_dim, r) * c
 
 
-def _prod(classes: list) -> ChowClass:
-    return prod(classes[1:], start=classes[0])
+def _prod(classes, n: int) -> ChowClass:
+    """The product of the classes; one(n) for none."""
+    return prod(classes[1:], start=classes[0]) if classes else one(n)
 
 
 def product_rule(classes, n: int) -> ChowClass:
@@ -247,19 +247,21 @@ def product_rule(classes, n: int) -> ChowClass:
     classes = list(classes)
     if not classes:
         raise ValueError("need at least one class")
-    return _corrected(_prod(classes), len(classes))
+    return _corrected(_prod(classes, n), len(classes))
 
 
 def milnor_product(cfj_list, csm_list, n: int, dim_x: int) -> ChowClass:
     """(-1)^dim(X) (prod c^FJ_i - prod c^SM_i), divided once by c(TP^n)^(r-1):
-    the report's one product-rule kernel, for thm1, expansion, cor11 and pp."""
+    the report's one product-rule kernel, for thm1, expansion, cor11 and pp.
+    One ``dot`` pairs each product but its last factor, signed, with that factor."""
     cfj_list, csm_list = list(cfj_list), list(csm_list)
     if len(cfj_list) != len(csm_list):
         raise ValueError("need one virtual and one SM class per factor")
     if not cfj_list:
         raise ValueError("need at least one class")
-    diff = _corrected(_prod(cfj_list) - _prod(csm_list), len(cfj_list))
-    return -diff if dim_x % 2 else diff
+    fj, sm = _prod(cfj_list[:-1], n), _prod(csm_list[:-1], n)
+    fj, sm = (-fj, sm) if dim_x % 2 else (fj, -sm)
+    return _corrected(dot([(fj, cfj_list[-1]), (sm, csm_list[-1])], n), len(cfj_list))
 
 
 def _signed(classes, codims, parity: int) -> list[ChowClass]:
@@ -275,9 +277,10 @@ def milnor_expansion(m_list, csm_list, codims, n: int) -> ChowClass:
     factor picked.  ``codims`` are the codimensions of the factors:
     1 for every hypersurface.  Only their parity matters.
 
-    The choices are enumerated factor by factor, each partial product
-    formed once and extended by m_i and by the signed SM class of
-    factor i; every mixed product is still formed and summed on its own.
+    The choice products of the first r // 2 factors, and of the rest, are
+    formed once each (the all-SM product last); every mixed product is
+    then a (left, right) pair, and one ``dot`` forms each of the 2^r - 1
+    products on its own and sums them in one accumulator.
     """
     m_list, csm_list, codims = list(m_list), list(csm_list), list(codims)
     if not len(m_list) == len(csm_list) == len(codims):
@@ -285,21 +288,20 @@ def milnor_expansion(m_list, csm_list, codims, n: int) -> ChowClass:
     r = len(m_list)
     if r == 0:
         return zero(n)
-    signed = _signed(csm_list, codims, n)
-    mixed = [m_list[0]]
-    # zip stops on m_list first, so the full all-SM product is never formed
-    for m, s, all_sm in zip(m_list[1:], signed[1:], itertools.accumulate(signed, mul)):
-        mixed = [p * c for p in mixed for c in (m, s)] + [all_sm * m]
-    total = _corrected(sum(mixed[1:], mixed[0]), r)
+    signed, h = _signed(csm_list, codims, n), r // 2
+    left, right = ([_prod(choice, n) for choice in itertools.product(*zip(m_list[i:j], signed[i:j]))]
+                   for i, j in ((0, h), (h, r)))
+    total = _corrected(dot([(x, y) for x in left for y in right][:-1], n), r)  # all but the all-SM pair
     return -total if (n * r - n) % 2 else total
 
 
 def milnor_telescope(m_list, csm_list, cfj_list, codims, n: int) -> ChowClass:
     """Telescoped form: one summand per factor, each with a single
     Milnor class flanked by virtual classes on one side and SM classes
-    on the other: a running product of the first i virtual classes,
+    on the other: a running product of the virtual classes before i,
     m_i, and a precomputed product of the SM classes after i.  The sign
     (-1)^(sum of the other codims) is folded into those flanking classes.
+    One ``dot`` sums the r pairs (head m_i, tail), or (head, m_r) last.
     """
     m_list, csm_list, cfj_list, codims = map(list, (m_list, csm_list, cfj_list, codims))
     if not len(m_list) == len(csm_list) == len(cfj_list) == len(codims):
@@ -307,12 +309,12 @@ def milnor_telescope(m_list, csm_list, cfj_list, codims, n: int) -> ChowClass:
     r = len(m_list)
     if r == 0:
         return zero(n)
-    heads = [None, *itertools.accumulate(_signed(cfj_list[:-1], codims, 0), mul)]
-    tails = [None, *itertools.accumulate(_signed(csm_list[:0:-1], codims[:0:-1], 0), mul)]
-    acc = zero(n)
-    for head, m, tail in zip(heads, m_list, reversed(tails)):
-        acc += prod([c for c in (head, tail) if c is not None], start=m)
-    return _corrected(acc, r)
+    heads = list(itertools.accumulate(_signed(cfj_list[:-1], codims, 0), mul))
+    tails = list(itertools.accumulate(_signed(csm_list[:0:-1], codims[:0:-1], 0), mul))[::-1]
+    pairs = [(m_list[0], tails[0] if tails else one(n)), *zip(map(mul, heads, m_list[1:-1]), tails[1:])]
+    if heads:
+        pairs.append((heads[-1], m_list[-1]))
+    return _corrected(dot(pairs, n), r)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ of bounded degree.
 from __future__ import annotations
 
 import random
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .chow import ChowClass, _from_ints
 from .engine import milnor_expansion, milnor_product, milnor_telescope
@@ -27,7 +27,8 @@ CODIM_RANGE = (1, 5)
 
 
 class RandomInstance(Record):
-    """One random trial: factor classes tied together by the sign relation."""
+    """One random trial: factor classes tied together by the sign relation,
+    which gives ``cfj_list``, set once when the trial is built."""
 
     seed: int
     n: int
@@ -36,29 +37,35 @@ class RandomInstance(Record):
     csm_list: tuple[ChowClass, ...]
     m_list: tuple[ChowClass, ...]
 
-    @cached_property
-    def cfj_list(self) -> tuple[ChowClass, ...]:
-        return tuple(
+    def __post_init__(self):
+        object.__setattr__(self, "cfj_list", tuple(
             csm - m if (self.n - d) % 2 else csm + m
             for csm, m, d in zip(self.csm_list, self.m_list, self.codims)
-        )
+        ))
 
     @property
     def dim_x(self) -> int:
         return self.n - sum(self.codims)
 
 
-def _random_class(rng: random.Random, n: int) -> ChowClass:
-    lo, hi = COEFF_RANGE
-    randint = rng.randint
-    return _from_ints(n, tuple([randint(lo, hi) for _ in range(n + 1)]))
+def _draws(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """``[rng.randint(lo, hi) for _ in range(count)]`` without its per-call cost: CPython's
+    ``randint`` draws getrandbits with rejection (3.10-3.13), so a seed keeps its trials."""
+    width = hi - lo + 1
+    k, getrandbits, out = width.bit_length(), rng.getrandbits, []
+    for _ in range(count):
+        x = getrandbits(k)
+        while x >= width:
+            x = getrandbits(k)
+        out.append(lo + x)
+    return out
 
 
 def random_instance(rng: random.Random, n: int, r: int, seed: int) -> RandomInstance:
-    codims = tuple(rng.randint(*CODIM_RANGE) for _ in range(r))
-    csm_list = tuple(_random_class(rng, n) for _ in range(r))
-    m_list = tuple(_random_class(rng, n) for _ in range(r))
-    return RandomInstance(seed, n, r, codims, csm_list, m_list)
+    codims = tuple(_draws(rng, *CODIM_RANGE, r))
+    num = _draws(rng, *COEFF_RANGE, 2 * r * (n + 1))  # the csm classes, then the Milnor classes
+    classes = tuple(_from_ints(n, tuple(num[i:i + n + 1])) for i in range(0, len(num), n + 1))
+    return RandomInstance(seed, n, r, codims, classes[:r], classes[r:])
 
 
 class IdentityReport(Record):

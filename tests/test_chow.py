@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from milnorcalc.chow import ChowClass, format_class, h_power, line_power, make_class, one, zero
+from milnorcalc.chow import ChowClass, dot, format_class, h_power, line_power, make_class, one, zero
 from milnorcalc.cli import _coeff_strings
 
 from conftest import classes, coefficients, unit_classes
@@ -198,6 +198,28 @@ def test_ring_axioms(abc):
     n = a.ambient_dim
     assert a * one(n) == a
     assert a + zero(n) == a
+
+
+def rational_class(n):
+    """A class over its own denominator, so the pairs' denominators differ."""
+    return st.builds(lambda den, nums: ChowClass(n, [Fraction(a, den) for a in nums]),
+                     st.integers(1, 12), st.lists(st.integers(-50, 50), min_size=n + 1, max_size=n + 1))
+
+
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(rational_class(n), rational_class(n)), max_size=6))))
+def test_dot_is_the_sum_of_the_products(case):
+    n, pairs = case
+    assert dot(pairs, n) == sum((x * y for x, y in pairs), zero(n))
+    assert dot(iter(pairs), n) == dot(pairs, n)
+
+
+def test_dot_of_no_pairs_is_zero_and_mixed_dimensions_raise():
+    assert dot([], 3) == zero(3)
+    with pytest.raises(ValueError):
+        dot([(cls(3, 1), cls(4, 1))], 3)
+    with pytest.raises(ValueError):
+        dot([(cls(3, 1), cls(3, 1)), (cls(4, 1), cls(4, 1))], 3)
 
 
 @given(unit_classes())

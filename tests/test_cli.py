@@ -716,6 +716,28 @@ def test_an_undeclared_key_is_rejected_with_its_path(edit, path):
         parse_document(_with(plane_pair_doc(), edit))
 
 
+@pytest.mark.parametrize(
+    "old, new, path",
+    [
+        ('"transversal": true', '"transversal": true, "transversal": false', "transversal"),
+        ('"degree": 2', '"degree": 2, "degree": 3', "hypersurfaces[0].degree"),
+        ('"chiF": 0', '"chiF": 0, "chiF": 1', "hypersurfaces[0].strata[1].chiF"),
+        ('"kind": "linear", "dim": 2}}', '"kind": "linear", "kind": "ci", "dim": 2}}',
+         "hypersurfaces[0].strata[1].closure.kind"),
+    ],
+    ids=["top", "hypersurface", "stratum", "kind"],
+)
+def test_a_key_given_twice_exits_2_with_its_path(tmp_path, capsys, old, new, path):
+    """JSON keeps the last of two equal keys; the document reader rejects
+    the key instead of computing with either value."""
+    text = json.dumps(plane_pair_doc())
+    assert text.count(old) == 1
+    file = tmp_path / "twice.json"
+    file.write_text(text.replace(old, new))
+    assert main(["compute", str(file)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {path}: given twice\n"
+
+
 def test_a_description_of_bounded_printable_text_is_accepted():
     parse_document(_with(plane_pair_doc(), lambda d: d.update(description="d" * MAX_DESCRIPTION)))
     for description in ["d" * (MAX_DESCRIPTION + 1), "a\nb", 1]:

@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from milnorcalc import identities
-from milnorcalc.chow import one, zero
+from milnorcalc import engine, identities
+from milnorcalc.chow import ChowClass, one, zero
 from milnorcalc.engine import milnor_expansion, milnor_product, milnor_telescope
 from milnorcalc.identities import (
     RandomInstance,
+    _draws,
     check_expansion_identity,
     check_identities,
     check_telescope_identity,
@@ -34,6 +37,14 @@ def test_seed_draws_the_same_numerators():
         (-9, -3, 4, -1, -4), (3, -4, -7, -5, 5), (-5, -5, -9, -9, -3),
     ]
     assert inst.cfj_list is inst.cfj_list
+
+
+@given(st.integers(0, 2**64), st.integers(-10**6, 10**6), st.integers(0, 2**70), st.integers(0, 40))
+def test_draws_are_the_randint_stream(seed, lo, width, count):
+    """The draw helper is CPython's randint, value for value and state for state."""
+    rng, reference = random.Random(seed), random.Random(seed)
+    assert _draws(rng, lo, lo + width, count) == [reference.randint(lo, lo + width) for _ in range(count)]
+    assert rng.getstate() == reference.getstate()
 
 
 def test_cfj_relation_holds_per_factor():
@@ -137,3 +148,37 @@ def test_a_broken_telescope_fails_only_its_own_report(monkeypatch):
     assert expansion.failures == ()
     assert tele.failures == (2, 5)
     assert tele.render().endswith("failures=2 (trials 2, 5)")
+
+
+def count_sums(monkeypatch):
+    """Record the pair count of every ``engine.dot`` call and count class
+    additions and subtractions."""
+    dots, sums = [], []
+    dot = engine.dot
+    monkeypatch.setattr(engine, "dot", lambda pairs, n: dots.append(len(pairs)) or dot(pairs, n))
+    for name in ("__add__", "__sub__"):
+        method = getattr(ChowClass, name)
+        monkeypatch.setattr(ChowClass, name, lambda a, b, f=method: sums.append(1) or f(a, b))
+    return dots, sums
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_the_expansion_forms_its_mixed_products_in_one_dot(monkeypatch, r):
+    """All 2^r - 1 mixed products go to one accumulator, each its own pair:
+    the expansion is not factored into a copy of the product rule."""
+    inst = random_instance(random.Random(r), 6, r, seed=r)
+    expected = milnor_product(inst.cfj_list, inst.csm_list, 6, inst.dim_x)
+    dots, sums = count_sums(monkeypatch)
+    assert milnor_expansion(inst.m_list, inst.csm_list, inst.codims, 6) == expected
+    assert dots == [2**r - 1]
+    assert sums == []
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_the_telescope_sums_one_pair_per_factor(monkeypatch, r):
+    inst = random_instance(random.Random(r), 6, r, seed=r)
+    expected = milnor_product(inst.cfj_list, inst.csm_list, 6, inst.dim_x)
+    dots, sums = count_sums(monkeypatch)
+    assert milnor_telescope(inst.m_list, inst.csm_list, inst.cfj_list, inst.codims, 6) == expected
+    assert dots == [r]
+    assert sums == []
