@@ -5,6 +5,9 @@ hypersurfaces of projective space and of their transversal
 intersections, each Milnor class along several routes, and
 cross-validates the routes exactly (arbitrary-precision rational
 arithmetic throughout).
+
+The names from ``identities`` resolve on first access, so a process that
+never checks the identities never imports that module.
 """
 
 from .bundles import (
@@ -43,14 +46,6 @@ from .engine import (
     mu_class,
     product_rule,
 )
-from .identities import (
-    IdentityReport,
-    RandomInstance,
-    check_expansion_identity,
-    check_identities,
-    check_telescope_identity,
-    sweep,
-)
 from .varieties import (
     Arrangement,
     CompleteIntersectionSpec,
@@ -68,3 +63,17 @@ from .varieties import (
 )
 
 __version__ = "0.1.0"
+
+_IDENTITIES = ("IdentityReport", "RandomInstance", "check_expansion_identity", "check_identities",
+               "check_telescope_identity", "sweep")
+
+
+def __getattr__(name):
+    if name in _IDENTITIES:
+        from . import identities
+        return getattr(identities, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_IDENTITIES})

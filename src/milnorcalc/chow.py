@@ -12,6 +12,11 @@ Ring operations (``+``, ``-``, ``*``, and ``/`` by a class with nonzero
 constant term) work on the integers and reduce once per result, and
 ``coeffs`` builds the ``Fraction`` view on first use.
 
+``fractions`` (which loads ``decimal`` and ``numbers``) is imported by
+``_rationals`` at the first non-integer: a non-int coefficient or scalar,
+the ``coeffs`` view, ``integral()``, or the text of a class whose
+denominator is not 1.  Integer inputs and classes never load it.
+
 The regrading operations ``dual`` and ``tensor_line`` act on the
 codimension-j piece by (-1)^j and by division by (1 + c1)^j.  Grading
 always means codimension in the ambient space, never in a subvariety;
@@ -20,20 +25,34 @@ reports expose this convention.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from math import gcd, lcm
-from numbers import Rational
 from operator import add, mul, sub
+
+
+@cache
+def _rationals():
+    """``(Fraction, numbers.Rational)``, imported on the first call."""
+    from fractions import Fraction
+    from numbers import Rational
+    return Fraction, Rational
 
 
 def _coerce(value) -> int | Fraction:
     """Exact coercion to an int or a Fraction; floats are rejected on purpose."""
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
+        return value
+    Fraction, Rational = _rationals()
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, (str, Rational)):
         return Fraction(value)
     raise TypeError(f"cannot use {value!r} as an exact rational coefficient")
+
+
+def _is_scalar(value) -> bool:
+    return isinstance(value, int) or isinstance(value, _rationals()[0])
 
 
 def _sign(exponent: int) -> int:
@@ -111,7 +130,7 @@ class ChowClass:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         if self._coeffs is None:
-            den = self._den
+            den, Fraction = self._den, _rationals()[0]
             view = map(Fraction, self._num) if den == 1 else (Fraction(a, den) for a in self._num)
             _set_coeffs(self, tuple(view))
         return self._coeffs
@@ -166,9 +185,7 @@ class ChowClass:
 
     def __mul__(self, other):
         if other.__class__ is not ChowClass:
-            if isinstance(other, (int, Fraction)):
-                return self.scale(other)
-            return NotImplemented
+            return self.scale(other) if _is_scalar(other) else NotImplemented
         n = self.ambient_dim
         if other.ambient_dim != n:
             self._check_compatible(other)
@@ -177,9 +194,7 @@ class ChowClass:
         return _reduced(n, out, self._den * other._den)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other) if _is_scalar(other) else NotImplemented
 
     def __truediv__(self, other):
         """Exact quotient by a class with nonzero constant term, solved
@@ -273,7 +288,7 @@ class ChowClass:
 
     def integral(self) -> Fraction:
         """Degree of the zero-dimensional piece (the H^n coefficient)."""
-        return Fraction(self._num[-1], self._den)
+        return _rationals()[0](self._num[-1], self._den)
 
     def is_zero(self) -> bool:
         return not any(self._num)
@@ -366,7 +381,7 @@ def _degree_one_scalar(n: int, c1) -> int | Fraction:
         raise ValueError("ambient dimensions differ")
     if any(a for j, a in enumerate(c1._num) if j != 1):
         raise ValueError("expected a class concentrated in degree 1")
-    return c1.coeffs[1] if n >= 1 else 0
+    return 0 if n < 1 else c1._num[1] if c1._den == 1 else c1.coeffs[1]
 
 
 def format_class(c: ChowClass) -> str:
@@ -375,7 +390,7 @@ def format_class(c: ChowClass) -> str:
     den, terms = c._den, []
     for j, a in enumerate(c._num):
         if a:
-            mag = abs(a) if den == 1 else Fraction(abs(a), den)
+            mag = abs(a) if den == 1 else _rationals()[0](abs(a), den)
             h = "" if j == 0 else "H" if j == 1 else f"H^{j}"
             coeff = "" if h and mag == 1 else str(mag) if mag.denominator == 1 else f"({mag})"
             terms.append(("- " if a < 0 else "+ ") + coeff + h)

@@ -17,7 +17,6 @@ import os
 import re
 import sys
 from collections import Counter
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .chow import ChowClass, format_class, make_class
@@ -29,7 +28,6 @@ from .engine import (
     compute_report,
     csm_smooth_ci_degrees,
 )
-from .identities import check_identities
 from .varieties import (
     Arrangement,
     CompleteIntersectionSpec,
@@ -94,7 +92,7 @@ TRANSVERSALITY_WARNING = (
 
 REQUIRED, NUMBER, COEFF, KIND = "required", "number", "coeff", "kind"
 _POWERS = {MAX_DIGITS: 10**MAX_DIGITS, MAX_LOCUS_DIGITS: 10**MAX_LOCUS_DIGITS}
-_RATIONAL = {d: re.compile(rf"-?[0-9]{{1,{d}}}(/(?!0+$)[0-9]{{1,{d}}})?") for d in _POWERS}
+_RATIONAL = {d: rf"-?[0-9]{{1,{d}}}(/(?!0+$)[0-9]{{1,{d}}})?" for d in _POWERS}  # compiled on first use
 _TYPES = {NUMBER: int, COEFF: int, KIND: dict}
 _EXPECTED = {int: "an integer", NUMBER: "an integer", COEFF: "an integer or a rational string",
              str: "a string", bool: "true or false", list: "a list", dict: "an object", KIND: "an object"}
@@ -175,9 +173,11 @@ def _read(value, field, totals: dict, key=None):
         if value is _TWICE:
             raise _DocumentError("given twice")
         if kind is COEFF and type(value) is str:
-            if _RATIONAL[bound].fullmatch(value) is None:
+            if re.fullmatch(_RATIONAL[bound], value) is None:
                 raise _DocumentError(f"expected [-]digits[/digits] of at most {bound} digits a part, "
                                      "with a nonzero denominator")
+            from fractions import Fraction
+
             return Fraction(value)
         if type(value) is not _TYPES.get(kind, kind):
             raise _DocumentError(f"expected {_EXPECTED[kind]}")
@@ -502,6 +502,8 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_identity(args) -> int:
     """The document caps bound n and r; ``identities`` checks the ranges."""
+    from .identities import check_identities
+
     if args.n > MAX_AMBIENT_DIM or args.r > MAX_HYPERSURFACES:
         raise ValidationError([f"need n <= {MAX_AMBIENT_DIM} and r <= {MAX_HYPERSURFACES}"])
     try:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from milnorcalc.chow import ChowClass
+from milnorcalc.chow import ChowClass, h_power, line_power, make_class
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -99,4 +99,35 @@ def normal_crossing_doc(n: int, factors) -> dict:
         "hypersurfaces": [
             normal_crossing_hypersurface(f"A{i}", n, degrees) for i, degrees in enumerate(factors)
         ],
+    }
+
+
+def isolated_singularities_doc(n: int, d: int, mus, sign: int = 1) -> dict:
+    """A hypersurface of degree d in P^n whose singular points have the
+    Milnor numbers ``mus``: its Milnor class is (sum mus) H^n.
+
+    Each route gets its own input.  ``definition`` reads the supplied
+    c^SM = c^FJ + (-1)^n (sum mus) H^n (Parusinski's formula) on the open
+    stratum's closure, with c^FJ = (1 + H)^(n+1) dH / (1 + dH); ``sign``
+    -1 flips the point term.  ``aluffi`` reads the singular scheme, of
+    class (sum mus) H^n with trivial normal bundle of rank n, since the
+    Jacobian ideal of an isolated singularity is a complete intersection.
+    ``pp`` reads one point stratum per mu, with chiF = 1 + (-1)^(n-1) mu.
+    """
+    total = sum(mus)
+    cfj = make_class(n, [0, d]) * line_power(n, 1, n + 1) / line_power(n, d, 1)
+    csm = cfj + sign * (-1) ** n * total * h_power(n, n)
+    strata = [{"name": "reg", "dim": n - 1, "chiF": 1,
+               "closure": {"kind": "explicit", "class": [0, d], "csm": list(csm.integer_coeffs())}}]
+    strata += [{"name": f"p{i}", "dim": 0, "chiF": 1 + (-1) ** (n - 1) * mu, "closure": {"kind": "linear", "dim": 0}}
+               for i, mu in enumerate(mus)]
+    return {
+        "ambient": {"kind": "projective", "dim": n},
+        "hypersurfaces": [{
+            "name": "X",
+            "degree": d,
+            "singularity": {"kind": "stratified"},
+            "sing_locus": {"kind": "smooth", "class": [0] * n + [total], "normal": {"rank": n, "chern": [1]}},
+            "strata": strata,
+        }],
     }

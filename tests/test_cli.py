@@ -14,8 +14,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import milnorcalc
-from conftest import FIXTURES, normal_crossing_doc
-from milnorcalc.chow import ChowClass, make_class
+from conftest import FIXTURES, isolated_singularities_doc, normal_crossing_doc
+from milnorcalc.chow import ChowClass, h_power, make_class
 from milnorcalc.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_DISAGREEMENT,
@@ -829,6 +829,31 @@ def test_fuzz_mutated_normal_crossing_documents(doc):
 def crosscheck_exit(doc) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         return main(["crosscheck", write_doc(Path(tmp), doc)])
+
+
+# -- isolated singularities: the truth in closed form ---------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 7), d=st.integers(2, 5), mus=st.lists(st.integers(1, 6), min_size=1, max_size=4))
+@example(n=2, d=2, mus=[1])
+@example(n=3, d=2, mus=[1])
+def test_isolated_singularities_give_the_sum_of_milnor_numbers(n, d, mus):
+    """``definition``, ``aluffi`` and ``pp``, each from its own input, give
+    (sum mus) H^n, and crosscheck agrees."""
+    spec, intersection_csm, _ = parse_document(isolated_singularities_doc(n, d, mus))
+    [row] = compute_report(spec, None, intersection_csm).varieties
+    routes = {rv.route: rv.value for rv in row.milnor}
+    for route in ("definition", "aluffi", "pp"):
+        assert routes[route] == sum(mus) * h_power(n, n), route
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        assert main(["crosscheck", write_doc(Path(tmp), isolated_singularities_doc(n, d, mus))]) == EXIT_OK
+    assert re.search(r"^X: \d+ routes, AGREE\n\ncrosscheck: AGREE\n\Z", out.getvalue(), re.M)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_isolated_singularities_with_the_wrong_point_sign_disagree(n):
+    assert crosscheck_exit(isolated_singularities_doc(n, 3, [1, 4], sign=-1)) == EXIT_DISAGREEMENT
 
 
 @st.composite

@@ -1,6 +1,9 @@
+import importlib
+import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -181,3 +184,102 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         capture_output=True, text=True, env=env, check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+# -- start-up: a command loads only what it runs --------------------------------
+
+SRC = Path(milnorcalc.__file__).parent.parent
+ROOT = SRC.parent
+RATIONALS = {"fractions", "decimal", "numbers"}
+
+
+def startup_run(*argv):
+    """``python -X importtime -m milnorcalc.cli argv`` with no bytecode
+    written, as a user's first run; (process, every module it imported)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "milnorcalc.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    lines = proc.stderr.splitlines()
+    modules = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    proc.stderr = "".join(line + "\n" for line in lines if not line.startswith("import time:"))
+    return proc, modules
+
+
+@pytest.mark.parametrize("command", [["crosscheck"], ["compute", "--output", "json"]], ids=" ".join)
+@pytest.mark.parametrize("fixture", sorted(p.name for p in (ROOT / "fixtures").glob("*.json")))
+def test_startup_document_commands_leave_out_fractions_and_identities(fixture, command):
+    """Every fixture is integral: ``fractions`` (with ``decimal`` and
+    ``numbers``) and ``identities`` stay unimported."""
+    proc, modules = startup_run(*command, str(ROOT / "fixtures" / fixture))
+    assert proc.returncode in (0, 3), proc.stderr
+    assert "milnorcalc.engine" in modules
+    assert not modules & (RATIONALS | {"milnorcalc.identities"})
+
+
+def test_startup_identity_leaves_out_fractions():
+    proc, modules = startup_run("identity", "--n", "4", "--r", "3", "--trials", "10")
+    assert proc.returncode == 0, proc.stderr
+    assert "milnorcalc.identities" in modules
+    assert not modules & RATIONALS
+
+
+def test_startup_rational_coefficients_keep_their_output(tmp_path):
+    """Rational strings load ``fractions`` and read as before: "3/3" is 1,
+    and a "1/2" point class still stops the run with exit 4."""
+    doc = json.loads((ROOT / "fixtures" / "nodal-cubic.json").read_text())
+    node = doc["hypersurfaces"][0]["strata"][1]
+    node["closure"] = {"kind": "explicit", "class": ["0", "0", "3/3"], "csm": [0, "0", "2/2"]}
+    (tmp_path / "whole.json").write_text(json.dumps(doc))
+    node["closure"]["csm"] = [0, 0, "1/2"]
+    (tmp_path / "half.json").write_text(json.dumps(doc))
+    integral, _ = startup_run("crosscheck", str(ROOT / "fixtures" / "nodal-cubic.json"))
+    whole, modules = startup_run("crosscheck", str(tmp_path / "whole.json"))
+    assert (whole.returncode, whole.stdout, whole.stderr) == (0, integral.stdout, "")
+    assert RATIONALS <= modules
+    half, _ = startup_run("crosscheck", str(tmp_path / "half.json"))
+    assert (half.returncode, half.stdout) == (4, "")
+    assert half.stderr == ("error: C: Milnor class (expansion route) has non-integral coefficients, "
+                           "the first in codimension 2\n")
+
+
+def test_startup_identity_names_resolve_on_first_access():
+    names = ["IdentityReport", "RandomInstance", "check_expansion_identity",
+             "check_identities", "check_telescope_identity", "sweep"]
+    script = (
+        "import sys, milnorcalc\n"
+        "assert 'milnorcalc.identities' not in sys.modules\n"
+        f"from milnorcalc import {', '.join(names)}\n"
+        "import milnorcalc.identities as identities\n"
+        f"assert all(globals()[name] is getattr(identities, name) for name in {names!r})\n"
+        f"assert set({names!r}) <= set(dir(milnorcalc))\n"
+        "try:\n"
+        "    milnorcalc.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "module 'milnorcalc' has no attribute 'no_such_name'\n"
+
+
+def test_tracer_wraps_and_restores_every_name():
+    """The benchmark's tracer finds each name it wraps where its caller
+    looks it up, and puts the original back."""
+    path = ROOT / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(), str(path), "exec"), tracer.__dict__)
+    mc = types.SimpleNamespace(**{name: importlib.import_module(f"milnorcalc.{name}")
+                                  for name in ("chow", "bundles", "varieties", "engine", "identities", "cli")})
+    table = tracer.wrap_table(mc)
+    originals = [vars(owner)[attr] for owner, attr, _, _ in table]
+    tr = tracer.Tracer()
+    tr.install(mc)
+    try:
+        for (owner, attr, _, _), original in zip(table, originals):
+            wrapped = vars(owner)[attr]
+            assert wrapped is not original and wrapped.__wrapped__ is original, attr
+    finally:
+        tr.uninstall()
+    for (owner, attr, _, _), original in zip(table, originals):
+        assert vars(owner)[attr] is original, attr
