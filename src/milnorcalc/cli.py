@@ -3,7 +3,7 @@
 Input is a single JSON document, declared field by field in the table
 under "JSON -> model" below; ``fixtures/`` and the README hold examples.
 
-Exit codes: 0 success, 2 validation error, 3 route disagreement
+Exit codes: 0 success or help, 2 validation or usage error, 3 route disagreement
 (or identity-check failure), 4 integrality failure, 5 a ``crosscheck``
 row with fewer than two routes (UNCHECKED), 141 standard output closed
 early by its reader (128 + SIGPIPE, as a shell reports a broken pipe).
@@ -11,7 +11,6 @@ early by its reader (128 + SIGPIPE, as a shell reports a broken pipe).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -259,13 +258,10 @@ def _parse_strata(entries: list, n: int, path: str) -> Stratification:
 def _parse_hypersurface(h: dict, n: int, path: str) -> HypersurfaceSpec:
     sing, kind, strata = h["singularity"], h["singularity"]["kind"], h["strata"]
     if kind == "arrangement" and not sing["pairwise_transversal"]:
-        raise _DocumentError(
-            "only pairwise-transversal arrangements are supported",
-            f"{path}.singularity.pairwise_transversal",
-        )
-    singularity = Arrangement(tuple(sing["components"])) if kind == "arrangement" else (
-        Smooth() if kind == "smooth" else Stratified()
-    )
+        raise _DocumentError("only pairwise-transversal arrangements are supported",
+                             f"{path}.singularity.pairwise_transversal")
+    singularity = (Arrangement(tuple(sing["components"])) if kind == "arrangement"
+                   else Smooth() if kind == "smooth" else Stratified())
     if strata is not None:
         strata = _parse_strata(strata, n, f"{path}.strata")
     locus = h["sing_locus"]
@@ -339,28 +335,13 @@ def report_to_dict(report: ClassReport) -> dict:
         "transversality_warning": report.used_product_routes,
         "conventions": report.conventions,
         "agree": report.all_agree,
-        "varieties": [
-            {
-                "name": v.name,
-                "kind": v.kind,
-                "dim": v.dim,
-                "cfj": _coeff_strings(v.cfj),
-                "csm": None if v.csm is None else _coeff_strings(v.csm),
-                "csm_route": v.csm_route,
-                "milnor_routes": [
-                    {"route": rv.route, "coeffs": _coeff_strings(rv.value)}
-                    for rv in v.milnor
-                ],
-                "skipped": [
-                    {"route": sk.route, "reason": sk.reason} for sk in v.skipped
-                ],
-                "agree": v.agree,
-                "milnor": None
-                if v.consensus is None
-                else _coeff_strings(v.consensus),
-            }
-            for v in report.varieties
-        ],
+        "varieties": [{
+            "name": v.name, "kind": v.kind, "dim": v.dim, "cfj": _coeff_strings(v.cfj),
+            "csm": None if v.csm is None else _coeff_strings(v.csm), "csm_route": v.csm_route,
+            "milnor_routes": [{"route": rv.route, "coeffs": _coeff_strings(rv.value)} for rv in v.milnor],
+            "skipped": [{"route": sk.route, "reason": sk.reason} for sk in v.skipped],
+            "agree": v.agree, "milnor": None if v.consensus is None else _coeff_strings(v.consensus),
+        } for v in report.varieties],
     }
 
 
@@ -391,70 +372,43 @@ def report_to_json(report: ClassReport) -> str:
 
 
 def render_text(report: ClassReport) -> str:
-    lines = [f"ambient: P^{report.ambient_dim}"]
-    lines.append(
-        "transversality asserted: "
-        + ("yes" if report.transversality_asserted else "no")
-    )
-    if report.used_product_routes:
-        lines.append(TRANSVERSALITY_WARNING)
+    lines = [f"ambient: P^{report.ambient_dim}",
+             "transversality asserted: " + ("yes" if report.transversality_asserted else "no")]
+    lines += [TRANSVERSALITY_WARNING] if report.used_product_routes else []
     for v in report.varieties:
-        lines.append("")
-        lines.append(f"== {v.name} ({v.kind}, dim {v.dim})")
-        lines.append(f"  c^FJ : {format_class(v.cfj)}")
-        if v.csm is not None:
-            lines.append(f"  c^SM : {format_class(v.csm)}  [{v.csm_route}]")
-        else:
-            lines.append("  c^SM : unavailable")
+        csm = "unavailable" if v.csm is None else f"{format_class(v.csm)}  [{v.csm_route}]"
+        lines += ["", f"== {v.name} ({v.kind}, dim {v.dim})", f"  c^FJ : {format_class(v.cfj)}", f"  c^SM : {csm}"]
         if v.milnor:
-            lines.append("  Milnor class:")
             width = max(len(rv.route) for rv in v.milnor)
-            for rv in v.milnor:
-                lines.append(f"    {rv.route:<{width}} : {format_class(rv.value)}")
-            lines.append("  routes " + ("AGREE" if v.agree else "DISAGREE"))
+            lines += ["  Milnor class:", *(f"    {rv.route:<{width}} : {format_class(rv.value)}" for rv in v.milnor),
+                      "  routes " + ("AGREE" if v.agree else "DISAGREE")]
         else:
             lines.append("  Milnor class: no applicable route")
-        for sk in v.skipped:
-            lines.append(f"  (skipped {sk.route}: {sk.reason})")
+        lines += [f"  (skipped {sk.route}: {sk.reason})" for sk in v.skipped]
     return "\n".join(lines) + "\n"
 
 
 def row_verdict(v: VarietyReport) -> str:
     """AGREE needs at least two routes; with fewer the row is UNCHECKED."""
-    if not v.agree:
-        return "DISAGREE"
-    return "AGREE" if len(v.milnor) >= 2 else "UNCHECKED"
+    return "DISAGREE" if not v.agree else "AGREE" if len(v.milnor) >= 2 else "UNCHECKED"
 
 
 def crosscheck_verdict(report: ClassReport) -> str:
     """DISAGREE if any row disagrees, else UNCHECKED if any row is, else AGREE."""
-    verdicts = [row_verdict(v) for v in report.varieties]
-    for verdict in ("DISAGREE", "UNCHECKED"):
-        if verdict in verdicts:
-            return verdict
-    return "AGREE"
+    verdicts = {row_verdict(v) for v in report.varieties}
+    return next((verdict for verdict in ("DISAGREE", "UNCHECKED") if verdict in verdicts), "AGREE")
 
 
 def render_crosscheck(report: ClassReport) -> str:
-    rows = []
-    for v in report.varieties:
-        for rv in v.milnor:
-            rows.append((v.name, rv.route, format_class(rv.value)))
-    name_w = max([len("variety")] + [len(r[0]) for r in rows])
-    route_w = max([len("route")] + [len(r[1]) for r in rows])
-    lines = []
-    if report.used_product_routes:
-        lines.append(TRANSVERSALITY_WARNING)
-    lines.append(f"{'variety':<{name_w}}  {'route':<{route_w}}  Milnor class")
-    for name, route, value in rows:
-        lines.append(f"{name:<{name_w}}  {route:<{route_w}}  {value}")
-    lines.append("")
+    rows = [("variety", "route", "Milnor class")]
+    rows += [(v.name, rv.route, format_class(rv.value)) for v in report.varieties for rv in v.milnor]
+    name_w, route_w = max(len(r[0]) for r in rows), max(len(r[1]) for r in rows)
+    lines = [TRANSVERSALITY_WARNING] if report.used_product_routes else []
+    lines += [*(f"{name:<{name_w}}  {route:<{route_w}}  {value}" for name, route, value in rows), ""]
     for v in report.varieties:
         lines.append(f"{v.name}: {len(v.milnor)} routes, {row_verdict(v)}")
-        for sk in v.skipped:
-            lines.append(f"  (skipped {sk.route}: {sk.reason})")
-    lines.append("")
-    lines.append("crosscheck: " + crosscheck_verdict(report))
+        lines += [f"  (skipped {sk.route}: {sk.reason})" for sk in v.skipped]
+    lines += ["", "crosscheck: " + crosscheck_verdict(report)]
     return "\n".join(lines) + "\n"
 
 
@@ -476,10 +430,7 @@ def cmd_compute(args) -> int:
     report = _report(args, crosscheck=False)
     if not any(v.milnor for v in report.varieties):
         raise ValidationError(["the requested method applies to nothing in this input"])
-    if args.output == "json":
-        print(report_to_json(report))
-    else:
-        print(render_text(report), end="")
+    print(report_to_json(report) + "\n" if args.output == "json" else render_text(report), end="")
     if args.method == "all" and not report.all_agree:
         print("error: routes disagree (see report)", file=sys.stderr)
         return EXIT_DISAGREEMENT
@@ -496,8 +447,7 @@ def cmd_crosscheck(args) -> int:
         print(_json(data))
     else:
         print(render_crosscheck(report), end="")
-    exits = {"AGREE": EXIT_OK, "DISAGREE": EXIT_DISAGREEMENT, "UNCHECKED": EXIT_UNCHECKED}
-    return exits[verdict]
+    return {"AGREE": EXIT_OK, "DISAGREE": EXIT_DISAGREEMENT, "UNCHECKED": EXIT_UNCHECKED}[verdict]
 
 
 def cmd_identity(args) -> int:
@@ -510,77 +460,41 @@ def cmd_identity(args) -> int:
         reports = check_identities(args.n, args.r, args.trials, args.seed)
     except ValueError as exc:
         raise ValidationError([str(exc)])
-    for report in reports:
-        print(report.render())
     total = sum(len(r.failures) for r in reports)
-    print(f"total failures: {total}")
+    print(*(r.render() for r in reports), f"total failures: {total}", sep="\n")
     return EXIT_OK if total == 0 else EXIT_DISAGREEMENT
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="milnorcalc",
-        description=(
-            "Exact Schwartz-MacPherson, Fulton-Johnson and Milnor classes of "
-            "hypersurfaces and their intersections in projective space."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    compute = sub.add_parser("compute", help="compute classes for one input document")
-    compute.add_argument("input", help="path to a JSON variety document")
-    compute.add_argument(
-        "--method",
-        choices=("all",) + ROUTE_ORDER,
-        default="all",
-        help="Milnor-class route to run (default: all applicable)",
-    )
-    compute.add_argument("--output", choices=("text", "json"), default="text")
-    compute.set_defaults(func=cmd_compute)
-
-    crosscheck = sub.add_parser(
-        "crosscheck", help="run every applicable route and compare"
-    )
-    crosscheck.add_argument("input", help="path to a JSON variety document")
-    crosscheck.add_argument("--output", choices=("text", "json"), default="text")
-    crosscheck.set_defaults(func=cmd_crosscheck)
-
-    identity = sub.add_parser(
-        "identity", help="randomized exact check of the derived formulas"
-    )
-    identity.add_argument("--n", type=int, required=True, help="ambient dimension")
-    identity.add_argument("--r", type=int, required=True, help="number of factors")
-    identity.add_argument("--trials", type=int, default=100)
-    identity.add_argument("--seed", type=int, default=0)
-    identity.set_defaults(func=cmd_identity)
-
-    return parser
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    from .commandline import Usage, parse_args  # compiled by a process, not by importers of cli
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    except Usage as exc:
+        text, is_help = exc.args
+        return _write(sys.stdout, text, EXIT_OK) if is_help else _write(sys.stderr, text, EXIT_VALIDATION)
     limit = sys.get_int_max_str_digits()
     try:
-        code = args.func(args)
+        code = {"compute": cmd_compute, "crosscheck": cmd_crosscheck, "identity": cmd_identity}[args.command](args)
         sys.stdout.flush()  # a reader that quit early shows here, not at exit
         return code
     except BrokenPipeError:  # keep the flush at exit quiet too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except ValidationError as exc:
-        return _fail(EXIT_VALIDATION, exc.errors)
+        return _write(sys.stderr, "".join(f"error: {m}\n" for m in exc.errors), EXIT_VALIDATION)
     except IntegralityError as exc:
-        return _fail(EXIT_INTEGRALITY, [exc])
+        return _write(sys.stderr, f"error: {exc}\n", EXIT_INTEGRALITY)
     finally:
         sys.set_int_max_str_digits(limit)
 
 
-def _fail(code: int, messages) -> int:
-    """Print the messages to stderr; a closed stderr keeps the exit code."""
-    try:
-        print(*(f"error: {m}" for m in messages), sep="\n", file=sys.stderr)
-    except BrokenPipeError:  # and keeps the flush at exit quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+def _write(stream, text: str, code: int) -> int:
+    """Write ``text`` and return ``code``; a closed stream keeps the exit code."""
+    if stream is not None:  # None: its descriptor was closed before the start
+        try:
+            print(text, end="", file=stream, flush=True)
+        except OSError:  # a closed pipe or descriptor; and keeps the flush at exit quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return code
 
 

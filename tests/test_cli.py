@@ -856,6 +856,39 @@ def test_isolated_singularities_with_the_wrong_point_sign_disagree(n):
     assert crosscheck_exit(isolated_singularities_doc(n, 3, [1, 4], sign=-1)) == EXIT_DISAGREEMENT
 
 
+def cut_by_a_hyperplane(doc, csm_degrees):
+    """``doc`` cut by a smooth hyperplane H, asserted transversal, with the
+    intersection's c^SM supplied as that of the smooth complete
+    intersection of ``csm_degrees``."""
+    return doc | {
+        "transversal": True,
+        "hypersurfaces": doc["hypersurfaces"] + [{"name": "H", "degree": 1, "singularity": {"kind": "smooth"}}],
+        "intersection": {"csm": {"combination": [{"kind": "ci", "degrees": csm_degrees}]}},
+    }
+
+
+@settings(max_examples=45, deadline=None)
+@given(n=st.integers(3, 7), d=st.integers(2, 5), mus=st.lists(st.integers(1, 6), min_size=1, max_size=3))
+@example(n=3, d=2, mus=[1])
+def test_isolated_singularities_cut_by_a_hyperplane_that_misses_them(n, d, mus):
+    """X ∩ H is a smooth complete intersection of degrees (d, 1), so its
+    Milnor class is 0 by ``definition`` (the supplied c^SM), ``thm1`` (the
+    product rule) and ``pp`` (the strata); a c^SM of degrees (d + 1, 1)
+    disagrees."""
+    doc = isolated_singularities_doc(n, d, mus)
+    spec, intersection_csm, _ = parse_document(cut_by_a_hyperplane(doc, [d, 1]))
+    row = compute_report(spec, None, intersection_csm).varieties[-1]
+    routes = {rv.route: rv.value for rv in row.milnor}
+    for route in ("definition", "thm1", "pp"):
+        assert routes[route] == make_class(n, []), route
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        assert main(["crosscheck", write_doc(Path(tmp), cut_by_a_hyperplane(doc, [d, 1]))]) == EXIT_OK
+    assert "\nX ∩ H: 5 routes, AGREE\n" in out.getvalue()
+    assert out.getvalue().endswith("\ncrosscheck: AGREE\n")
+    assert crosscheck_exit(cut_by_a_hyperplane(doc, [d + 1, 1])) == EXIT_DISAGREEMENT
+
+
 @st.composite
 def normal_crossing_docs(draw, parity):
     """One or two arrangements in P^n, n of the given parity, each of one
@@ -1104,6 +1137,103 @@ def test_an_error_message_to_a_closed_stderr_keeps_its_exit_code(tmp_path, doc, 
                             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=CLI_ENV)
     proc.stdout.close()
     assert proc.wait(timeout=60) == code
+
+
+# -- the command line ---------------------------------------------------------
+
+COMPUTE = {"command": "compute", "input": "in.json", "method": "all", "output": "text"}
+CROSSCHECK = {"command": "crosscheck", "input": "in.json", "output": "text"}
+IDENTITY = {"command": "identity", "n": 4, "r": 3, "trials": 100, "seed": 0}
+
+
+@pytest.mark.parametrize("argv, fields", [
+    ("compute in.json", COMPUTE),
+    ("compute in.json --method pp --output json", COMPUTE | {"method": "pp", "output": "json"}),
+    ("compute --method=aluffi --output=json in.json", COMPUTE | {"method": "aluffi", "output": "json"}),
+    ("compute --output json in.json", COMPUTE | {"output": "json"}),
+    ("compute in.json --out json --meth pp", COMPUTE | {"method": "pp", "output": "json"}),
+    ("compute in.json --output json --output text", COMPUTE),
+    ("crosscheck in.json", CROSSCHECK),
+    ("crosscheck in.json --output json", CROSSCHECK | {"output": "json"}),
+    ("crosscheck --o=json in.json", CROSSCHECK | {"output": "json"}),
+    ("identity --n 4 --r 3", IDENTITY),
+    ("identity --n 4 --r 3 --trials 10 --seed 42", IDENTITY | {"trials": 10, "seed": 42}),
+    ("identity --r=3 --n=4 --t 7", IDENTITY | {"trials": 7}),
+    ("identity --n 4 --r 3 --seed -4", IDENTITY | {"seed": -4}),
+    ("identity --n 4 --r 3 --seed=-4", IDENTITY | {"seed": -4}),
+])
+def test_each_accepted_command_line_reaches_its_command(monkeypatch, argv, fields):
+    """Both option forms, options on either side of the input, unique
+    prefixes of long options, negative values, and the last of a repeat."""
+    seen = []
+    for command in ("compute", "crosscheck", "identity"):
+        monkeypatch.setattr(milnorcalc.cli, f"cmd_{command}", lambda args: seen.append(args) or EXIT_OK)
+    assert main(argv.split()) == EXIT_OK
+    [args] = seen
+    assert {key: value for key, value in vars(args).items() if key != "func"} == fields
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("", "required: command"),
+    ("frobnicate", "invalid choice: 'frobnicate'"),
+    ("compute", "required: input"),
+    ("crosscheck", "required: input"),
+    ("compute a.json b.json", "unrecognized arguments: b.json"),
+    ("compute a.json --bogus", "unrecognized arguments: --bogus"),
+    ("compute a.json --method x", "argument --method: invalid choice: 'x'"),
+    ("crosscheck a.json --output x", "argument --output: invalid choice: 'x'"),
+    ("crosscheck a.json --output", "argument --output: expected one argument"),
+    ("identity --n x --r 2", "argument --n: invalid int value: 'x'"),
+    ("identity --r 2", "required: --n"),
+])
+def test_each_usage_error_exits_2_with_the_usage_line(argv, message):
+    proc = run_cli(*argv.split())
+    err = proc.stderr.decode("utf-8")
+    assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, b"")
+    assert err.startswith("usage: milnorcalc")
+    assert re.search(r"^milnorcalc( [a-z]+)?: error: .*" + re.escape(message), err, re.M), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", ["", "compute", "crosscheck", "identity"])
+def test_help_goes_to_stdout_and_exits_0(command, flag):
+    proc = run_cli(*command.split(), flag)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    assert proc.stdout.decode("utf-8").startswith(f"usage: milnorcalc {command}".rstrip())
+
+
+@pytest.mark.parametrize("stream, argv, code", [
+    ("stdout", ["--help"], EXIT_OK),
+    ("stdout", ["compute", "--help"], EXIT_OK),
+    ("stderr", ["frobnicate"], EXIT_VALIDATION),
+    ("stderr", ["compute"], EXIT_VALIDATION),
+    ("stderr", ["identity", "--n", "x", "--r", "2"], EXIT_VALIDATION),
+])
+def test_help_and_usage_errors_into_a_closed_stream_keep_their_exit_code(stream, argv, code):
+    """The read end of the pipe is closed before the child writes."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        other = "stderr" if stream == "stdout" else "stdout"
+        proc = subprocess.run([*CLI, *argv], env=CLI_ENV, **{stream: write, other: subprocess.PIPE})
+    finally:
+        os.close(write)
+    assert proc.returncode == code
+    assert b"Traceback" not in getattr(proc, other)
+
+
+@pytest.mark.parametrize("stderr", ["closed", "read-only"])
+@pytest.mark.parametrize("doc", [None, {}], ids=["usage", "validation"])
+def test_an_error_without_a_writable_stderr_exits_2(tmp_path, doc, stderr):
+    """As in ``milnorcalc ... 2>&-``: descriptor 2 is closed from the start, so
+    ``sys.stderr`` is None, or open for reading only, so writing fails with
+    EBADF.  The message goes nowhere, and never to stdout."""
+    argv = ["frobnicate"] if doc is None else ["compute", write_doc(tmp_path, doc)]
+    with open(os.devnull, "rb") as read_only:
+        how = {"preexec_fn": lambda: os.close(2)} if stderr == "closed" else {"stderr": read_only}
+        proc = subprocess.run([*CLI, *argv], env=CLI_ENV, stdout=subprocess.PIPE, **how)
+    assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, b"")
 
 
 # -- crosscheck ---------------------------------------------------------------

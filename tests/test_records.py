@@ -191,6 +191,7 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 SRC = Path(milnorcalc.__file__).parent.parent
 ROOT = SRC.parent
 RATIONALS = {"fractions", "decimal", "numbers"}
+ARGPARSE = {"argparse", "gettext", "locale"}  # the command line is read from one table in ``commandline``
 
 
 def startup_run(*argv):
@@ -209,18 +210,19 @@ def startup_run(*argv):
 @pytest.mark.parametrize("fixture", sorted(p.name for p in (ROOT / "fixtures").glob("*.json")))
 def test_startup_document_commands_leave_out_fractions_and_identities(fixture, command):
     """Every fixture is integral: ``fractions`` (with ``decimal`` and
-    ``numbers``) and ``identities`` stay unimported."""
+    ``numbers``) and ``identities`` stay unimported, and so does
+    ``argparse`` (with ``gettext`` and ``locale``)."""
     proc, modules = startup_run(*command, str(ROOT / "fixtures" / fixture))
     assert proc.returncode in (0, 3), proc.stderr
     assert "milnorcalc.engine" in modules
-    assert not modules & (RATIONALS | {"milnorcalc.identities"})
+    assert not modules & (RATIONALS | ARGPARSE | {"milnorcalc.identities"})
 
 
 def test_startup_identity_leaves_out_fractions():
     proc, modules = startup_run("identity", "--n", "4", "--r", "3", "--trials", "10")
     assert proc.returncode == 0, proc.stderr
     assert "milnorcalc.identities" in modules
-    assert not modules & RATIONALS
+    assert not modules & (RATIONALS | ARGPARSE)
 
 
 def test_startup_rational_coefficients_keep_their_output(tmp_path):
