@@ -333,10 +333,8 @@ def make_class(n: int, coeffs) -> ChowClass:
     Inputs longer than n+1 are rejected rather than truncated, since
     over-long input almost always means a wrong ambient dimension.
     """
-    if n < 0:
-        raise ValueError("ambient dimension must be non-negative")
-    coeffs = [_coerce(c) for c in coeffs]
-    if len(coeffs) > n + 1:
+    coeffs = list(coeffs)
+    if n >= 0 and len(coeffs) > n + 1:  # ChowClass rejects n < 0 and coerces each coefficient
         raise ValueError(f"{len(coeffs)} coefficients do not fit in P^{n}")
     return ChowClass(n, coeffs + [0] * (n + 1 - len(coeffs)))
 

@@ -5,8 +5,8 @@ under "JSON -> model" below; ``fixtures/`` and the README hold examples.
 
 Exit codes: 0 success or help, 2 validation or usage error, 3 route disagreement
 (or identity-check failure), 4 integrality failure, 5 a ``crosscheck``
-row with fewer than two routes (UNCHECKED), 141 standard output closed
-early by its reader (128 + SIGPIPE, as a shell reports a broken pipe).
+row with fewer than two routes (UNCHECKED), 141 standard output closed before
+the start or by its reader (128 + SIGPIPE, as a shell reports a broken pipe).
 """
 
 from __future__ import annotations
@@ -121,7 +121,6 @@ _HYPERSURFACE = _f(dict, sub={
     "singularity": _f(KIND, sub={"smooth": {}, "stratified": {}, "arrangement": {
         "components": _f(list, MAX_COMPONENTS, sub=_DEGREE,
                          total=(MAX_COMPONENTS, "arrangement components", None)),
-        "pairwise_transversal": _f(bool, default=True),
     }}),
     "sing_locus": _f(KIND, default=None, sub={"linear": {"dim": _DIM}, "smooth": {
         "class": _LOCUS_COEFFS, "normal": _f(dict, sub={"rank": _DIM, "chern": _LOCUS_COEFFS}),
@@ -257,9 +256,6 @@ def _parse_strata(entries: list, n: int, path: str) -> Stratification:
 
 def _parse_hypersurface(h: dict, n: int, path: str) -> HypersurfaceSpec:
     sing, kind, strata = h["singularity"], h["singularity"]["kind"], h["strata"]
-    if kind == "arrangement" and not sing["pairwise_transversal"]:
-        raise _DocumentError("only pairwise-transversal arrangements are supported",
-                             f"{path}.singularity.pairwise_transversal")
     singularity = (Arrangement(tuple(sing["components"])) if kind == "arrangement"
                    else Smooth() if kind == "smooth" else Stratified())
     if strata is not None:
@@ -426,31 +422,30 @@ def _report(args, crosscheck: bool) -> ClassReport:
     return compute_report(spec, None if requested is None else set(requested), intersection_csm)
 
 
-def cmd_compute(args) -> int:
+def cmd_compute(args) -> tuple[str, str, int]:
     report = _report(args, crosscheck=False)
     if not any(v.milnor for v in report.varieties):
         raise ValidationError(["the requested method applies to nothing in this input"])
-    print(report_to_json(report) + "\n" if args.output == "json" else render_text(report), end="")
+    out = report_to_json(report) + "\n" if args.output == "json" else render_text(report)
     if args.method == "all" and not report.all_agree:
-        print("error: routes disagree (see report)", file=sys.stderr)
-        return EXIT_DISAGREEMENT
-    return EXIT_OK
+        return out, "error: routes disagree (see report)\n", EXIT_DISAGREEMENT
+    return out, "", EXIT_OK
 
 
-def cmd_crosscheck(args) -> int:
+def cmd_crosscheck(args) -> tuple[str, str, int]:
     report = _report(args, crosscheck=True)
     verdict = crosscheck_verdict(report)
     if args.output == "json":  # "agree" alone is true on an UNCHECKED row
         data = report_to_dict(report) | {"verdict": verdict}
         for row, v in zip(data["varieties"], report.varieties):
             row["verdict"] = row_verdict(v)
-        print(_json(data))
+        out = _json(data) + "\n"
     else:
-        print(render_crosscheck(report), end="")
-    return {"AGREE": EXIT_OK, "DISAGREE": EXIT_DISAGREEMENT, "UNCHECKED": EXIT_UNCHECKED}[verdict]
+        out = render_crosscheck(report)
+    return out, "", {"AGREE": EXIT_OK, "DISAGREE": EXIT_DISAGREEMENT, "UNCHECKED": EXIT_UNCHECKED}[verdict]
 
 
-def cmd_identity(args) -> int:
+def cmd_identity(args) -> tuple[str, str, int]:
     """The document caps bound n and r; ``identities`` checks the ranges."""
     from .identities import check_identities
 
@@ -461,41 +456,45 @@ def cmd_identity(args) -> int:
     except ValueError as exc:
         raise ValidationError([str(exc)])
     total = sum(len(r.failures) for r in reports)
-    print(*(r.render() for r in reports), f"total failures: {total}", sep="\n")
-    return EXIT_OK if total == 0 else EXIT_DISAGREEMENT
+    out = "".join(f"{r.render()}\n" for r in reports) + f"total failures: {total}\n"
+    return out, "", EXIT_OK if total == 0 else EXIT_DISAGREEMENT
 
 
 def main(argv=None) -> int:
+    """Run one command, which returns its stdout text, stderr text and exit code, and
+    write both texts: lost output exits 141, a lost help text or message keeps the code."""
     from .commandline import Usage, parse_args  # compiled by a process, not by importers of cli
+    limit, lost = sys.get_int_max_str_digits(), EXIT_BROKEN_PIPE
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        command = {"compute": cmd_compute, "crosscheck": cmd_crosscheck, "identity": cmd_identity}[args.command]
+        out, err, code = command(args)
     except Usage as exc:
         text, is_help = exc.args
-        return _write(sys.stdout, text, EXIT_OK) if is_help else _write(sys.stderr, text, EXIT_VALIDATION)
-    limit = sys.get_int_max_str_digits()
-    try:
-        code = {"compute": cmd_compute, "crosscheck": cmd_crosscheck, "identity": cmd_identity}[args.command](args)
-        sys.stdout.flush()  # a reader that quit early shows here, not at exit
-        return code
-    except BrokenPipeError:  # keep the flush at exit quiet too
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+        out, err, code = (text, "", EXIT_OK) if is_help else ("", text, EXIT_VALIDATION)
+        lost = code  # help into a closed stdout exits 0
     except ValidationError as exc:
-        return _write(sys.stderr, "".join(f"error: {m}\n" for m in exc.errors), EXIT_VALIDATION)
+        out, err, code = "", "".join(f"error: {m}\n" for m in exc.errors), EXIT_VALIDATION
     except IntegralityError as exc:
-        return _write(sys.stderr, f"error: {exc}\n", EXIT_INTEGRALITY)
+        out, err, code = "", f"error: {exc}\n", EXIT_INTEGRALITY
     finally:
         sys.set_int_max_str_digits(limit)
-
-
-def _write(stream, text: str, code: int) -> int:
-    """Write ``text`` and return ``code``; a closed stream keeps the exit code."""
-    if stream is not None:  # None: its descriptor was closed before the start
-        try:
-            print(text, end="", file=stream, flush=True)
-        except OSError:  # a closed pipe or descriptor; and keeps the flush at exit quiet
-            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    if not _write(sys.stdout, out):
+        code = lost
+    _write(sys.stderr, err)
     return code
+
+
+def _write(stream, text: str) -> bool:
+    """Write ``text`` to ``stream``; False if it is lost."""
+    if stream is None:  # its descriptor was closed before the start
+        return not text
+    try:
+        print(text, end="", file=stream, flush=True)
+    except OSError:  # a closed pipe or descriptor; and keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return False
+    return True
 
 
 if __name__ == "__main__":

@@ -1167,7 +1167,7 @@ def test_each_accepted_command_line_reaches_its_command(monkeypatch, argv, field
     prefixes of long options, negative values, and the last of a repeat."""
     seen = []
     for command in ("compute", "crosscheck", "identity"):
-        monkeypatch.setattr(milnorcalc.cli, f"cmd_{command}", lambda args: seen.append(args) or EXIT_OK)
+        monkeypatch.setattr(milnorcalc.cli, f"cmd_{command}", lambda args: seen.append(args) or ("", "", EXIT_OK))
     assert main(argv.split()) == EXIT_OK
     [args] = seen
     assert {key: value for key, value in vars(args).items() if key != "func"} == fields
@@ -1234,6 +1234,30 @@ def test_an_error_without_a_writable_stderr_exits_2(tmp_path, doc, stderr):
         how = {"preexec_fn": lambda: os.close(2)} if stderr == "closed" else {"stderr": read_only}
         proc = subprocess.run([*CLI, *argv], env=CLI_ENV, stdout=subprocess.PIPE, **how)
     assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, b"")
+
+
+@pytest.mark.parametrize("argv", ["crosscheck nodal-cubic.json", "compute --output json nodal-cubic.json",
+                                  "identity --n 3 --r 2 --trials 5"])
+def test_output_without_a_stdout_exits_141(fixtures_dir, argv):
+    """As in ``milnorcalc ... >&-``: descriptor 1 is closed from the start, so
+    the output is lost as into a reader that quit early."""
+    argv = [str(fixtures_dir / arg) if arg.endswith(".json") else arg for arg in argv.split()]
+    proc = subprocess.run([*CLI, *argv], env=CLI_ENV, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("stderr", ["closed", "read-only"])
+def test_a_disagreement_without_a_writable_stderr_exits_3_with_the_report(fixtures_dir, stderr):
+    """The disagreement message is lost, and never lands in stdout; the
+    report and the exit code stay as with a writable stderr."""
+    expected = json.loads(ORACLE.read_text(encoding="utf-8"))["quadric-tangent-plane"]["compute_json_stdout"]
+    with open(os.devnull, "rb") as read_only:
+        how = {"preexec_fn": lambda: os.close(2)} if stderr == "closed" else {"stderr": read_only}
+        proc = subprocess.run([*CLI, "compute", "--output", "json", str(fixtures_dir / "quadric-tangent-plane.json")],
+                              env=CLI_ENV, stdout=subprocess.PIPE, **how)
+    assert proc.returncode == EXIT_DISAGREEMENT
+    assert proc.stdout == expected.encode("utf-8")
 
 
 # -- crosscheck ---------------------------------------------------------------
@@ -1459,22 +1483,17 @@ def test_parse_document_field_paths_in_errors():
 
 
 def test_arrangement_requires_transversal_flag(tmp_path, capsys):
-    """Only pairwise-transversal arrangements are supported, so the parser
-    rejects the flag set to false and the model has no such field."""
-    doc = plane_pair_doc()
-    doc["hypersurfaces"][0]["singularity"]["pairwise_transversal"] = False
-    path = write_doc(tmp_path, doc)
-    for command in ("compute", "crosscheck"):
-        assert main([command, path]) == EXIT_VALIDATION
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert (
-            "error: hypersurfaces[0].singularity.pairwise_transversal: "
-            "only pairwise-transversal arrangements are supported" in captured.err
-        )
-    doc["hypersurfaces"][0]["singularity"]["pairwise_transversal"] = True
-    spec, _, _ = parse_document(doc)
-    assert spec.hypersurfaces[0].singularity == Arrangement((1, 1))
+    """Arrangements are pairwise transversal by definition, so the document
+    has no flag for it, true or false, and the model has no such field."""
+    for flag in (False, True):
+        doc = plane_pair_doc()
+        doc["hypersurfaces"][0]["singularity"]["pairwise_transversal"] = flag
+        path = write_doc(tmp_path, doc)
+        for command in ("compute", "crosscheck"):
+            assert main([command, path]) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: hypersurfaces[0].singularity.pairwise_transversal: unknown field\n"
     with pytest.raises(TypeError, match="pairwise_transversal"):
         Arrangement((1, 1), pairwise_transversal=False)
 
