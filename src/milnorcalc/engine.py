@@ -32,6 +32,13 @@ Two sign conventions are calibrated here and pinned by tests, because
 the dual/tensor regrading is ambient-codimension based (see ``chow``):
 ``ALUFFI_GLOBAL_SIGN`` and the Milnor-number exponent, which is the
 dimension of the hypersurface, not of the ambient space.
+
+Classes that integers fix are computed once per process, in caches of at
+most 1,024 entries each: c(TP^n), c^FJ by its degrees, the arrangement or
+smooth c^SM by sorted component degrees, the tangent correction and the
+``aluffi`` route of a linear singular locus by (n, degree, dim).  Nothing
+is keyed on user-supplied coefficients.  Cached classes are immutable and
+shared between reports.
 """
 
 from __future__ import annotations
@@ -124,7 +131,13 @@ def _lines(n: int, degrees) -> ChowClass:
 
 
 def _cfj(n: int, degrees) -> ChowClass:
-    """c(TP^n) c(N)^(-1) [X], N the sum of the O(d_i)."""
+    """c(TP^n) c(N)^(-1) [X], N the sum of the O(d_i).  Memoised on the
+    sorted degrees (classes are immutable)."""
+    return _cfj_of_sorted(n, tuple(sorted(degrees)))
+
+
+@lru_cache(maxsize=1024)
+def _cfj_of_sorted(n: int, degrees: tuple[int, ...]) -> ChowClass:
     return chern_tangent(n).total / _lines(n, degrees) * fundamental_class_ci(n, degrees)
 
 
@@ -350,6 +363,13 @@ def milnor_from_mu(mu: ChowClass, degree: int, n: int) -> ChowClass:
     """
     value = line_power(n, degree, n - 1) * mu.dual().tensor_line(degree)
     return (ALUFFI_GLOBAL_SIGN * _sign(n - 1)) * value
+
+
+@lru_cache(maxsize=1024)
+def _aluffi_of_linear_locus(n: int, degree: int, k: int) -> ChowClass:
+    """The ``aluffi`` route of a hypersurface singular along a P^k.  A
+    smooth locus carries a user-supplied class, so it is never memoised."""
+    return milnor_from_mu(mu_class(n, degree, LinearLocus(k)), degree, n)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +625,9 @@ def _analyze_factor(h: HypersurfaceSpec) -> _Factor:
         routes["definition"] = routes["thm1"] = milnor_definition(cfj, csm, n - 1)
     else:
         routes["definition"] = routes["thm1"] = "no SM class without arrangement or supplied data"
-    if h.sing_locus is not None:
+    if isinstance(h.sing_locus, LinearLocus):
+        routes["aluffi"] = _aluffi_of_linear_locus(n, h.degree, h.sing_locus.dim)
+    elif h.sing_locus is not None:
         routes["aluffi"] = milnor_from_mu(mu_class(n, h.degree, h.sing_locus), h.degree, n)
     elif isinstance(h.singularity, Smooth):  # validation rejects a locus on a smooth one
         routes["aluffi"] = zero(n)

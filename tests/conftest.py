@@ -7,9 +7,20 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+from milnorcalc import bundles, engine
 from milnorcalc.chow import ChowClass, h_power, line_power, make_class
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle" / "fixtures.json"
+COMPUTE_TEXT = Path(__file__).resolve().parent / "golden" / "compute-text.json"
+
+
+def clear_class_memos():
+    """Empty every memo of classes that integers fix, so that the next
+    report does the work, and builds the classes, of a fresh process."""
+    for memo in (bundles.chern_tangent, engine._cfj_of_sorted, engine._csm_of_sorted_unions,
+                 engine._tangent_correction, engine._aluffi_of_linear_locus):
+        memo.cache_clear()
 
 coefficients = st.one_of(
     st.integers(-9, 9),

@@ -14,7 +14,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import milnorcalc
-from conftest import FIXTURES, isolated_singularities_doc, normal_crossing_doc
+from conftest import (
+    COMPUTE_TEXT,
+    FIXTURES,
+    ORACLE,
+    clear_class_memos,
+    isolated_singularities_doc,
+    normal_crossing_doc,
+)
 from milnorcalc.chow import ChowClass, h_power, make_class
 from milnorcalc.cli import (
     EXIT_BROKEN_PIPE,
@@ -54,8 +61,6 @@ from milnorcalc.engine import ROUTE_ORDER, compute_report
 from milnorcalc.identities import check_identities
 from milnorcalc.varieties import Arrangement, ValidationError
 
-ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle" / "fixtures.json"
-COMPUTE_TEXT = Path(__file__).resolve().parent / "golden" / "compute-text.json"
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json"))
 CLI = [sys.executable, "-m", "milnorcalc.cli"]
 CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(milnorcalc.__file__).parent.parent), PYTHONIOENCODING="utf-8")
@@ -1108,13 +1113,22 @@ def test_json_writer_rejects_other_types(value):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_rendering_a_report_builds_no_fraction_view(fixtures_dir, name):
     """Reports are integral, so every renderer reads the numerators and no
-    class in the report gets its ``Fraction`` view built."""
+    class in the report gets its ``Fraction`` view built.  Memoised classes
+    are shared between reports, so the first report starts from empty
+    memos, and a second, warm report is rendered too."""
+    clear_class_memos()
     spec, intersection_csm, routes = load_document(str(fixtures_dir / f"{name}.json"))
     report = compute_report(spec, None if routes is None else set(routes), intersection_csm)
     for render in (render_crosscheck, render_text, report_to_json):
         render(report)
     classes = [c for v in report.varieties for c in (v.cfj, v.csm, *(rv.value for rv in v.milnor))]
     assert all(c._coeffs is None for c in classes if isinstance(c, ChowClass))
+    warm = compute_report(spec, None if routes is None else set(routes), intersection_csm)
+    classes = [c for v in warm.varieties for c in (v.cfj, v.csm, *(rv.value for rv in v.milnor))]
+    unviewed = [c for c in classes if isinstance(c, ChowClass) and c._coeffs is None]
+    for render in (render_crosscheck, render_text, report_to_json):
+        render(warm)
+    assert all(c._coeffs is None for c in unviewed)
 
 
 @pytest.mark.parametrize("argv", [["crosscheck"], ["compute", "--output", "json"]])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 from math import prod
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from milnorcalc import engine
 from milnorcalc.bundles import (
     BundleChern,
     chern_cotangent,
@@ -17,9 +19,11 @@ from milnorcalc.bundles import (
     segre_smooth,
 )
 from milnorcalc.chow import ChowClass, _sign, h_power, line_power, make_class, one, zero
+from milnorcalc.cli import load_document, main, parse_document
 from milnorcalc.engine import (
     IntegralityError,
     ROUTE_ORDER,
+    _aluffi_of_linear_locus,
     _analyze_factor,
     _build_row,
     _cfj,
@@ -55,7 +59,15 @@ from milnorcalc.varieties import (
     open_stratum,
 )
 
-from conftest import chow_class, coefficients
+from conftest import (
+    COMPUTE_TEXT,
+    FIXTURES,
+    ORACLE,
+    chow_class,
+    clear_class_memos,
+    coefficients,
+    isolated_singularities_doc,
+)
 
 
 def cls(n, *coeffs):
@@ -282,6 +294,7 @@ def test_line_bundle_classes_take_closed_forms_in_a_report(monkeypatch):
     descriptor, and no bundle record is built once c(TP^n) is memoised."""
     n = 32
     ci = pair_cut_by_hyperplane(n)
+    clear_class_memos()
     chern_tangent(n)
     twists, bundles = [], []
     tensor_line, post_init = ChowClass.tensor_line, BundleChern.__post_init__
@@ -292,17 +305,25 @@ def test_line_bundle_classes_take_closed_forms_in_a_report(monkeypatch):
     assert "aluffi" in [rv.route for rv in report.varieties[0].milnor]
     assert twists == [h.degree for h in ci.hypersurfaces if h.sing_locus is not None] == [2]
     assert bundles == []
+    twists.clear()  # the mu-class route of a linear locus is memoised
+    assert compute_report(ci) == report
+    assert twists == []
 
 
 def test_a_smooth_factor_computes_its_cfj_once(monkeypatch):
     """The SM class of a smooth factor is its c^FJ, taken from the one
-    division by c(O(d)), not computed a second time."""
+    division by c(O(d)), not computed a second time; a second factor of
+    the same degree reads c^FJ from the memo."""
+    clear_class_memos()
     divide, calls = ChowClass.__truediv__, []
     monkeypatch.setattr(ChowClass, "__truediv__", lambda c, u: calls.append(u) or divide(c, u))
     factor = _analyze_factor(HypersurfaceSpec("S", 16, 5, Smooth()))
     assert len(calls) == 1
     assert factor.csm == factor.cfj == _cfj(16, [5])
     assert factor.csm_route == "smooth model"
+    calls.clear()
+    assert _analyze_factor(HypersurfaceSpec("S", 16, 5, Smooth())) == factor
+    assert calls == []
 
 
 @st.composite
@@ -334,6 +355,76 @@ def test_mu_class_of_a_linear_locus_matches_the_bundle_composition(n, d, j):
     normal = BundleChern(n, n - k, line_power(n, 1, n - k))
     expected = chern_twist(chern_cotangent(n), d).total * segre_smooth(normal, h_power(n, n - k))
     assert mu_class(n, d, LinearLocus(k)) == expected
+
+
+# -- memoised classes ---------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 32), st.integers(1, 6), st.integers(0, 30))
+@example(32, 6, 30)
+@example(2, 1, 0)
+def test_the_memoised_linear_locus_route_is_the_mu_class_route(n, d, j):
+    k = j % (n - 1)
+    expected = milnor_from_mu(mu_class(n, d, LinearLocus(k)), d, n)
+    assert _aluffi_of_linear_locus(n, d, k) == expected
+    assert _aluffi_of_linear_locus(n, d, k) == expected  # read back from the memo
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cfj_is_one_class_for_any_order_of_its_degrees(data):
+    n, degrees = data.draw(ambient_and_degrees())
+    shuffled = data.draw(st.permutations(degrees))
+    assert _cfj(n, shuffled) is _cfj(n, degrees)
+    clear_class_memos()
+    computed = _cfj(n, shuffled)
+    clear_class_memos()
+    assert _cfj(n, degrees) == computed
+
+
+def test_a_plane_pairs_report_computes_the_mu_class_its_factors_share_once(monkeypatch):
+    """Both factors of plane-pairs-p4 are quadrics in P^4 singular along
+    a P^2: one mu-class serves both aluffi rows."""
+    spec, _, _ = load_document(str(FIXTURES / "plane-pairs-p4.json"))
+    clear_class_memos()
+    calls = []
+    monkeypatch.setattr(engine, "mu_class", lambda *args: calls.append(args) or mu_class(*args))
+    report = compute_report(spec)
+    assert calls == [(4, 2, LinearLocus(2))]
+    aluffi = [rv.value for v in report.varieties for rv in v.milnor if rv.route == "aluffi"]
+    assert aluffi == [M_Z1, M_Z1]
+
+
+def test_a_smooth_singular_locus_is_computed_on_every_report(monkeypatch):
+    """A smooth locus carries a user-supplied class, so it is never
+    memoised: each report computes its mu-class, and loci of the same rank
+    with different classes give different aluffi rows."""
+    specs = [parse_document(isolated_singularities_doc(3, 3, mus))[0] for mus in ([1], [2], [1])]
+    calls = []
+    monkeypatch.setattr(engine, "mu_class", lambda *args: calls.append(args) or mu_class(*args))
+    rows = [compute_report(spec, {"aluffi"}).varieties[0].milnor for spec in specs]
+    assert len(calls) == 3
+    assert [rv.value for (rv,) in rows] == [h_power(3, 3), 2 * h_power(3, 3), h_power(3, 3)]
+
+
+def test_fixture_outputs_match_their_pins_from_cold_and_warm_memos(capsys):
+    """Crosscheck text and compute JSON, pinned in the benchmark's oracle,
+    and compute text, pinned in the golden file, of every fixture: twice in
+    one process, the second time from memoised classes."""
+    oracle = json.loads(ORACLE.read_text(encoding="utf-8"))
+    golden = json.loads(COMPUTE_TEXT.read_text(encoding="utf-8"))
+    names = sorted(p.stem for p in FIXTURES.glob("*.json"))
+    assert sorted(oracle) == sorted(golden) == names
+    clear_class_memos()
+    for _ in range(2):
+        for name in names:
+            path, pinned = str(FIXTURES / f"{name}.json"), oracle[name]
+            runs = [(["crosscheck", path], pinned["crosscheck_stdout"], pinned["crosscheck_exit"]),
+                    (["compute", path, "--output", "json"], pinned["compute_json_stdout"], pinned["compute_exit"]),
+                    (["compute", path], golden[name]["stdout"], golden[name]["exit"])]
+            for argv, stdout, code in runs:
+                assert main(argv) == code
+                assert capsys.readouterr().out == stdout
 
 
 # -- definition route -------------------------------------------------------
