@@ -275,6 +275,8 @@ def _parse_hypersurface(h: dict, n: int, path: str) -> HypersurfaceSpec:
 
 def _parse_intersection_csm(csm: dict, n: int) -> ChowClass:
     if csm["coeffs"] is not None:
+        if csm["combination"] is not None:
+            raise _DocumentError("expected coeffs or combination, not both", "intersection.csm")
         return _class(csm["coeffs"], n, "intersection.csm.coeffs")
     if csm["combination"] is None:
         raise _DocumentError("missing", "intersection.csm.combination")

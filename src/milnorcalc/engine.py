@@ -451,58 +451,26 @@ def milnor_from_strata_ci(strats, degrees, n: int) -> ChowClass:
     (-1)^(n-1) c_i, c_i the SM class of the open stratum's closure: so with
     v_i = c_i + (-1)^(n-1) m_i it is ``milnor_product(v, c, n, n - r)``.
 
-    A class is read only where a tuple of nonzero weight reads it, so o_i
-    only when another factor has a non-open stratum of nonzero gamma.
-    Missing data is reported as the sum over tuples, in order, would
-    first meet it.
+    Missing data is reported factor by factor.  Each factor in order
+    first raises its own ``milnor_from_strata`` error.  Then a missing c_i
+    is reported for the first factor whose c_i is read: o_i is read only
+    when another factor has a non-open stratum of nonzero gamma, and
+    otherwise cancels from the difference.
     """
     strats, degrees = list(strats), list(degrees)
     if len(strats) != len(degrees):
         raise ValueError("need one stratification per degree")
     if not strats:
         raise ValueError("need at least one factor")
+    m_list = [milnor_from_strata(s, d, n) for s, d in zip(strats, degrees)]
     opens = [open_stratum(s) for s in strats]
-    _raise_first_failure(strats, opens)
-    # An open class is missing only where no tuple of nonzero weight
-    # reads it; it then cancels from the difference.
+    weighted = [any(s is not reg and s.gamma for s in strat.strata) for strat, reg in zip(strats, opens)]
+    for i, reg in enumerate(opens):
+        if reg.csm_closure is None and any(weighted[:i] + weighted[i + 1:]):
+            raise ValueError(f"stratum {reg.name}: SM class of the closure is missing")
     c_list = [zero(n) if reg.csm_closure is None else reg.csm_closure for reg in opens]
-    v_list = [c + _sign(n - 1) * milnor_from_strata(s, d, n)
-              for c, s, d in zip(c_list, strats, degrees)]
+    v_list = [c + _sign(n - 1) * m for c, m in zip(c_list, m_list)]
     return milnor_product(v_list, c_list, n, n - len(strats))
-
-
-def _raise_first_failure(strats, opens) -> None:
-    """Raise the error that the sum over strata tuples, taken in the order
-    of ``itertools.product``, meets first, if it meets one.  A tuple other
-    than the all-open one fails on a non-open entry without gamma, else on
-    a missing closure class unless a non-open entry has gamma 0."""
-
-    @lru_cache(maxsize=None)
-    def first(i, singular, zero_weight, no_gamma, missing):
-        """The first failing completion by factors i.., or None."""
-        if i == len(strats):
-            return () if singular and (no_gamma or (missing and not zero_weight)) else None
-        for s in strats[i].strata:
-            non_open = s is not opens[i]
-            rest = first(
-                i + 1,
-                singular or non_open,
-                zero_weight or (non_open and s.gamma == 0),
-                no_gamma or (non_open and s.gamma is None),
-                missing or s.csm_closure is None,
-            )
-            if rest is not None:
-                return (s, *rest)
-        return None
-
-    chosen = first(0, False, False, False, False)
-    if chosen is None:
-        return
-    for s, reg in zip(chosen, opens):
-        if s is not reg and s.gamma is None:
-            raise ValueError(f"stratum {s.name}: gamma not computed yet")
-    s = next(s for s in chosen if s.csm_closure is None)
-    raise ValueError(f"stratum {s.name}: SM class of the closure is missing")
 
 
 # ---------------------------------------------------------------------------

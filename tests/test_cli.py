@@ -968,20 +968,28 @@ CONTRADICTIONS = {
             closure={"kind": "explicit", "class": [0, 2, 0, 0, 0], "csm": [0, 2, 0, 0, 99]}
         ),
     ),
+    "intersection.csm": _with(
+        json.loads((FIXTURES / "quadric-tangent-plane.json").read_text()),
+        lambda d: d["intersection"]["csm"].update(coeffs=[0, 0, 2, 2]),
+    ),
 }
 
 
 @pytest.mark.parametrize(
-    "field", CONTRADICTIONS, ids=["intersection-csm", "smooth-sing-locus", "misspelt-key", "arrangement-open-closure"]
+    "field",
+    CONTRADICTIONS,
+    ids=["intersection-csm", "smooth-sing-locus", "misspelt-key", "arrangement-open-closure", "csm-coeffs-and-combination"],
 )
 def test_a_contradictory_document_exits_2_with_the_field_path(tmp_path, field):
     """An intersection class on one hypersurface, a singular locus on a
-    smooth one (a quadric in P^3 in both), a misspelt key and a closure class
-    on an arrangement's open stratum are rejected.  Earlier each document ran
+    smooth one (a quadric in P^3 in both), a misspelt key, a closure class
+    on an arrangement's open stratum and an intersection class given both
+    as coeffs and as a combination are rejected.  Earlier each document ran
     to AGREE and exit 0: the first ignored its class, the second its locus,
     the third its intersection class (DISAGREE, exit 3, when spelt right),
-    and the fourth read the closure class in the intersection's pp route
-    only."""
+    the fourth read the closure class in the intersection's pp route only,
+    and the fifth dropped its combination (DISAGREE, exit 3, without the
+    coeffs)."""
     doc = CONTRADICTIONS[field]
     proc = run_cli("crosscheck", write_doc(tmp_path, doc))
     stderr = proc.stderr.decode("utf-8")
@@ -1337,6 +1345,54 @@ def test_crosscheck_detects_wrong_milnor_fibre_data(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_DISAGREEMENT
     assert "DISAGREE" in out
+
+
+def test_a_disagreeing_row_outranks_an_unchecked_one(tmp_path):
+    """C has one route, so its row is UNCHECKED; the intersection row's
+    supplied class is wrong, so it is DISAGREE, and the overall verdict
+    says so."""
+    doc = {
+        "ambient": {"kind": "projective", "dim": 3},
+        "transversal": True,
+        "routes": ["definition", "thm1", "pp"],
+        "hypersurfaces": [
+            {"name": "C", "degree": 2, "singularity": {"kind": "stratified"},
+             "strata": [{"name": "reg", "dim": 2, "chiF": 1},
+                        {"name": "v", "dim": 0, "chiF": 0, "closure": {"kind": "linear", "dim": 0}}]},
+            {"name": "H", "degree": 1, "singularity": {"kind": "smooth"}},
+        ],
+        "intersection": {"csm": {"coeffs": [0, 0, 2, 5]}},
+    }
+    proc = run_cli("crosscheck", write_doc(tmp_path, doc))
+    out = proc.stdout.decode("utf-8")
+    assert proc.returncode == EXIT_DISAGREEMENT
+    assert "C: 1 routes, UNCHECKED\n" in out and "C ∩ H: 2 routes, DISAGREE\n" in out
+    assert out.endswith("\ncrosscheck: DISAGREE\n")
+
+
+def test_intersection_pp_reports_missing_strata_data_factor_by_factor(tmp_path):
+    """A's stratum a1 has a nonzero gamma and no closure class, and A's open
+    stratum regA has no class either.  The intersection's pp route names a1,
+    as A's own pp row does.  Earlier it named regA, the first missing class
+    that the sum over strata tuples read."""
+    doc = {
+        "ambient": {"kind": "projective", "dim": 4},
+        "transversal": True,
+        "hypersurfaces": [
+            {"name": "A", "degree": 2, "singularity": {"kind": "stratified"},
+             "strata": [{"name": "regA", "dim": 3, "chiF": 1}, {"name": "a1", "dim": 2, "chiF": 0}]},
+            {"name": "B", "degree": 2, "singularity": {"kind": "arrangement", "components": [1, 1]},
+             "strata": [{"name": "regB", "dim": 3, "chiF": 1},
+                        {"name": "b1", "dim": 2, "chiF": 0, "closure": {"kind": "linear", "dim": 2}}]},
+        ],
+    }
+    proc = run_cli("crosscheck", write_doc(tmp_path, doc))
+    out = proc.stdout.decode("utf-8")
+    reason = "  (skipped pp: stratum a1: SM class of the closure is missing)\n"
+    assert proc.returncode == EXIT_UNCHECKED
+    assert (reason + "B: ") in out
+    assert out.endswith(reason + "\ncrosscheck: UNCHECKED\n")
+    assert "regA" not in out
 
 
 @pytest.mark.parametrize("routes", [[], ["definition"], ["pp", "pp"]], ids=["none", "one", "repeated"])
