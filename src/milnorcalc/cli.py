@@ -18,8 +18,9 @@ import sys
 from collections import Counter
 from json.encoder import encode_basestring_ascii
 
-from .chow import ChowClass, format_class, make_class
+from .chow import ChowClass, format_class, h_power, make_class
 from .engine import (
+    CONVENTIONS,
     ROUTE_ORDER,
     ClassReport,
     IntegralityError,
@@ -236,7 +237,7 @@ def _smooth_model(model: dict, n: int, path: str):
     if model["kind"] == "linear":
         if model["dim"] > n:
             raise _DocumentError(f"must be at most {n}", f"{path}.dim")
-        return make_class(n, [0] * (n - model["dim"]) + [1]), csm_linear_subspace(n, model["dim"])
+        return h_power(n, n - model["dim"]), csm_linear_subspace(n, model["dim"])
     if model["kind"] == "ci":
         degrees = model["degrees"]
         if len(degrees) > n:
@@ -322,51 +323,52 @@ def load_document(path: str):
 # rendering
 
 
+def _template(keys: str, indent: str) -> str:
+    """The format string of a JSON object of ``keys`` closed at ``indent``, a last slot for more fields."""
+    return "{{" + ",".join(f'{indent}  "{key}": {{}}' for key in keys.split()) + "{}" + indent + "}}"
+
+
+_REPORT = _template("agree ambient_dim conventions transversality_asserted transversality_warning varieties", "\n")
+_ROW = _template("agree cfj csm csm_route dim kind milnor milnor_routes name skipped", "\n    ")
+_ROUTE, _SKIPPED = _template("coeffs route", "\n        "), _template("reason route", "\n        ")
+_CONVENTIONS = json.dumps(CONVENTIONS, indent=2, sort_keys=True).replace("\n", "\n  ")  # the same in every report
+_BOOL = ("false", "true")
+
+
+def _list(items: list[str], indent: str) -> str:
+    return f"[{indent}  " + f",{indent}  ".join(items) + f"{indent}]" if items else "[]"
+
+
 def _coeff_strings(c: ChowClass) -> list[str]:
     return list(map(str, c.integer_coeffs())) if c.is_integral() else [str(a) for a in c.coeffs]
 
 
+def _coeffs_json(c: ChowClass | None, indent: str) -> str:
+    return "null" if c is None else f'[{indent}  "' + f'",{indent}  "'.join(_coeff_strings(c)) + f'"{indent}]'
+
+
+def _row_json(v: VarietyReport, verdicts: bool) -> str:
+    text, key, item_key = encode_basestring_ascii, "\n      ", "\n          "
+    routes = [_ROUTE.format(_coeffs_json(rv.value, item_key), text(rv.route), "") for rv in v.milnor]
+    skipped = [_SKIPPED.format(text(sk.reason), text(sk.route), "") for sk in v.skipped]
+    return _ROW.format(_BOOL[v.agree], _coeffs_json(v.cfj, key), _coeffs_json(v.csm, key),
+                       "null" if v.csm_route is None else text(v.csm_route), v.dim, text(v.kind),
+                       _coeffs_json(v.consensus, key), _list(routes, key), text(v.name), _list(skipped, key),
+                       f',{key}"verdict": {text(row_verdict(v))}' if verdicts else "")
+
+
+def report_to_json(report: ClassReport, verdict: str | None = None) -> str:
+    """The report as ``json.dumps(..., indent=2, sort_keys=True)`` writes it, in one walk;
+    with the crosscheck ``verdict``, the report and each row carry their verdicts."""
+    return _REPORT.format(
+        _BOOL[report.all_agree], report.ambient_dim, _CONVENTIONS, _BOOL[report.transversality_asserted],
+        _BOOL[report.used_product_routes], _list([_row_json(v, verdict is not None) for v in report.varieties], "\n  "),
+        "" if verdict is None else f',\n  "verdict": {encode_basestring_ascii(verdict)}')
+
+
 def report_to_dict(report: ClassReport) -> dict:
-    return {
-        "ambient_dim": report.ambient_dim,
-        "transversality_asserted": report.transversality_asserted,
-        "transversality_warning": report.used_product_routes,
-        "conventions": report.conventions,
-        "agree": report.all_agree,
-        "varieties": [{
-            "name": v.name, "kind": v.kind, "dim": v.dim, "cfj": _coeff_strings(v.cfj),
-            "csm": None if v.csm is None else _coeff_strings(v.csm), "csm_route": v.csm_route,
-            "milnor_routes": [{"route": rv.route, "coeffs": _coeff_strings(rv.value)} for rv in v.milnor],
-            "skipped": [{"route": sk.route, "reason": sk.reason} for sk in v.skipped],
-            "agree": v.agree, "milnor": None if v.consensus is None else _coeff_strings(v.consensus),
-        } for v in report.varieties],
-    }
-
-
-def _json(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` of str, int, bool, None, lists, tuples and
-    dicts with str keys, in half the time: with ``indent`` set, ``json.dumps`` runs pure Python."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        try:  # a list of strings in one C-level join; TypeError at the first other item
-            items = ("," + inner).join(map(encode_basestring_ascii, value))
-        except TypeError:
-            items = ("," + inner).join([_json(v, inner) for v in value])
-        return f"[{inner}{items}{indent}]" if value else "[]"
-    if isinstance(value, dict):
-        items = ("," + inner).join([f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in sorted(value)])
-        return f"{{{inner}{items}{indent}}}" if value else "{}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def report_to_json(report: ClassReport) -> str:
-    return _json(report_to_dict(report))
+    """The parsed form of ``report_to_json``."""
+    return json.loads(report_to_json(report))
 
 
 def render_text(report: ClassReport) -> str:
@@ -398,8 +400,10 @@ def crosscheck_verdict(report: ClassReport) -> str:
 
 
 def render_crosscheck(report: ClassReport) -> str:
+    texts = {id(rv.value): rv.value for v in report.varieties for rv in v.milnor}  # routes share classes
+    texts = {key: format_class(c) for key, c in texts.items()}
     rows = [("variety", "route", "Milnor class")]
-    rows += [(v.name, rv.route, format_class(rv.value)) for v in report.varieties for rv in v.milnor]
+    rows += [(v.name, rv.route, texts[id(rv.value)]) for v in report.varieties for rv in v.milnor]
     name_w, route_w = max(len(r[0]) for r in rows), max(len(r[1]) for r in rows)
     lines = [TRANSVERSALITY_WARNING] if report.used_product_routes else []
     lines += [*(f"{name:<{name_w}}  {route:<{route_w}}  {value}" for name, route, value in rows), ""]
@@ -437,13 +441,8 @@ def cmd_compute(args) -> tuple[str, str, int]:
 def cmd_crosscheck(args) -> tuple[str, str, int]:
     report = _report(args, crosscheck=True)
     verdict = crosscheck_verdict(report)
-    if args.output == "json":  # "agree" alone is true on an UNCHECKED row
-        data = report_to_dict(report) | {"verdict": verdict}
-        for row, v in zip(data["varieties"], report.varieties):
-            row["verdict"] = row_verdict(v)
-        out = _json(data) + "\n"
-    else:
-        out = render_crosscheck(report)
+    # "agree" alone is true on an UNCHECKED row, so the JSON carries the verdicts
+    out = report_to_json(report, verdict) + "\n" if args.output == "json" else render_crosscheck(report)
     return out, "", {"AGREE": EXIT_OK, "DISAGREE": EXIT_DISAGREEMENT, "UNCHECKED": EXIT_UNCHECKED}[verdict]
 
 

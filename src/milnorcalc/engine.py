@@ -455,14 +455,22 @@ def milnor_from_strata_ci(strats, degrees, n: int) -> ChowClass:
     first raises its own ``milnor_from_strata`` error.  Then a missing c_i
     is reported for the first factor whose c_i is read: o_i is read only
     when another factor has a non-open stratum of nonzero gamma, and
-    otherwise cancels from the difference.
+    otherwise cancels from the difference.  A report's intersection row
+    takes the same steps from the m_i its factor rows already hold.
     """
     strats, degrees = list(strats), list(degrees)
     if len(strats) != len(degrees):
         raise ValueError("need one stratification per degree")
     if not strats:
         raise ValueError("need at least one factor")
-    m_list = [milnor_from_strata(s, d, n) for s, d in zip(strats, degrees)]
+    return _milnor_from_factor_strata(strats, [milnor_from_strata(s, d, n) for s, d in zip(strats, degrees)], n)
+
+
+def _milnor_from_factor_strata(strats, m_list, n: int) -> ChowClass:
+    """The rest of ``milnor_from_strata_ci``, from each m_i or the message of its error."""
+    failed = next((m for m in m_list if not isinstance(m, ChowClass)), None)
+    if failed is not None:
+        raise ValueError(failed)
     opens = [open_stratum(s) for s in strats]
     weighted = [any(s is not reg and s.gamma for s in strat.strata) for strat, reg in zip(strats, opens)]
     for i, reg in enumerate(opens):
@@ -643,7 +651,7 @@ def _intersection_report(ci, factors, intersection_csm, selected):
             routes["thm1"] = "a factor is missing its SM class"
             routes["expansion"] = routes["cor11"] = "a factor is missing its Milnor or SM class"
         routes["pp"] = (
-            _or_reason(milnor_from_strata_ci, [f.strat for f in factors], degrees, n)
+            _or_reason(_milnor_from_factor_strata, [f.strat for f in factors], [f.routes["pp"] for f in factors], n)
             if all(f.strat is not None for f in factors)
             else "a factor is missing its stratification"
         )

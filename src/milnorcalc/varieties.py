@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bundles import BundleChern
-from .chow import ChowClass, h_power, line_power
+from .chow import ChowClass, _from_ints, line_power
 from .records import Record, replace
 
 
@@ -305,8 +305,9 @@ def with_csm(strat: Stratification, name: str, csm: ChowClass) -> Stratification
 def csm_linear_subspace(n: int, k: int) -> ChowClass:
     """Pushforward of the SM class of a linear P^k inside P^n.
 
-    Smooth model: (1+H)^(k+1) H^(n-k); its integral is chi(P^k) = k+1.
+    Smooth model: (1+H)^(k+1) H^(n-k), the binomial row of (1+H)^(k+1)
+    shifted up by n-k with no ring product; its integral is chi(P^k) = k+1.
     """
     if not 0 <= k <= n:
         raise ValueError(f"no P^{k} inside P^{n}")
-    return line_power(n, 1, k + 1) * h_power(n, n - k)
+    return _from_ints(n, (0,) * (n - k) + line_power(k, 1, k + 1)._num)

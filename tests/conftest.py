@@ -13,6 +13,7 @@ from milnorcalc.chow import ChowClass, h_power, line_power, make_class
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle" / "fixtures.json"
 COMPUTE_TEXT = Path(__file__).resolve().parent / "golden" / "compute-text.json"
+JSON_OUTPUT = Path(__file__).resolve().parent / "golden" / "json-output.json"
 
 
 def clear_class_memos():

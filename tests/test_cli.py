@@ -17,6 +17,7 @@ import milnorcalc
 from conftest import (
     COMPUTE_TEXT,
     FIXTURES,
+    JSON_OUTPUT,
     ORACLE,
     clear_class_memos,
     isolated_singularities_doc,
@@ -48,8 +49,8 @@ from milnorcalc.cli import (
     KIND,
     NUMBER,
     COEFF,
-    _json,
     load_document,
+    crosscheck_verdict,
     main,
     parse_document,
     render_crosscheck,
@@ -931,7 +932,7 @@ def test_normal_crossing_json_output_is_exact(parity, data):
         assert main(["compute", write_doc(Path(tmp), doc), "--output", "json"]) == EXIT_OK
     spec, intersection_csm, _ = parse_document(doc)
     report = compute_report(spec, None, intersection_csm)
-    assert out.getvalue() == json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    assert out.getvalue() == ref_json(report)
     assert_classes_read_back(json.loads(out.getvalue()), report)
     assert ('"A0 \\u2229 A1"' in out.getvalue()) == (len(doc["hypersurfaces"]) == 2)
 
@@ -1086,7 +1087,7 @@ def test_compute_json_output_round_trips(fixtures_dir, capsys):
     assert code == EXIT_OK
     spec, intersection_csm, _ = load_document(str(path))
     report = compute_report(spec, None, intersection_csm)
-    assert out == json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    assert out == ref_json(report)
     data = json.loads(out)
     assert_classes_read_back(data, report)
     assert data["transversality_warning"] is True
@@ -1095,27 +1096,88 @@ def test_compute_json_output_round_trips(fixtures_dir, capsys):
     assert x_row["milnor"] == ["0", "0", "0", "-1", "0"]
 
 
-json_strings = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f é∩\u2028') | st.characters(), max_size=8)
-writable_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | json_strings,
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(json_strings, children, max_size=4),
-    max_leaves=30,
-)
+def ref_report_dict(report, verdict=None) -> dict:
+    """The report field by field, with the crosscheck ``verdict`` and each
+    row's own verdict when given: the reference for ``report_to_json``."""
+    def coeffs(c):
+        if c is None:
+            return None
+        return list(map(str, c.integer_coeffs())) if c.is_integral() else [str(a) for a in c.coeffs]
+
+    data = {
+        "ambient_dim": report.ambient_dim,
+        "transversality_asserted": report.transversality_asserted,
+        "transversality_warning": report.used_product_routes,
+        "conventions": report.conventions,
+        "agree": report.all_agree,
+        "varieties": [{
+            "name": v.name, "kind": v.kind, "dim": v.dim, "cfj": coeffs(v.cfj),
+            "csm": coeffs(v.csm), "csm_route": v.csm_route,
+            "milnor_routes": [{"route": rv.route, "coeffs": coeffs(rv.value)} for rv in v.milnor],
+            "skipped": [{"route": sk.route, "reason": sk.reason} for sk in v.skipped],
+            "agree": v.agree, "milnor": coeffs(v.consensus),
+        } for v in report.varieties],
+    }
+    if verdict is not None:
+        data["verdict"] = verdict
+        for row, v in zip(data["varieties"], report.varieties):
+            row["verdict"] = "DISAGREE" if not v.agree else "AGREE" if len(v.milnor) >= 2 else "UNCHECKED"
+    return data
 
 
-@settings(max_examples=300)
-@given(writable_values)
-@example([])
-@example({})
-@example({"a": [], "b": {}, "c": [[], {}], "d": ["x", "y"]})
-def test_json_writer_matches_json_dumps(value):
-    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+def ref_json(report, verdict=None) -> str:
+    return json.dumps(ref_report_dict(report, verdict), indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("value", [0.5, [0.5], ["a", 0.5], {"a": [None, {"b": 1e300}]}, {1, 2}])
-def test_json_writer_rejects_other_types(value):
-    with pytest.raises(TypeError):
-        _json(value)
+hypersurface_names = st.text(st.sampled_from('"\\/é∩ ') | st.characters(), min_size=1, max_size=MAX_NAME)
+
+
+@st.composite
+def writer_docs(draw, parity):
+    """A normal-crossing intersection, or isolated singularities alone or cut
+    by a hyperplane, in P^n of the given parity, its hypersurfaces renamed."""
+    kind = draw(st.sampled_from(["normal crossing", "isolated", "isolated and cut"]))
+    if kind == "normal crossing":
+        doc = draw(normal_crossing_docs(parity))
+    else:
+        n, d = 2 * draw(st.integers(1, 3)) + parity, draw(st.integers(2, 4))
+        doc = isolated_singularities_doc(n, d, draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+        if kind == "isolated and cut":
+            doc = cut_by_a_hyperplane(doc, [d, draw(st.integers(1, 2))])
+    names = draw(st.lists(hypersurface_names.filter(str.isprintable), min_size=len(doc["hypersurfaces"]),
+                          max_size=len(doc["hypersurfaces"]), unique=True))
+    for h, name in zip(doc["hypersurfaces"], names):
+        h["name"] = name
+    return doc
+
+
+def assert_json_outputs_match_the_reference(doc):
+    spec, intersection_csm, _ = parse_document(doc)
+    report = compute_report(spec, None, intersection_csm)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_doc(Path(tmp), doc)
+        for argv, expected in ((["compute", path, "--output", "json"], ref_json(report)),
+                               (["crosscheck", path, "--output", "json"], ref_json(report, crosscheck_verdict(report)))):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(argv)
+            assert out.getvalue() == expected
+    assert report_to_dict(report) == json.loads(ref_json(report))
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even-n", "odd-n"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_json_writer_matches_the_reference(parity, data):
+    """Compute JSON and crosscheck JSON, with its verdicts, are ``json.dumps``
+    of the report written out field by field."""
+    assert_json_outputs_match_the_reference(data.draw(writer_docs(parity)))
+
+
+def test_json_writer_escapes_names():
+    doc = cut_by_a_hyperplane(isolated_singularities_doc(4, 3, [2]), [3, 1])
+    doc["hypersurfaces"][0]["name"], doc["hypersurfaces"][1]["name"] = 'a "b" \\c/', "é∩\U0001d4b3"
+    assert_json_outputs_match_the_reference(doc)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -1466,6 +1528,21 @@ def test_default_output_matches_the_oracle(fixtures_dir, name):
     assert cross.returncode == expected["crosscheck_exit"]
     assert compute.stdout == expected["compute_json_stdout"].encode("utf-8")
     assert compute.returncode == expected["compute_exit"]
+
+
+@pytest.mark.parametrize("case", sorted(json.loads(JSON_OUTPUT.read_text(encoding="utf-8"))))
+def test_json_output_matches_the_golden_file(fixtures_dir, tmp_path, case):
+    """Compute and crosscheck JSON, byte for byte, with their exit codes, on
+    every fixture and on fixtures whose ``routes`` leave a row UNCHECKED."""
+    expected = json.loads(JSON_OUTPUT.read_text(encoding="utf-8"))[case]
+    doc = json.loads((fixtures_dir / f"{expected['fixture']}.json").read_text(encoding="utf-8"))
+    if expected["routes"] is not None:
+        doc["routes"] = expected["routes"]
+    path = write_doc(tmp_path, doc)
+    for command in ("compute", "crosscheck"):
+        proc = run_cli(command, path, "--output", "json")
+        assert proc.stdout == expected[f"{command}_stdout"].encode("utf-8")
+        assert proc.returncode == expected[f"{command}_exit"]
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -67,6 +67,7 @@ from conftest import (
     clear_class_memos,
     coefficients,
     isolated_singularities_doc,
+    normal_crossing_doc,
 )
 
 
@@ -324,6 +325,26 @@ def test_a_smooth_factor_computes_its_cfj_once(monkeypatch):
     calls.clear()
     assert _analyze_factor(HypersurfaceSpec("S", 16, 5, Smooth())) == factor
     assert calls == []
+
+
+@pytest.mark.parametrize("doc", [json.loads((FIXTURES / "paper-example.json").read_text(encoding="utf-8")),
+                                 normal_crossing_doc(4, [[1, 1], [1, 2], [2]])],
+                         ids=["paper-example", "three-arrangements"])
+def test_a_report_computes_each_factors_pp_once(monkeypatch, doc):
+    """The intersection's ``pp`` is built from the classes its factor rows
+    hold: one ``milnor_from_strata`` call per factor with a stratification."""
+    spec, intersection_csm, _ = parse_document(doc)
+    clear_class_memos()
+    calls = []
+    monkeypatch.setattr(engine, "milnor_from_strata",
+                        lambda strat, d, n: calls.append(d) or milnor_from_strata(strat, d, n))
+    report = compute_report(spec, None, intersection_csm)
+    assert calls == [h.degree for h in spec.hypersurfaces]
+    monkeypatch.undo()
+    pp = {rv.route: rv.value for rv in report.varieties[-1].milnor}["pp"]
+    strats = [_analyze_factor(h).strat for h in spec.hypersurfaces]
+    assert pp == milnor_from_strata_ci(strats, [h.degree for h in spec.hypersurfaces], spec.ambient_dim)
+    assert report.all_agree
 
 
 @st.composite

@@ -1,6 +1,6 @@
 import pytest
 
-from milnorcalc.chow import h_power, make_class
+from milnorcalc.chow import h_power, line_power, make_class
 from milnorcalc.records import replace
 from milnorcalc.varieties import (
     Arrangement,
@@ -184,6 +184,20 @@ def test_csm_linear_subspace_values():
     assert csm_linear_subspace(3, 3) == make_class(3, [1, 4, 6, 4])
     with pytest.raises(ValueError):
         csm_linear_subspace(3, 4)
+
+
+def ref_csm_linear_subspace(n, k):
+    """(1+H)^(k+1) H^(n-k) as a ring product."""
+    return line_power(n, 1, k + 1) * h_power(n, n - k)
+
+
+def test_csm_linear_subspace_is_the_ring_product():
+    for n in range(65):
+        for k in range(n + 1):
+            assert csm_linear_subspace(n, k) == ref_csm_linear_subspace(n, k)
+        for k in (-1, n + 1):
+            with pytest.raises(ValueError):
+                csm_linear_subspace(n, k)
 
 
 def test_csm_linear_subspace_integral_is_euler_characteristic():
