@@ -83,16 +83,17 @@ def _reduced(n: int, num, den: int) -> "ChowClass":
 
 
 def _accumulate(out: list, x: tuple, y: tuple, f: int) -> None:
-    """Add f x y, truncated above H^n, into ``out``: the one loop of ``*`` and ``dot``."""
-    n = len(out) - 1
-    terms = [(j, b) for j, b in enumerate(y) if b]
+    """Add f x y, truncated above H^n, into ``out``: the one loop of ``*`` and ``dot``.
+    Row i of x meets only the first n + 1 - i entries of y; zeros are skipped."""
+    m = len(out)
     for i, a in enumerate(x):
         if a:
             a *= f
-            for j, b in terms:
-                if i + j > n:
-                    break
-                out[i + j] += a * b
+            j = i
+            for b in y[:m - i]:
+                if b:
+                    out[j] += a * b
+                j += 1
 
 
 class ChowClass:
@@ -310,20 +311,30 @@ _set_dim, _set_num, _set_den, _set_coeffs = (ChowClass.__dict__[s].__set__ for s
 
 
 def dot(pairs, n: int) -> ChowClass:
-    """The sum of x * y over the (x, y) pairs, all in P^n, accumulated in one
-    list of integer numerators over the lcm of the pairs' denominators and
-    reduced once: no class is built per product.
+    """The sum of w * x * y over the pairs (x, y, w) of classes in P^n and
+    ints w; a pair (x, y) has weight 1.  The products are accumulated in
+    one list of integer numerators over the lcm of the pairs' denominators
+    and reduced once: no class is built per product, nor for a weight such
+    as a sign.  Integral pairs need no lcm and no division.
 
     >>> a, b = make_class(2, ["1/2", 1]), make_class(2, [1, 0, "1/3"])
     >>> print(dot([(a, a), (b, h_power(2, 1))], 2))
     (1/4) + 2H + H^2
+    >>> print(dot([(a, a, 4), (b, h_power(2, 1), -1)], 2))
+    1 + 3H + 4H^2
     """
-    pairs = list(pairs)
-    if any(x.ambient_dim != n or y.ambient_dim != n for x, y in pairs):
-        raise ValueError(f"ambient dimensions differ from {n}")
-    den, out = lcm(*[x._den * y._den for x, y in pairs]), [0] * (n + 1)
-    for x, y in pairs:
-        _accumulate(out, x._num, y._num, den // (x._den * y._den))
+    rows, den = [], 1
+    for pair in pairs:
+        x, y = pair[0], pair[1]
+        if x.ambient_dim != n or y.ambient_dim != n:
+            raise ValueError(f"ambient dimensions differ from {n}")
+        d = x._den * y._den
+        if d != 1:
+            den = lcm(den, d)
+        rows.append((x._num, y._num, pair[2] if len(pair) > 2 else 1, d))
+    out = [0] * (n + 1)
+    for x, y, w, d in rows:
+        _accumulate(out, x, y, w if d == den else w * (den // d))
     return _reduced(n, out, den)
 
 

@@ -371,16 +371,23 @@ def report_to_dict(report: ClassReport) -> dict:
     return json.loads(report_to_json(report))
 
 
+def _texts(classes) -> dict[int, str]:
+    """``format_class`` of each distinct class object, keyed by ``id``: routes and rows share classes."""
+    distinct = {id(c): c for c in classes}
+    return {key: format_class(c) for key, c in distinct.items()}
+
+
 def render_text(report: ClassReport) -> str:
+    texts = _texts(c for v in report.varieties for c in (v.cfj, v.csm, *(rv.value for rv in v.milnor)) if c is not None)
     lines = [f"ambient: P^{report.ambient_dim}",
              "transversality asserted: " + ("yes" if report.transversality_asserted else "no")]
     lines += [TRANSVERSALITY_WARNING] if report.used_product_routes else []
     for v in report.varieties:
-        csm = "unavailable" if v.csm is None else f"{format_class(v.csm)}  [{v.csm_route}]"
-        lines += ["", f"== {v.name} ({v.kind}, dim {v.dim})", f"  c^FJ : {format_class(v.cfj)}", f"  c^SM : {csm}"]
+        csm = "unavailable" if v.csm is None else f"{texts[id(v.csm)]}  [{v.csm_route}]"
+        lines += ["", f"== {v.name} ({v.kind}, dim {v.dim})", f"  c^FJ : {texts[id(v.cfj)]}", f"  c^SM : {csm}"]
         if v.milnor:
             width = max(len(rv.route) for rv in v.milnor)
-            lines += ["  Milnor class:", *(f"    {rv.route:<{width}} : {format_class(rv.value)}" for rv in v.milnor),
+            lines += ["  Milnor class:", *(f"    {rv.route:<{width}} : {texts[id(rv.value)]}" for rv in v.milnor),
                       "  routes " + ("AGREE" if v.agree else "DISAGREE")]
         else:
             lines.append("  Milnor class: no applicable route")
@@ -400,8 +407,7 @@ def crosscheck_verdict(report: ClassReport) -> str:
 
 
 def render_crosscheck(report: ClassReport) -> str:
-    texts = {id(rv.value): rv.value for v in report.varieties for rv in v.milnor}  # routes share classes
-    texts = {key: format_class(c) for key, c in texts.items()}
+    texts = _texts(rv.value for v in report.varieties for rv in v.milnor)
     rows = [("variety", "route", "Milnor class")]
     rows += [(v.name, rv.route, texts[id(rv.value)]) for v in report.varieties for rv in v.milnor]
     name_w, route_w = max(len(r[0]) for r in rows), max(len(r[1]) for r in rows)

@@ -17,8 +17,10 @@ agree after pushforward:
   m_i + (-1)^(n-1) c^SM_i = (-1)^(n-1) c^FJ_i, so the sum is thm1's class.
 * ``cor11``       the telescoped form of that sum: thm1's class again.
   ``milnor_expansion`` and ``milnor_telescope`` form each term on its own
-  and sum all in one ``chow.dot`` accumulator, as ``milnor_product`` takes
-  its difference; ``identities`` checks them against the product rule.
+  and sum all in one ``chow.dot`` accumulator, with the term's sign as its
+  integer weight, so no class is negated; ``milnor_product`` takes its
+  difference the same way.  ``identities`` checks them against the
+  product rule.
 * ``aluffi``      from the mu-class of the singular locus (single
   hypersurfaces only).
 * ``pp``          from per-stratum Milnor-fibre data.
@@ -266,20 +268,24 @@ def product_rule(classes, n: int) -> ChowClass:
 def milnor_product(cfj_list, csm_list, n: int, dim_x: int) -> ChowClass:
     """(-1)^dim(X) (prod c^FJ_i - prod c^SM_i), divided once by c(TP^n)^(r-1):
     the report's one product-rule kernel, for thm1, expansion, cor11 and pp.
-    One ``dot`` pairs each product but its last factor, signed, with that factor."""
+    One ``dot`` pairs each product but its last factor with that factor,
+    weighted by the sign."""
     cfj_list, csm_list = list(cfj_list), list(csm_list)
     if len(cfj_list) != len(csm_list):
         raise ValueError("need one virtual and one SM class per factor")
     if not cfj_list:
         raise ValueError("need at least one class")
-    fj, sm = _prod(cfj_list[:-1], n), _prod(csm_list[:-1], n)
-    fj, sm = (-fj, sm) if dim_x % 2 else (fj, -sm)
-    return _corrected(dot([(fj, cfj_list[-1]), (sm, csm_list[-1])], n), len(cfj_list))
+    sign = _sign(dim_x)
+    pairs = [(_prod(cfj_list[:-1], n), cfj_list[-1], sign), (_prod(csm_list[:-1], n), csm_list[-1], -sign)]
+    return _corrected(dot(pairs, n), len(cfj_list))
 
 
-def _signed(classes, codims, parity: int) -> list[ChowClass]:
-    """Each class times (-1)^(parity - codim)."""
-    return [c if (parity - d) % 2 == 0 else -c for c, d in zip(classes, codims)]
+def _choice_products(m_list, csm_list, signs, n: int) -> list[tuple[ChowClass, int]]:
+    """(product, sign) for each choice of the Milnor class or the SM class,
+    with its sign, of every factor; the all-SM choice comes last."""
+    classes = itertools.product(*zip(m_list, csm_list))
+    weights = itertools.product(*[(1, s) for s in signs])
+    return [(_prod(c, n), prod(w)) for c, w in zip(classes, weights)]
 
 
 def milnor_expansion(m_list, csm_list, codims, n: int) -> ChowClass:
@@ -287,13 +293,15 @@ def milnor_expansion(m_list, csm_list, codims, n: int) -> ChowClass:
 
     Each summand picks the Milnor or the SM class of every factor (the
     all-SM choice is excluded) and carries (-1)^(n - codim_i) per SM
-    factor picked.  ``codims`` are the codimensions of the factors:
-    1 for every hypersurface.  Only their parity matters.
+    factor picked, and the sum carries (-1)^(n(r - 1)).  ``codims`` are
+    the codimensions of the factors: 1 for every hypersurface.  Only their
+    parity matters.
 
     The choice products of the first r // 2 factors, and of the rest, are
-    formed once each (the all-SM product last); every mixed product is
-    then a (left, right) pair, and one ``dot`` forms each of the 2^r - 1
-    products on its own and sums them in one accumulator.
+    formed once each with their signs (the all-SM product last); every
+    mixed product is then a (left, right) pair, and one ``dot`` forms each
+    of the 2^r - 1 products on its own and sums them in one accumulator,
+    each weighted by its sign.
     """
     m_list, csm_list, codims = list(m_list), list(csm_list), list(codims)
     if not len(m_list) == len(csm_list) == len(codims):
@@ -301,20 +309,20 @@ def milnor_expansion(m_list, csm_list, codims, n: int) -> ChowClass:
     r = len(m_list)
     if r == 0:
         return zero(n)
-    signed, h = _signed(csm_list, codims, n), r // 2
-    left, right = ([_prod(choice, n) for choice in itertools.product(*zip(m_list[i:j], signed[i:j]))]
-                   for i, j in ((0, h), (h, r)))
-    total = _corrected(dot([(x, y) for x in left for y in right][:-1], n), r)  # all but the all-SM pair
-    return -total if (n * r - n) % 2 else total
+    signs, h = [_sign(n - d) for d in codims], r // 2
+    left, right = (_choice_products(m_list[i:j], csm_list[i:j], signs[i:j], n) for i, j in ((0, h), (h, r)))
+    sign = _sign(n * (r - 1))
+    pairs = [(x, y, sign * s * t) for x, s in left for y, t in right][:-1]  # all but the all-SM pair
+    return _corrected(dot(pairs, n), r)
 
 
 def milnor_telescope(m_list, csm_list, cfj_list, codims, n: int) -> ChowClass:
     """Telescoped form: one summand per factor, each with a single
     Milnor class flanked by virtual classes on one side and SM classes
     on the other: a running product of the virtual classes before i,
-    m_i, and a precomputed product of the SM classes after i.  The sign
-    (-1)^(sum of the other codims) is folded into those flanking classes.
-    One ``dot`` sums the r pairs (head m_i, tail), or (head, m_r) last.
+    m_i, and a precomputed product of the SM classes after i, with the
+    sign (-1)^(sum of the other codims).  One ``dot`` sums the r pairs
+    (head m_i, tail), or (head, m_r) last, each weighted by its sign.
     """
     m_list, csm_list, cfj_list, codims = map(list, (m_list, csm_list, cfj_list, codims))
     if not len(m_list) == len(csm_list) == len(cfj_list) == len(codims):
@@ -322,11 +330,14 @@ def milnor_telescope(m_list, csm_list, cfj_list, codims, n: int) -> ChowClass:
     r = len(m_list)
     if r == 0:
         return zero(n)
-    heads = list(itertools.accumulate(_signed(cfj_list[:-1], codims, 0), mul))
-    tails = list(itertools.accumulate(_signed(csm_list[:0:-1], codims[:0:-1], 0), mul))[::-1]
-    pairs = [(m_list[0], tails[0] if tails else one(n)), *zip(map(mul, heads, m_list[1:-1]), tails[1:])]
+    heads = list(itertools.accumulate(cfj_list[:-1], mul))
+    tails = list(itertools.accumulate(csm_list[:0:-1], mul))[::-1]
+    total = sum(codims)
+    signs = [_sign(total - d) for d in codims]
+    pairs = [(m_list[0], tails[0] if tails else one(n), signs[0]),
+             *zip(map(mul, heads, m_list[1:-1]), tails[1:], signs[1:-1])]
     if heads:
-        pairs.append((heads[-1], m_list[-1]))
+        pairs.append((heads[-1], m_list[-1], signs[-1]))
     return _corrected(dot(pairs, n), r)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .chow import ChowClass, _from_ints
+from .chow import ChowClass, _from_ints, _reduced
 from .engine import milnor_expansion, milnor_product, milnor_telescope
 from .records import Record
 
@@ -38,10 +38,16 @@ class RandomInstance(Record):
     m_list: tuple[ChowClass, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cfj_list", tuple(
-            csm - m if (self.n - d) % 2 else csm + m
-            for csm, m, d in zip(self.csm_list, self.m_list, self.codims)
-        ))
+        # csm +- m straight from the numerators, over the product of the two
+        # denominators: one path for integral and rational classes.
+        cfj, n = [], self.n
+        for csm, m, d in zip(self.csm_list, self.m_list, self.codims):
+            if csm.ambient_dim != m.ambient_dim:
+                csm._check_compatible(m)
+            f, g = m._den, -csm._den if (n - d) % 2 else csm._den
+            num = [a * f + b * g for a, b in zip(csm._num, m._num)]
+            cfj.append(_reduced(csm.ambient_dim, num, csm._den * m._den))
+        object.__setattr__(self, "cfj_list", tuple(cfj))
 
     @property
     def dim_x(self) -> int:
@@ -50,8 +56,11 @@ class RandomInstance(Record):
 
 def _draws(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
     """``[rng.randint(lo, hi) for _ in range(count)]`` without its per-call cost: CPython's
-    ``randint`` draws getrandbits with rejection (3.10-3.13), so a seed keeps its trials."""
+    ``randint`` draws getrandbits with rejection (3.10-3.13), so a seed keeps its trials.
+    An empty range raises ``ValueError`` before the first draw, as ``randint`` does."""
     width = hi - lo + 1
+    if width <= 0 and count > 0:
+        raise ValueError(f"empty range in randint({lo}, {hi})")
     k, getrandbits, out = width.bit_length(), rng.getrandbits, []
     for _ in range(count):
         x = getrandbits(k)

@@ -214,6 +214,26 @@ def test_dot_is_the_sum_of_the_products(case):
     assert dot(iter(pairs), n) == dot(pairs, n)
 
 
+def weighted_pairs(n):
+    """(x, y, w) triples over mixed denominators, or all integral, with weights
+    -1, 1 and other integers."""
+    weights = st.sampled_from([-1, 1]) | st.integers(-10**6, 10**6)
+    integral = st.builds(lambda nums: ChowClass(n, nums),
+                         st.lists(st.integers(-50, 50), min_size=n + 1, max_size=n + 1))
+    return st.sampled_from([rational_class(n), integral]).flatmap(
+        lambda c: st.lists(st.tuples(c, c, weights), max_size=6))
+
+
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(st.just(n), weighted_pairs(n))))
+def test_weighted_dot_is_the_weighted_sum_of_the_products(case):
+    n, triples = case
+    assert dot(triples, n) == sum((w * (x * y) for x, y, w in triples), zero(n))
+    plain = [(x, y) for x, y, _ in triples]
+    assert dot(plain, n) == dot([(x, y, 1) for x, y in plain], n) == sum((x * y for x, y in plain), zero(n))
+    assert dot([t if i % 2 else t[:2] for i, t in enumerate(triples)], n) == sum(
+        ((w if i % 2 else 1) * (x * y) for i, (x, y, w) in enumerate(triples)), zero(n))
+
+
 def test_dot_of_no_pairs_is_zero_and_mixed_dimensions_raise():
     assert dot([], 3) == zero(3)
     with pytest.raises(ValueError):

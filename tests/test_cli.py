@@ -1201,6 +1201,24 @@ def test_rendering_a_report_builds_no_fraction_view(fixtures_dir, name):
     assert all(c._coeffs is None for c in unviewed)
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_text_renderers_format_each_class_object_once(fixtures_dir, monkeypatch, name):
+    """Routes and rows share class objects; ``render_text`` and
+    ``render_crosscheck`` format each distinct object once."""
+    spec, intersection_csm, routes = load_document(str(fixtures_dir / f"{name}.json"))
+    report = compute_report(spec, None if routes is None else set(routes), intersection_csm)
+    expected = render_text(report), render_crosscheck(report)
+    formatted = []
+    fmt = milnorcalc.cli.format_class
+    monkeypatch.setattr(milnorcalc.cli, "format_class", lambda c: formatted.append(c) or fmt(c))
+    assert render_text(report) == expected[0]
+    every = [c for v in report.varieties for c in (v.cfj, v.csm, *(rv.value for rv in v.milnor)) if c is not None]
+    assert len(formatted) == len({id(c) for c in every}) < len(every)
+    formatted.clear()
+    assert render_crosscheck(report) == expected[1]
+    assert len(formatted) == len({id(rv.value) for v in report.varieties for rv in v.milnor})
+
+
 @pytest.mark.parametrize("argv", [["crosscheck"], ["compute", "--output", "json"]])
 def test_a_reader_that_quits_early_ends_quietly(fixtures_dir, argv):
     """The reader closes its end before the child writes anything."""

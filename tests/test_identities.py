@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from milnorcalc.identities import (
     random_instance,
     sweep,
 )
+from milnorcalc.records import replace
 
 
 def test_instances_are_reproducible():
@@ -39,11 +41,19 @@ def test_seed_draws_the_same_numerators():
     assert inst.cfj_list is inst.cfj_list
 
 
-@given(st.integers(0, 2**64), st.integers(-10**6, 10**6), st.integers(0, 2**70), st.integers(0, 40))
+@given(st.integers(0, 2**64), st.integers(-10**6, 10**6),
+       st.one_of(st.integers(0, 2**70), st.integers(-5, -1)), st.integers(0, 40))
 def test_draws_are_the_randint_stream(seed, lo, width, count):
-    """The draw helper is CPython's randint, value for value and state for state."""
+    """The draw helper is CPython's randint, value for value and state for state;
+    an empty range (width < 0) raises the same error before the first draw."""
     rng, reference = random.Random(seed), random.Random(seed)
-    assert _draws(rng, lo, lo + width, count) == [reference.randint(lo, lo + width) for _ in range(count)]
+    try:
+        expected = [reference.randint(lo, lo + width) for _ in range(count)]
+    except ValueError:
+        with pytest.raises(ValueError):
+            _draws(rng, lo, lo + width, count)
+    else:
+        assert _draws(rng, lo, lo + width, count) == expected
     assert rng.getstate() == reference.getstate()
 
 
@@ -52,6 +62,22 @@ def test_cfj_relation_holds_per_factor():
     for cfj, csm, m, d in zip(inst.cfj_list, inst.csm_list, inst.m_list, inst.codims):
         sign = 1 if (inst.n - d) % 2 == 0 else -1
         assert cfj - csm == sign * m
+
+
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=4),
+       st.integers(1, 7))
+def test_cfj_list_is_the_class_sum_for_rational_and_replaced_trials(factors, n):
+    """``cfj_list`` is derived, never passed: it equals csm +- m for rational
+    classes too, and ``replace`` forms it again from the new fields."""
+    codims = tuple(d for d, _, _ in factors)
+    csm = tuple(ChowClass(n, [Fraction(a, k + 2) for k in range(n + 1)]) for _, a, _ in factors)
+    m = tuple(ChowClass(n, [Fraction(b, 3 * k + 1) for k in range(n + 1)]) for _, _, b in factors)
+    inst = RandomInstance(0, n, len(factors), codims, csm, m)
+    assert inst.cfj_list == tuple(c - x if (n - d) % 2 else c + x for c, x, d in zip(csm, m, codims))
+    swapped = replace(inst, m_list=csm)
+    assert swapped.cfj_list == tuple(c - c if (n - d) % 2 else c + c for c, d in zip(csm, codims))
+    with pytest.raises(ValueError):
+        RandomInstance(0, n, 1, codims[:1], csm[:1], (one(n + 1),))
 
 
 def test_expansion_identity_small_cases():
@@ -182,3 +208,20 @@ def test_the_telescope_sums_one_pair_per_factor(monkeypatch, r):
     assert milnor_telescope(inst.m_list, inst.csm_list, inst.cfj_list, inst.codims, 6) == expected
     assert dots == [r]
     assert sums == []
+
+
+@pytest.mark.parametrize("n, r", [(2, 1), (4, 3), (8, 4)])
+def test_a_trial_negates_adds_and_subtracts_no_class(monkeypatch, n, r):
+    """Signs ride as ``dot`` weights and a trial's classes come from its drawn
+    integers, so one trial, drawing included, makes no class sum or negation."""
+    calls = []
+    for name in ("__neg__", "__add__", "__sub__"):
+        method = getattr(ChowClass, name)
+        monkeypatch.setattr(ChowClass, name, lambda *a, f=method, name=name: calls.append(name) or f(*a))
+    check_identities.cache_clear()
+    try:
+        expansion, telescope = check_identities(n, r, 1, 5)
+    finally:
+        check_identities.cache_clear()
+    assert expansion.passed and telescope.passed
+    assert calls == []
