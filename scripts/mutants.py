@@ -29,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENGINE, CHOW, CLI = "src/milnorcalc/engine.py", "src/milnorcalc/chow.py", "src/milnorcalc/cli.py"
+BUNDLES, VARIETIES = "src/milnorcalc/bundles.py", "src/milnorcalc/varieties.py"
 TIER1 = ["-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench-out",
                               ".benchmarks", "*.egg-info", "build")
@@ -74,6 +75,11 @@ MUTANTS = [
     ("product-weight", ENGINE, "csm_list[-1], -sign)]", "csm_list[-1], sign)]"),
     ("expansion-weight", ENGINE, "(x, y, sign * s * t)", "(x, y, sign * s)"),
     ("telescope-weight", ENGINE, "signs = [_sign(total - d) for d in codims]", "signs = [_sign(d) for d in codims]"),
+    # a smooth singular locus: its Segre class and the checks of its declaration
+    ("segre-multiplies-by-normal", BUNDLES, "return z_class / normal", "return z_class * normal"),
+    ("normal-guard-one-degree-late", VARIETIES, "range(self.normal_rank + 1, len(num))",
+     "range(self.normal_rank + 2, len(num))"),
+    ("locus-codimension-rank-plus-one", VARIETIES, "if a] != [m] or", "if a] != [m + 1] or"),
 ]
 
 

@@ -11,10 +11,8 @@ never checks the identities never imports that module.
 """
 
 from .bundles import (
-    BundleChern,
     chern_cotangent,
     chern_line,
-    chern_sum,
     chern_tangent,
     chern_twist,
     fundamental_class_ci,

@@ -1,8 +1,8 @@
 """Total Chern classes of bundles on P^n and the standard operations.
 
-A bundle is recorded by its rank and its total Chern class.  The rank
-matters even when high Chern components are killed by truncation: the
-twist formula needs it.
+The formulas read a bundle only through its total Chern class, so each
+function here returns a ``ChowClass``.  The twist formula needs the rank
+too, even when truncation kills high components: it takes it as an argument.
 """
 
 from __future__ import annotations
@@ -10,83 +10,46 @@ from __future__ import annotations
 from functools import lru_cache
 from math import prod
 
-from .chow import ChowClass, _degree_one_scalar, h_power, line_power, one
-from .records import Record
-
-
-class BundleChern(Record):
-    """Rank plus total Chern class (constant term 1) on P^n."""
-
-    ambient_dim: int
-    rank: int
-    total: ChowClass
-
-    def __post_init__(self):
-        # Checked on the integer numerators: building the Fraction view of
-        # every total class would cost more than the rest of the record.
-        num, den = self.total._num, self.total._den
-        if self.rank < 0:
-            raise ValueError("rank must be non-negative")
-        if self.total.ambient_dim != self.ambient_dim:
-            raise ValueError("total class lives on the wrong ambient space")
-        if num[0] != den:
-            raise ValueError("a total Chern class has constant term 1")
-        for j in range(self.rank + 1, self.ambient_dim + 1):
-            if num[j] != 0:
-                raise ValueError(
-                    f"rank-{self.rank} bundle cannot have c_{j} != 0"
-                )
+from .chow import ChowClass, _degree_one_scalar, h_power, line_power
 
 
 @lru_cache(maxsize=128)
-def chern_tangent(n: int) -> BundleChern:
+def chern_tangent(n: int) -> ChowClass:
     """c(TP^n) = (1+H)^(n+1), truncated.  Memoised (the result is immutable)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return BundleChern(n, n, line_power(n, 1, n + 1))
+    return line_power(n, 1, n + 1)
 
 
-def chern_cotangent(n: int) -> BundleChern:
+def chern_cotangent(n: int) -> ChowClass:
     """c(T*P^n) = (1-H)^(n+1), truncated."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return BundleChern(n, n, line_power(n, -1, n + 1))
+    return line_power(n, -1, n + 1)
 
 
-def chern_line(n: int, d: int) -> BundleChern:
-    """The line bundle O(d); any integer d is allowed."""
-    return BundleChern(n, 1, line_power(n, d, 1))
+def chern_line(n: int, d: int) -> ChowClass:
+    """c(O(d)) = 1 + dH; any integer d is allowed."""
+    return line_power(n, d, 1)
 
 
-def chern_sum(bundles) -> BundleChern:
-    """Direct sum via the Whitney formula: ranks add, totals multiply."""
-    bundles = list(bundles)
-    if not bundles:
-        raise ValueError("need at least one bundle")
-    n = bundles[0].ambient_dim
-    if any(b.ambient_dim != n for b in bundles):
-        raise ValueError("ambient dimensions differ")
-    total = prod((b.total for b in bundles), start=one(n))
-    return BundleChern(n, sum(b.rank for b in bundles), total)
-
-
-def chern_twist(e: BundleChern, c1) -> BundleChern:
-    """Tensor by a line bundle with first Chern class c1.
+def chern_twist(total: ChowClass, rank: int, c1) -> ChowClass:
+    """c(E (x) L) for E of rank ``rank`` >= 0 and total class ``total``, and
+    a line bundle L with first Chern class c1.
 
     Components shift along the Chern roots:
     c_j(E (x) L) = sum_i C(rank-i, j-i) c_i(E) c1^(j-i), the H^j part of
     sum_i c_i(E) (1+c1)^(rank-i) = (1+c1)^rank c(E).tensor_line(c1).
     """
-    t = _degree_one_scalar(e.ambient_dim, c1)
-    total = line_power(e.ambient_dim, t, e.rank) * e.total.tensor_line(t)
-    return BundleChern(e.ambient_dim, e.rank, total)
+    t = _degree_one_scalar(total.ambient_dim, c1)
+    return line_power(total.ambient_dim, t, rank) * total.tensor_line(t)
 
 
-def segre_smooth(normal: BundleChern, z_class: ChowClass) -> ChowClass:
-    """Segre class of a smooth subvariety: c(N)^(-1) times its class."""
+def segre_smooth(normal: ChowClass, z_class: ChowClass) -> ChowClass:
+    """Segre class of a smooth subvariety: its class divided by c(N)."""
     if normal.ambient_dim != z_class.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return z_class / normal.total
+    return z_class / normal
 
 
 def fundamental_class_ci(n: int, degrees) -> ChowClass:

@@ -42,7 +42,7 @@ from .varieties import (
     csm_linear_subspace,
     validate,
 )
-from .bundles import BundleChern, fundamental_class_ci
+from .bundles import fundamental_class_ci
 
 #: Input size caps, one bound for every field of a document (see the
 #: table under "JSON -> model").  Ring products cost O(dim^2) operations
@@ -268,7 +268,7 @@ def _parse_hypersurface(h: dict, n: int, path: str) -> HypersurfaceSpec:
         cls = _class(locus["class"], n, f"{path}.sing_locus.class")
         chern = _class(locus["normal"]["chern"], n, f"{path}.sing_locus.normal.chern")
         try:
-            locus = SmoothLocus(cls, BundleChern(n, locus["normal"]["rank"], chern))
+            locus = SmoothLocus(cls, locus["normal"]["rank"], chern)
         except ValueError as exc:
             raise _DocumentError(str(exc), f"{path}.sing_locus.normal")
     return HypersurfaceSpec(h["name"], n, h["degree"], singularity, locus, strata)

@@ -35,11 +35,12 @@ the dual/tensor regrading is ambient-codimension based (see ``chow``):
 ``ALUFFI_GLOBAL_SIGN`` and the Milnor-number exponent, which is the
 dimension of the hypersurface, not of the ambient space.
 
-Classes that integers fix are computed once per process, in caches of at
-most 1,024 entries each: c(TP^n), c^FJ by its degrees, the arrangement or
-smooth c^SM by sorted component degrees, the tangent correction and the
-``aluffi`` route of a linear singular locus by (n, degree, dim).  Nothing
-is keyed on user-supplied coefficients.  Cached classes are immutable and
+Classes that integers fix are computed once per process: c^FJ by its
+degrees, the arrangement or smooth c^SM by sorted component degrees and
+the ``aluffi`` route of a linear singular locus by (n, degree, dim), in
+caches of at most 1,024 entries each; the tangent correction in one of
+64; and c(TP^n) in ``bundles.chern_tangent``'s, of 128.  Nothing is keyed
+on user-supplied coefficients.  Cached classes are immutable and
 shared between reports.
 """
 
@@ -51,8 +52,8 @@ from math import prod
 from operator import mul
 
 # chern_cotangent, chern_line and chern_twist are not called here, but
-# stay in this namespace: the benchmark's tracer (perfbench/tracer.py) wraps
-# them where engine looks them up.
+# stay in this namespace while the benchmark's tracer (perfbench/tracer.py)
+# wraps them where engine looks them up.
 from .bundles import (
     chern_cotangent,
     chern_line,
@@ -140,7 +141,7 @@ def _cfj(n: int, degrees) -> ChowClass:
 
 @lru_cache(maxsize=1024)
 def _cfj_of_sorted(n: int, degrees: tuple[int, ...]) -> ChowClass:
-    return chern_tangent(n).total / _lines(n, degrees) * fundamental_class_ci(n, degrees)
+    return chern_tangent(n) / _lines(n, degrees) * fundamental_class_ci(n, degrees)
 
 
 def cfj_ci(spec) -> ChowClass:
@@ -192,7 +193,7 @@ def _csm_intersection_of_unions(n: int, per_factor) -> ChowClass:
 def _csm_of_sorted_unions(n: int, per_factor: tuple[tuple[int, ...], ...]) -> ChowClass:
     # 1 - L^(-1) = (L - 1) / L, so one division serves every factor
     lines = [_lines(n, degrees) for degrees in per_factor]  # none: P^n itself
-    return chern_tangent(n).total * _prod([c - one(n) for c in lines], n) / _prod(lines, n)
+    return chern_tangent(n) * _prod([c - one(n) for c in lines], n) / _prod(lines, n)
 
 
 def csm_inclusion_exclusion(h: HypersurfaceSpec) -> ChowClass:

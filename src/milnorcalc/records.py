@@ -1,4 +1,4 @@
-"""Immutable records: the specs, bundles and reports of the calculator.
+"""Immutable records: the specs and reports of the calculator.
 
 A ``Record`` subclass declares its fields as class annotations, in
 order, and a default as a class attribute; fields with a default come

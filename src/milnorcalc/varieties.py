@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bundles import BundleChern
 from .chow import ChowClass, _from_ints, line_power
 from .records import Record, replace
 
@@ -41,10 +40,24 @@ class LinearLocus(Record):
 
 
 class SmoothLocus(Record):
-    """A smooth singular locus given by its class and normal bundle."""
+    """A smooth singular locus given by its class and by the rank and
+    total Chern class of its normal bundle."""
 
     locus_class: ChowClass
-    normal: BundleChern
+    normal_rank: int
+    normal: ChowClass
+
+    def __post_init__(self):
+        # Checked on the integer numerators: building the Fraction view of
+        # the normal class would cost more than the rest of the record.
+        num, den = self.normal._num, self.normal._den
+        if self.normal_rank < 0:
+            raise ValueError("rank must be non-negative")
+        if num[0] != den:
+            raise ValueError("a total Chern class has constant term 1")
+        for j in range(self.normal_rank + 1, len(num)):
+            if num[j] != 0:
+                raise ValueError(f"rank-{self.normal_rank} bundle cannot have c_{j} != 0")
 
 
 class Stratum(Record):
@@ -180,10 +193,19 @@ def _hypersurface_errors(h: HypersurfaceSpec, path: str) -> list[str]:
             f"hypersurface of P^{n}"
         )
     if isinstance(locus, SmoothLocus):
+        m, num = locus.normal_rank, locus.locus_class._num
         if locus.locus_class.ambient_dim != n:
             errors.append(f"{path}.sing_locus.class: wrong ambient dimension")
         if locus.normal.ambient_dim != n:
             errors.append(f"{path}.sing_locus.normal: wrong ambient dimension")
+        if not 2 <= m <= n:
+            errors.append(
+                f"{path}.sing_locus.normal.rank: must lie in [2, {n}] for a reduced "
+                f"hypersurface of P^{n}"
+            )
+        elif locus.locus_class.ambient_dim == n and ([j for j, a in enumerate(num) if a] != [m] or num[m] < 0):
+            errors.append(f"{path}.sing_locus.class: must be a positive multiple of H^{m}, "
+                          f"the codimension of a locus with a rank-{m} normal bundle")
     if h.strata is not None:
         errors.extend(
             _stratification_errors(

@@ -143,3 +143,54 @@ def isolated_singularities_doc(n: int, d: int, mus, sign: int = 1) -> dict:
             "strata": strata,
         }],
     }
+
+
+def join_csm(n: int, d: int, k: int) -> ChowClass:
+    """c^SM of the join J(n, d, k) in P^n, pushed forward.
+
+    Y, a smooth hypersurface of degree d in P^(n-k-1), has c^SM(Y) = c^FJ(Y).
+    The cone over W in P^(m-1) has c^SM = (1 + H) c^SM(W) + [pt] in P^m, with
+    c^SM(W) read with the same coefficients in P^m (see e.g. Aluffi and
+    Marcolli, "Algebro-geometric Feynman rules", 2011); J(n, d, k) is the
+    cone k + 1 times over Y.
+    """
+    m = n - k - 1
+    csm = make_class(m, [0, d]) * line_power(m, 1, m + 1) / line_power(m, d, 1)
+    for m in range(n - k, n + 1):
+        csm = line_power(m, 1, 1) * make_class(m, csm.integer_coeffs()) + h_power(m, m)
+    return csm
+
+
+def join_doc(n: int, d: int, k: int) -> dict:
+    """The join J(n, d, k) of a vertex P^k with a smooth hypersurface Y of
+    degree d >= 2 in a complementary P^(n-k-1): a hypersurface of degree d
+    in P^n, singular exactly along the vertex (k = 0 is the cone over Y,
+    an isolated point with mu = (d-1)^n).
+
+    Each route gets its own input.  ``definition`` reads ``join_csm`` on
+    the open stratum's closure.  ``aluffi`` reads the singular scheme, cut
+    out by the n - k partials of Y's equation: a complete intersection of
+    n - k hypersurfaces of degree d - 1, supported on P^k and non-reduced
+    for d >= 3, so a ``smooth`` locus of class (d-1)^(n-k) H^(n-k) with
+    normal class (1 + (d-1)H)^(n-k) of rank n - k.  ``pp`` reads the vertex
+    stratum, whose Milnor fibre is that of Y's cone at its vertex:
+    chiF = 1 + (-1)^(n-k-1) (d-1)^(n-k).
+    """
+    c = n - k
+    csm = join_csm(n, d, k)
+    return {
+        "ambient": {"kind": "projective", "dim": n},
+        "hypersurfaces": [{
+            "name": "J",
+            "degree": d,
+            "singularity": {"kind": "stratified"},
+            "sing_locus": {"kind": "smooth", "class": [0] * c + [(d - 1) ** c],
+                           "normal": {"rank": c, "chern": list(line_power(n, d - 1, c).integer_coeffs())}},
+            "strata": [
+                {"name": "reg", "dim": n - 1, "chiF": 1,
+                 "closure": {"kind": "explicit", "class": [0, d], "csm": list(csm.integer_coeffs())}},
+                {"name": "vertex", "dim": k, "chiF": 1 + (-1) ** (c - 1) * (d - 1) ** c,
+                 "closure": {"kind": "linear", "dim": k}},
+            ],
+        }],
+    }

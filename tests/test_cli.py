@@ -21,9 +21,11 @@ from conftest import (
     ORACLE,
     clear_class_memos,
     isolated_singularities_doc,
+    join_csm,
+    join_doc,
     normal_crossing_doc,
 )
-from milnorcalc.chow import ChowClass, h_power, make_class
+from milnorcalc.chow import ChowClass, h_power, line_power, make_class
 from milnorcalc.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_DISAGREEMENT,
@@ -895,6 +897,101 @@ def test_isolated_singularities_cut_by_a_hyperplane_that_misses_them(n, d, mus):
     assert crosscheck_exit(cut_by_a_hyperplane(doc, [d + 1, 1])) == EXIT_DISAGREEMENT
 
 
+# -- joins: positive-dimensional, non-reduced singular schemes -------------------
+
+@st.composite
+def join_params(draw, n_parity, c_parity):
+    """(n, d, k) with n in 2..10 and c = n - k in 2..n of the given
+    parities, d in 2..5: every coefficient stays within MAX_LOCUS_DIGITS."""
+    n, k = draw(st.sampled_from([(n, n - c) for n in range(2, 11) for c in range(2, n + 1)
+                                 if (n % 2, c % 2) == (n_parity, c_parity)]))
+    return n, draw(st.integers(2, 5)), k
+
+
+def _routes_by_row(doc):
+    spec, intersection_csm, _ = parse_document(doc)
+    return [{rv.route: rv.value for rv in row.milnor} for row in compute_report(spec, None, intersection_csm).varieties]
+
+
+PARITIES = pytest.mark.parametrize("n_parity, c_parity", [(0, 0), (0, 1), (1, 0), (1, 1)],
+                                   ids=["even-n-even-codim", "even-n-odd-codim", "odd-n-even-codim", "odd-n-odd-codim"])
+
+
+@PARITIES
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_joins_agree_on_three_independent_inputs(n_parity, c_parity, data):
+    """``definition`` (the cone formula's c^SM), ``aluffi`` (the non-reduced
+    singular scheme as a ``smooth`` locus) and ``pp`` (the vertex stratum)
+    give one Milnor class, and crosscheck agrees; at k = 0 it is the cone's
+    (d-1)^n H^n."""
+    n, d, k = data.draw(join_params(n_parity, c_parity))
+    [routes] = _routes_by_row(join_doc(n, d, k))
+    assert routes["definition"] == routes["aluffi"] == routes["pp"]
+    if k == 0:
+        assert routes["pp"] == (d - 1) ** n * h_power(n, n)
+    assert crosscheck_exit(join_doc(n, d, k)) == EXIT_OK
+
+
+def _plus_point_on_the_csm(h, n, d, c):
+    h["strata"][0]["closure"]["csm"][n] += 1
+
+
+def _vertex_chif_plus_one(h, n, d, c):
+    h["strata"][1]["chiF"] += 1
+
+
+def _locus_of_degree_d(h, n, d, c):
+    h["sing_locus"]["class"][c] = d ** c
+    h["sing_locus"]["normal"]["chern"] = list(line_power(n, d, c).integer_coeffs())
+
+
+@pytest.mark.parametrize("perturb", [_plus_point_on_the_csm, _vertex_chif_plus_one, _locus_of_degree_d],
+                         ids=["csm-plus-point", "vertex-chiF-plus-one", "locus-degree-d"])
+@pytest.mark.parametrize("n, d, k", [(2, 2, 0), (3, 3, 1), (4, 3, 1), (5, 2, 2), (6, 4, 2)])
+def test_a_perturbed_join_disagrees(n, d, k, perturb):
+    """Each input read by one route only: a point added to the supplied
+    c^SM, the vertex's chiF plus one, or a singular scheme of degree d
+    partials in place of d - 1."""
+    doc = join_doc(n, d, k)
+    perturb(doc["hypersurfaces"][0], n, d, n - k)
+    assert crosscheck_exit(doc) == EXIT_DISAGREEMENT
+
+
+@pytest.mark.parametrize("n, d, k", [(3, 2, 1), (4, 2, 2), (4, 3, 1), (5, 3, 0), (6, 4, 2), (7, 5, 3)])
+def test_a_linear_locus_is_the_reduced_scheme(n, d, k):
+    """The vertex declared as ``{"kind": "linear", "dim": k}`` is the
+    reduced P^k.  For d = 2 the singular scheme is reduced and the routes
+    agree; for d >= 3 it is not, and ``aluffi`` reads the wrong Segre
+    class."""
+    doc = join_doc(n, d, k)
+    doc["hypersurfaces"][0]["sing_locus"] = {"kind": "linear", "dim": k}
+    assert crosscheck_exit(doc) == (EXIT_OK if d == 2 else EXIT_DISAGREEMENT)
+
+
+@PARITIES
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_a_join_cut_by_a_hyperplane_is_a_smaller_join(n_parity, c_parity, data):
+    """J(n, d, k) cut by a hyperplane H in general position is
+    J(n-1, d, k-1) inside H: with H . c^SM(J(n-1, d, k-1)) supplied, the
+    intersection row agrees on ``definition``, ``thm1`` and ``pp``, and a
+    point added to that class makes ``definition`` disagree."""
+    n, d, k = data.draw(join_params(n_parity, c_parity).filter(lambda p: p[2] >= 1))
+    csm = [0, *join_csm(n - 1, d, k - 1).integer_coeffs()]
+    doc = join_doc(n, d, k) | {
+        "transversal": True,
+        "hypersurfaces": join_doc(n, d, k)["hypersurfaces"] + [
+            {"name": "H", "degree": 1, "singularity": {"kind": "smooth"}}],
+        "intersection": {"csm": {"coeffs": csm}},
+    }
+    routes = _routes_by_row(doc)[-1]
+    assert routes["definition"] == routes["thm1"] == routes["pp"]
+    assert crosscheck_exit(doc) == EXIT_OK
+    csm[-1] += 1
+    assert crosscheck_exit(doc) == EXIT_DISAGREEMENT
+
+
 @st.composite
 def normal_crossing_docs(draw, parity):
     """One or two arrangements in P^n, n of the given parity, each of one
@@ -999,6 +1096,59 @@ def test_a_contradictory_document_exits_2_with_the_field_path(tmp_path, field):
     assert "Traceback" not in stderr and proc.stdout == b""
     with pytest.raises(ValidationError, match=f"^{re.escape(field)}: "):
         parse_document(doc)
+
+
+def _fixture_with_locus(name, locus):
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    doc["hypersurfaces"][0]["sing_locus"] = locus
+    return doc
+
+
+@pytest.mark.parametrize("command", [["compute", "--method", "aluffi"], ["crosscheck"]])
+@pytest.mark.parametrize("name, cls, rank, chern, field", [
+    ("two-planes-p3", [0, 0, 1, 0], 1, [1, 1], "normal.rank"),
+    ("nodal-cubic", [0, 0, 1], 9, [1], "normal.rank"),
+    ("two-planes-p3", [0, 0, 0, 1], 2, [1, 2, 1], "class"),
+    ("two-planes-p3", [0, 0, 1, 1], 2, [1, 2, 1], "class"),
+    ("two-planes-p3", [0, 0, -1, 0], 2, [1, 2, 1], "class"),
+    ("two-planes-p3", [0, 0, 0, 0], 2, [1, 2, 1], "class"),
+], ids=["line-of-rank-1", "point-of-rank-9", "point-of-rank-2", "two-codimensions", "negative", "zero"])
+def test_a_smooth_locus_must_agree_with_its_normal_rank(tmp_path, capsys, command, name, cls, rank, chern, field):
+    """A ``smooth`` singular locus of a hypersurface of P^n has a normal
+    rank m in [2, n] and a class that is a positive multiple of H^m.
+    Earlier a line in P^3 with a rank-1 normal bundle gave ``aluffi``
+    -H^2 + H^3 (the truth is -H^2) and crosscheck blamed the routes, and a
+    point of rank 9 in P^2 gave AGREE."""
+    doc = _fixture_with_locus(name, {"kind": "smooth", "class": cls, "normal": {"rank": rank, "chern": chern}})
+    assert main([*command, write_doc(tmp_path, doc)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: hypersurfaces[0].sing_locus.{field}: ")
+    with pytest.raises(ValidationError, match=rf"^hypersurfaces\[0\]\.sing_locus\.{re.escape(field)}: "):
+        parse_document(doc)
+
+
+def test_a_smooth_locus_of_the_right_rank_is_its_linear_locus():
+    """The axis of two planes in P^3 as a ``smooth`` locus, class H^2 with
+    normal bundle O(1) + O(1), gives what the ``linear`` locus gives."""
+    smooth = _fixture_with_locus("two-planes-p3", {"kind": "smooth", "class": [0, 0, 1, 0],
+                                                    "normal": {"rank": 2, "chern": [1, 2, 1]}})
+    linear = json.loads((FIXTURES / "two-planes-p3.json").read_text())
+    assert _routes_by_row(smooth) == _routes_by_row(linear)
+    assert _routes_by_row(smooth)[0]["aluffi"] == -h_power(3, 2)
+
+
+@pytest.mark.parametrize("chern, message", [
+    ([2, 2, 1], "a total Chern class has constant term 1"),
+    ([1, 2, 1, 1], "rank-2 bundle cannot have c_3 != 0"),
+], ids=["constant-term", "c-above-the-rank"])
+def test_a_normal_class_that_no_bundle_has_exits_2(tmp_path, capsys, chern, message):
+    """The normal bundle's guards run where the locus is built: a total
+    class with constant term other than 1, or with c_j != 0 above the rank,
+    exits 2 with the path of ``normal``."""
+    doc = _fixture_with_locus("two-planes-p3", {"kind": "smooth", "class": [0, 0, 1, 0],
+                                                 "normal": {"rank": 2, "chern": chern}})
+    assert main(["crosscheck", write_doc(tmp_path, doc)]) == EXIT_VALIDATION
+    assert capsys.readouterr() == ("", f"error: hypersurfaces[0].sing_locus.normal: {message}\n")
 
 
 @pytest.mark.parametrize("n", [5, 6])

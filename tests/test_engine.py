@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from milnorcalc import engine
 from milnorcalc.bundles import (
-    BundleChern,
     chern_cotangent,
     chern_line,
     chern_tangent,
@@ -169,9 +168,9 @@ def test_csm_empty_intersection_vanishes():
 
 def test_no_hypersurfaces_leave_the_whole_ambient_space():
     """With nothing cut out, c^FJ and c^SM are both c(TP^n)."""
-    assert _cfj(3, []) == csm_smooth_ci_degrees(3, []) == chern_tangent(3).total
+    assert _cfj(3, []) == csm_smooth_ci_degrees(3, []) == chern_tangent(3)
     (row,) = compute_report(CompleteIntersectionSpec(3, ())).varieties
-    assert row.cfj == row.csm == chern_tangent(3).total and row.agree
+    assert row.cfj == row.csm == chern_tangent(3) and row.agree
 
 
 def enumerated_csm(n, per_factor):
@@ -292,20 +291,24 @@ def test_line_bundle_classes_take_closed_forms_in_a_report(monkeypatch):
     """c(O(d))^(-1), c(T*P^n (x) O(d)) and the Segre class of a linear
     locus are closed forms: the only twist left is the regrading of the
     mu-class in ``milnor_from_mu``, one per row with a singular-locus
-    descriptor, and no bundle record is built once c(TP^n) is memoised."""
+    descriptor; no bundle function is called, and c(TP^n) is read from
+    its memo."""
     n = 32
     ci = pair_cut_by_hyperplane(n)
     clear_class_memos()
     chern_tangent(n)
-    twists, bundles = [], []
-    tensor_line, post_init = ChowClass.tensor_line, BundleChern.__post_init__
+    misses = chern_tangent.cache_info().misses
+    twists, bundle_calls = [], []
+    tensor_line = ChowClass.tensor_line
     monkeypatch.setattr(ChowClass, "tensor_line", lambda c, t: twists.append(t) or tensor_line(c, t))
-    monkeypatch.setattr(BundleChern, "__post_init__", lambda b: bundles.append(b) or post_init(b))
+    for name in ("chern_cotangent", "chern_line", "chern_twist"):
+        monkeypatch.setattr(engine, name, lambda *args, name=name: bundle_calls.append(name))
     report = compute_report(ci)
     assert report.all_agree
     assert "aluffi" in [rv.route for rv in report.varieties[0].milnor]
     assert twists == [h.degree for h in ci.hypersurfaces if h.sing_locus is not None] == [2]
-    assert bundles == []
+    assert bundle_calls == []
+    assert chern_tangent.cache_info().misses == misses
     twists.clear()  # the mu-class route of a linear locus is memoised
     assert compute_report(ci) == report
     assert twists == []
@@ -362,8 +365,8 @@ def ambient_and_degrees(draw):
 @example((64, [1, 1, 2, 2, 3, 3, 3, 999]))
 def test_cfj_matches_the_bundle_composition(case):
     n, degrees = case
-    lines = prod([chern_line(n, d).total for d in degrees], start=one(n))
-    expected = chern_tangent(n).total * lines.invert() * fundamental_class_ci(n, degrees)
+    lines = prod([chern_line(n, d) for d in degrees], start=one(n))
+    expected = chern_tangent(n) * lines.invert() * fundamental_class_ci(n, degrees)
     assert _cfj(n, degrees) == expected
 
 
@@ -373,8 +376,8 @@ def test_cfj_matches_the_bundle_composition(case):
 @example(64, 2, 62)
 def test_mu_class_of_a_linear_locus_matches_the_bundle_composition(n, d, j):
     k = j % n
-    normal = BundleChern(n, n - k, line_power(n, 1, n - k))
-    expected = chern_twist(chern_cotangent(n), d).total * segre_smooth(normal, h_power(n, n - k))
+    normal = chern_line(n, 1) ** (n - k)
+    expected = chern_twist(chern_cotangent(n), n, d) * segre_smooth(normal, h_power(n, n - k))
     assert mu_class(n, d, LinearLocus(k)) == expected
 
 
@@ -824,7 +827,7 @@ def ref_milnor_from_strata_ci(strats, degrees, n):
     strats, degrees = list(strats), list(degrees)
     r = len(strats)
     open_names = [open_stratum(s).name for s in strats]
-    line_totals = [chern_line(n, d).total for d in degrees]
+    line_totals = [chern_line(n, d) for d in degrees]
     acc = zero(n)
     for chosen in itertools.product(*(s.strata for s in strats)):
         eps = [1 if s.name == open_names[i] else 0 for i, s in enumerate(chosen)]
@@ -957,7 +960,7 @@ def test_report_methods_filter():
 def test_a_route_neither_computed_nor_skipped_raises():
     """A row reads every selected route from its one route table, so a
     route missing from the table fails loudly instead of vanishing."""
-    n, c = 2, chern_tangent(2).total
+    n, c = 2, chern_tangent(2)
     routes = dict.fromkeys(ROUTE_ORDER, zero(n)) | {"aluffi": "skipped for the test"}
     row = _build_row("P", "hypersurface", 1, c, c, "supplied", routes, ROUTE_ORDER)
     assert [rv.route for rv in row.milnor] == [r for r in ROUTE_ORDER if r != "aluffi"]
@@ -974,7 +977,7 @@ def test_an_intersection_class_needs_no_or_several_hypersurfaces():
     quadric = CompleteIntersectionSpec(3, (HypersurfaceSpec("Q", 3, 2, Smooth()),))
     with pytest.raises(ValueError, match="single hypersurface"):
         compute_report(quadric, None, make_class(3, [0, 2, 0, 99]))
-    (row,) = compute_report(CompleteIntersectionSpec(3, ()), None, chern_tangent(3).total).varieties
+    (row,) = compute_report(CompleteIntersectionSpec(3, ()), None, chern_tangent(3)).varieties
     assert row.csm_route == "supplied" and row.agree
 
 

@@ -11,12 +11,11 @@ from pathlib import Path
 import pytest
 
 import milnorcalc
-from milnorcalc.bundles import BundleChern
 from milnorcalc.chow import make_class, one
 from milnorcalc.engine import ClassReport, CONVENTIONS, RouteValue, SkippedRoute, VarietyReport
 from milnorcalc.identities import RandomInstance
 from milnorcalc.records import Record, replace
-from milnorcalc.varieties import Smooth, Stratified, Stratum
+from milnorcalc.varieties import Arrangement, HypersurfaceSpec, Smooth, SmoothLocus, Stratified, Stratum, validation_errors
 
 
 class Point(Record):
@@ -65,19 +64,25 @@ def test_field_without_default_after_default_is_refused():
 
 
 def test_post_init_still_validates_bundles():
-    n = 3
-    BundleChern(n, 1, make_class(n, [1, 2, 0, 0]))
-    BundleChern(n, 1, make_class(n, [1, Fraction(1, 2), 0, 0]))  # stored over 2
+    """A smooth singular locus checks its normal bundle's rank and total
+    class when it is built, and again on ``replace``."""
+    n, point = 3, make_class(3, [0, 0, 0, 1])
+    SmoothLocus(point, 1, make_class(n, [1, 2, 0, 0]))
+    SmoothLocus(point, 1, make_class(n, [1, Fraction(1, 2), 0, 0]))  # stored over 2
     with pytest.raises(ValueError, match="rank must be non-negative"):
-        BundleChern(n, -1, one(n))
+        SmoothLocus(point, -1, one(n))
     with pytest.raises(ValueError, match="constant term 1"):
-        BundleChern(n, 1, make_class(n, [2, 0, 0, 0]))
+        SmoothLocus(point, 1, make_class(n, [2, 0, 0, 0]))
     with pytest.raises(ValueError, match="constant term 1"):
-        BundleChern(n, 1, make_class(n, [Fraction(1, 2), 0, 0, 0]))
+        SmoothLocus(point, 1, make_class(n, [Fraction(1, 2), 0, 0, 0]))
     with pytest.raises(ValueError, match="cannot have c_2"):
-        BundleChern(n, 1, make_class(n, [1, 1, 1, 0]))
-    with pytest.raises(ValueError, match="wrong ambient space"):
-        replace(BundleChern(n, 1, one(n)), total=one(n + 1))
+        SmoothLocus(point, 1, make_class(n, [1, 1, 1, 0]))
+    with pytest.raises(ValueError, match="cannot have c_2"):
+        replace(SmoothLocus(point, 3, make_class(n, [1, 1, 1, 0])), normal_rank=1)
+    # the normal class on another ambient space is the input check's to report
+    locus = replace(SmoothLocus(point, 3, one(n)), normal=one(n + 1))
+    spec = HypersurfaceSpec("X", n, 2, Arrangement((1, 1)), locus)
+    assert validation_errors(spec) == ["X.sing_locus.normal: wrong ambient dimension"]
 
 
 def test_post_init_fills_a_derived_default():
