@@ -56,7 +56,8 @@ MUTANTS = [
     ("local-milnor-number-sign", ENGINE, "return _sign(dim_x) * (chi_fiber - 1)",
      "return -_sign(dim_x) * (chi_fiber - 1)"),
     ("tangent-correction-exponent", ENGINE, "line_power(n, 1, -(n + 1) * (r - 1))", "line_power(n, 1, -(n + 1) * r)"),
-    ("gamma-recursion-sign", ENGINE, "mu[s.name] - sum(gamma[name]", "mu[s.name] + sum(gamma[name]"),
+    ("gamma-recursion-sign", ENGINE, "mu[name] - sum(gamma[upper]", "mu[name] + sum(gamma[upper]"),
+    ("containment-without-uppers-sets", VARIETIES, "out |= above[upper]", "pass"),
     ("linear-locus-segre-exponent", ENGINE, "line_power(n, 1, k - n) * h_power(n, n - k)",
      "line_power(n, 1, k - n - 1) * h_power(n, n - k)"),
     ("twisted-cotangent-power", ENGINE, "line_power(n, degree - 1, n + 1)", "line_power(n, degree - 1, n)"),

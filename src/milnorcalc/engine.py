@@ -63,7 +63,7 @@ from .bundles import (
     segre_smooth,
 )
 from .chow import ChowClass, _sign, dot, h_power, line_power, one, zero
-from .records import Record, replace
+from .records import Record
 from .varieties import (
     Arrangement,
     CompleteIntersectionSpec,
@@ -75,9 +75,7 @@ from .varieties import (
     Stratum,
     containment_map,
     open_stratum,
-    strata_topological_order,
     validate,
-    with_csm,
 )
 
 ROUTE_ORDER = ("definition", "thm1", "expansion", "cor11", "aluffi", "pp")
@@ -399,20 +397,32 @@ def local_milnor_number(chi_fiber: int, dim_x: int) -> int:
 
 
 def gamma_weights(strat: Stratification) -> Stratification:
-    """Fill the mu and gamma fields of every stratum.
+    """Validate the stratification, then fill the mu and gamma fields of every stratum.
 
     gamma peels off the contributions of every stratum whose closure
     contains the given one, working from the open stratum downward.
     """
-    order = strata_topological_order(strat)
-    dim_x = order[0].dim
-    above = containment_map(strat)
+    return _filled(validate(strat), None)
+
+
+def _filled(strat: Stratification, csm: ChowClass | None) -> Stratification:
+    """``gamma_weights`` of a valid stratification, not validated again,
+    with ``csm`` as the open stratum's closure class where that is
+    missing.  Each stratum is built once."""
+    above = containment_map(strat)  # the open stratum first, then downward
+    by_name = {s.name: s for s in strat.strata}
+    reg = next(iter(above))
+    dim_x = by_name[reg].dim
     mu: dict[str, int] = {}
     gamma: dict[str, int] = {}
-    for s in order:
-        mu[s.name] = local_milnor_number(s.chi_fiber, dim_x)
-        gamma[s.name] = mu[s.name] - sum(gamma[name] for name in above[s.name])
-    strata = tuple(replace(s, mu=mu[s.name], gamma=gamma[s.name]) for s in strat.strata)
+    for name, uppers in above.items():
+        mu[name] = local_milnor_number(by_name[name].chi_fiber, dim_x)
+        gamma[name] = mu[name] - sum(gamma[upper] for upper in uppers)
+    strata = tuple(
+        Stratum(s.name, s.dim, s.chi_fiber, s.closure_class,
+                csm if s.csm_closure is None and s.name == reg else s.csm_closure, mu[s.name], gamma[s.name])
+        for s in strat.strata
+    )
     return Stratification(strata, strat.closure_order)
 
 
@@ -582,15 +592,10 @@ def _factor_csm(h: HypersurfaceSpec, cfj: ChowClass):
 def _factor_stratification(h: HypersurfaceSpec, csm):
     """Gamma-filled stratification, with the open stratum's closure class
     backfilled from the hypersurface's own SM class when known."""
-    n = h.ambient_dim
     if h.strata is not None:
-        strat = gamma_weights(h.strata)
-        reg = open_stratum(strat)
-        if reg.csm_closure is None and csm is not None:
-            strat = with_csm(strat, reg.name, csm)
-        return strat
+        return _filled(h.strata, csm)  # compute_report validated the spec
     if isinstance(h.singularity, Smooth):
-        return trivial_stratification(n, h.degree, csm)
+        return trivial_stratification(h.ambient_dim, h.degree, csm)
     return None
 
 

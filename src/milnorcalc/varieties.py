@@ -9,10 +9,8 @@ the calculator records it and warns instead of deciding it.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .chow import ChowClass, _from_ints, line_power
-from .records import Record, replace
+from .records import Record
 
 
 class Smooth(Record):
@@ -285,27 +283,29 @@ def open_stratum(strat: Stratification) -> Stratum:
 
 
 def containment_map(strat: Stratification) -> dict[str, frozenset[str]]:
-    """Names of the strata strictly above each stratum.
+    """Names of the strata strictly above each stratum, keyed in
+    ``strata_topological_order``'s order.
 
     Transitive closure of the declared pairs, plus the open stratum
-    above everything else (its closure is the whole variety).
+    above everything else (its closure is the whole variety).  On a
+    valid stratification dimensions strictly decrease along every pair,
+    so in that order a stratum's uppers are closed before it.
     """
-    reg = open_stratum(strat).name
-    direct = {s.name: set() for s in strat.strata}
+    reg, *rest = _by_dimension(strat)
+    uppers = {s.name: [] for s in strat.strata}
     for upper, lower in strat.closure_order:
-        direct[lower].add(upper)
-    for s in strat.strata:
-        if s.name != reg:
-            direct[s.name].add(reg)
+        uppers[lower].append(upper)
+    above = {reg.name: frozenset()}
+    for s in rest:
+        out = {reg.name, *uppers[s.name]}
+        for upper in uppers[s.name]:
+            out |= above[upper]
+        above[s.name] = frozenset(out)
+    return above
 
-    @lru_cache(maxsize=None)
-    def above(name: str) -> frozenset[str]:
-        out = set(direct[name])
-        for parent in direct[name]:
-            out |= above(parent)
-        return frozenset(out)
 
-    return {s.name: above(s.name) for s in strat.strata}
+def _by_dimension(strat: Stratification) -> list[Stratum]:
+    return sorted(strat.strata, key=lambda s: (-s.dim, s.name))
 
 
 def strata_topological_order(strat: Stratification) -> tuple[Stratum, ...]:
@@ -313,15 +313,7 @@ def strata_topological_order(strat: Stratification) -> tuple[Stratum, ...]:
     breaking ties.  This is a linear extension of the closure order
     because dimensions strictly decrease along it."""
     validate(strat)
-    return tuple(sorted(strat.strata, key=lambda s: (-s.dim, s.name)))
-
-
-def with_csm(strat: Stratification, name: str, csm: ChowClass) -> Stratification:
-    """Copy of the stratification with one stratum's closure class filled."""
-    strata = tuple(
-        replace(s, csm_closure=csm) if s.name == name else s for s in strat.strata
-    )
-    return Stratification(strata, strat.closure_order)
+    return tuple(_by_dimension(strat))
 
 
 def csm_linear_subspace(n: int, k: int) -> ChowClass:

@@ -62,7 +62,7 @@ from milnorcalc.cli import (
 )
 from milnorcalc.engine import ROUTE_ORDER, compute_report
 from milnorcalc.identities import check_identities
-from milnorcalc.varieties import Arrangement, ValidationError
+from milnorcalc.varieties import Arrangement, Smooth, Stratification, ValidationError
 
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json"))
 CLI = [sys.executable, "-m", "milnorcalc.cli"]
@@ -636,13 +636,34 @@ def test_a_report_sums_the_expansion_in_closed_form(monkeypatch):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_a_report_validates_its_document_once(fixtures_dir, monkeypatch, name):
     """compute_report validates the whole spec; no factor or intersection
-    class formula validates its part again."""
+    class formula validates its part again, and neither does the fill of a
+    factor's strata.  ``varieties.validate``, which
+    ``strata_topological_order`` calls, is counted too."""
     spec, intersection_csm, routes = load_document(str(fixtures_dir / f"{name}.json"))
     calls = []
     validate = milnorcalc.engine.validate
-    monkeypatch.setattr(milnorcalc.engine, "validate", lambda s: calls.append(s) or validate(s))
+    for module in (milnorcalc.engine, milnorcalc.varieties):
+        monkeypatch.setattr(module, "validate", lambda s: calls.append(s) or validate(s))
     compute_report(spec, None if routes is None else set(routes), intersection_csm)
     assert calls == [spec]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_a_report_fills_each_stratification_once(fixtures_dir, monkeypatch, name):
+    """A factor's mu, gamma and open-stratum SM class go into one copy of
+    its strata: one Stratification per factor with strata, plus the
+    one-stratum stratification of a smooth factor without any."""
+    spec, intersection_csm, routes = load_document(str(fixtures_dir / f"{name}.json"))
+    built = []
+    init = Stratification.__init__
+    monkeypatch.setattr(Stratification, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    compute_report(spec, None if routes is None else set(routes), intersection_csm)
+    expected = [
+        ("reg",) if h.strata is None else tuple(s.name for s in h.strata.strata)
+        for h in spec.hypersurfaces
+        if h.strata is not None or isinstance(h.singularity, Smooth)
+    ]
+    assert [tuple(s.name for s in strat.strata) for strat in built] == expected
 
 
 def _fields(field, path="document"):

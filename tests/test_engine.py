@@ -734,9 +734,11 @@ def test_milnor_from_mu_odd_ambient_dimension():
 def _z1_strata_filled():
     # gamma weights plus the SM class of the open stratum's closure,
     # which is Z1 itself; mixed tuples of the intersection formula use it
-    from milnorcalc.varieties import with_csm
+    from milnorcalc.records import replace
 
-    return with_csm(gamma_weights(Z1.strata), "reg", CSM_Z1)
+    strat = gamma_weights(Z1.strata)
+    strata = tuple(replace(s, csm_closure=CSM_Z1) if s.name == "reg" else s for s in strat.strata)
+    return replace(strat, strata=strata)
 
 
 def test_local_milnor_number():

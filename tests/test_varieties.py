@@ -1,6 +1,7 @@
 import pytest
 
 from milnorcalc.chow import h_power, line_power, make_class
+from milnorcalc.engine import gamma_weights
 from milnorcalc.records import replace
 from milnorcalc.varieties import (
     Arrangement,
@@ -176,6 +177,28 @@ def test_containment_is_transitive_and_open_covers_all():
     assert above["a"] == frozenset({"reg"})
     assert above["b"] == frozenset({"reg", "a"})
     assert open_stratum(strat).name == "reg"
+
+
+def test_containment_closes_covering_relations_transitively():
+    # reg > a > b > c with only the covering pairs declared: c reaches a
+    # through b alone, which the open stratum's implicit pairs cannot hide
+    dim_x = 3
+    chi = lambda mu: 1 + (-1) ** dim_x * mu
+    strat = Stratification(
+        (
+            Stratum("c", 0, chi_fiber=chi(7)),
+            Stratum("reg", 3),
+            Stratum("b", 1, chi_fiber=chi(5)),
+            Stratum("a", 2, chi_fiber=chi(2)),
+        ),
+        closure_order=(("b", "c"), ("a", "b")),
+    )
+    above = containment_map(strat)
+    assert above["c"] == frozenset({"b", "a", "reg"})
+    assert above["b"] == frozenset({"a", "reg"})
+    gamma = {s.name: s.gamma for s in gamma_weights(strat).strata}
+    # gamma_c = mu_c - (gamma_b + gamma_a + gamma_reg) = 7 - (3 + 2 + 0)
+    assert gamma == {"reg": 0, "a": 2, "b": 3, "c": 2}
 
 
 def test_csm_linear_subspace_values():
