@@ -76,6 +76,9 @@ MUTANTS = [
     ("product-weight", ENGINE, "csm_list[-1], -sign)]", "csm_list[-1], sign)]"),
     ("expansion-weight", ENGINE, "(x, y, sign * s * t)", "(x, y, sign * s)"),
     ("telescope-weight", ENGINE, "signs = [_sign(total - d) for d in codims]", "signs = [_sign(d) for d in codims]"),
+    # the intersection's pp shares thm1's evaluation only on thm1's inputs
+    ("pp-shares-thm1-unconditionally", ENGINE, "elif inputs == (cfj_list, csm_list):",
+     'elif isinstance(routes["thm1"], ChowClass):'),
     # a smooth singular locus: its Segre class and the checks of its declaration
     ("segre-multiplies-by-normal", BUNDLES, "return z_class / normal", "return z_class * normal"),
     ("normal-guard-one-degree-late", VARIETIES, "range(self.normal_rank + 1, len(num))",

@@ -266,7 +266,8 @@ def product_rule(classes, n: int) -> ChowClass:
 
 def milnor_product(cfj_list, csm_list, n: int, dim_x: int) -> ChowClass:
     """(-1)^dim(X) (prod c^FJ_i - prod c^SM_i), divided once by c(TP^n)^(r-1):
-    the report's one product-rule kernel, for thm1, expansion, cor11 and pp.
+    the report's one product-rule kernel, for thm1, expansion, cor11 and pp,
+    evaluated once per intersection row when pp's inputs are thm1's.
     One ``dot`` pairs each product but its last factor with that factor,
     weighted by the sign."""
     cfj_list, csm_list = list(cfj_list), list(csm_list)
@@ -477,19 +478,22 @@ def milnor_from_strata_ci(strats, degrees, n: int) -> ChowClass:
     first raises its own ``milnor_from_strata`` error.  Then a missing c_i
     is reported for the first factor whose c_i is read: o_i is read only
     when another factor has a non-open stratum of nonzero gamma, and
-    otherwise cancels from the difference.  A report's intersection row
-    takes the same steps from the m_i its factor rows already hold.
+    otherwise cancels from the difference.  ``_strata_product_inputs``
+    takes these steps and returns (v, c); a report's intersection row
+    calls it on the m_i its factor rows already hold, and takes thm1's
+    class when (v, c) are thm1's inputs (c^FJ_i, c^SM_i).
     """
     strats, degrees = list(strats), list(degrees)
     if len(strats) != len(degrees):
         raise ValueError("need one stratification per degree")
     if not strats:
         raise ValueError("need at least one factor")
-    return _milnor_from_factor_strata(strats, [milnor_from_strata(s, d, n) for s, d in zip(strats, degrees)], n)
+    m_list = [milnor_from_strata(s, d, n) for s, d in zip(strats, degrees)]
+    return milnor_product(*_strata_product_inputs(strats, m_list, n), n, n - len(strats))
 
 
-def _milnor_from_factor_strata(strats, m_list, n: int) -> ChowClass:
-    """The rest of ``milnor_from_strata_ci``, from each m_i or the message of its error."""
+def _strata_product_inputs(strats, m_list, n: int) -> tuple[list, list]:
+    """(v_list, c_list) of ``milnor_from_strata_ci``, from each m_i or the message of its error."""
     failed = next((m for m in m_list if not isinstance(m, ChowClass)), None)
     if failed is not None:
         raise ValueError(failed)
@@ -499,8 +503,7 @@ def _milnor_from_factor_strata(strats, m_list, n: int) -> ChowClass:
         if reg.csm_closure is None and any(weighted[:i] + weighted[i + 1:]):
             raise ValueError(f"stratum {reg.name}: SM class of the closure is missing")
     c_list = [zero(n) if reg.csm_closure is None else reg.csm_closure for reg in opens]
-    v_list = [c + _sign(n - 1) * m for c, m in zip(c_list, m_list)]
-    return milnor_product(v_list, c_list, n, n - len(strats))
+    return [c + _sign(n - 1) * m for c, m in zip(c_list, m_list)], c_list
 
 
 # ---------------------------------------------------------------------------
@@ -658,20 +661,25 @@ def _intersection_report(ci, factors, intersection_csm, selected):
         reason = "no factors" if r == 0 else "transversality not asserted"
         routes.update(dict.fromkeys(PRODUCT_ROUTES, reason))
     else:
-        if all(f.csm is not None for f in factors):
+        cfj_list, csm_list = [f.cfj for f in factors], [f.csm for f in factors]
+        if all(c is not None for c in csm_list):
             # A factor's m_i is its definition value, so the expansion and
             # its telescoped form sum to thm1's class (module docstring).
-            routes["thm1"] = routes["expansion"] = routes["cor11"] = milnor_product(
-                [f.cfj for f in factors], [f.csm for f in factors], n, n - r
-            )
+            routes["thm1"] = routes["expansion"] = routes["cor11"] = milnor_product(cfj_list, csm_list, n, n - r)
         else:
             routes["thm1"] = "a factor is missing its SM class"
             routes["expansion"] = routes["cor11"] = "a factor is missing its Milnor or SM class"
-        routes["pp"] = (
-            _or_reason(_milnor_from_factor_strata, [f.strat for f in factors], [f.routes["pp"] for f in factors], n)
+        inputs = (
+            _or_reason(_strata_product_inputs, [f.strat for f in factors], [f.routes["pp"] for f in factors], n)
             if all(f.strat is not None for f in factors)
             else "a factor is missing its stratification"
         )
+        if isinstance(inputs, str):
+            routes["pp"] = inputs
+        elif inputs == (cfj_list, csm_list):  # the kernel is pure: thm1's inputs give thm1's class
+            routes["pp"] = routes["thm1"]
+        else:
+            routes["pp"] = milnor_product(*inputs, n, n - r)
 
     name = " ∩ ".join(f.spec.name for f in factors) if factors else f"P^{n}"
     return _build_row(name, "intersection", n - r, cfj, csm, csm_route, routes, selected)

@@ -60,7 +60,7 @@ from milnorcalc.cli import (
     report_to_dict,
     report_to_json,
 )
-from milnorcalc.engine import ROUTE_ORDER, compute_report
+from milnorcalc.engine import ROUTE_ORDER, _analyze_factor, compute_report, milnor_from_strata_ci, milnor_product
 from milnorcalc.identities import check_identities
 from milnorcalc.varieties import Arrangement, Smooth, Stratification, ValidationError
 
@@ -1024,18 +1024,37 @@ def normal_crossing_docs(draw, parity):
     return normal_crossing_doc(n, factors)
 
 
+def assert_intersection_product_routes(doc):
+    """An intersection row's thm1 and pp equal the product-rule kernel on
+    each route's own inputs, evaluated afresh: thm1 on the factors' c^FJ
+    and c^SM, pp through ``milnor_from_strata_ci`` on the filled strata."""
+    spec, intersection_csm, _ = parse_document(doc)
+    if len(spec.hypersurfaces) < 2:
+        return
+    row = compute_report(spec, None, intersection_csm).varieties[-1]
+    routes = {rv.route: rv.value for rv in row.milnor}
+    factors = [_analyze_factor(h) for h in spec.hypersurfaces]
+    n, r = spec.ambient_dim, len(factors)
+    assert routes["thm1"] == milnor_product([f.cfj for f in factors], [f.csm for f in factors], n, n - r)
+    assert routes["pp"] == milnor_from_strata_ci([f.strat for f in factors], [f.spec.degree for f in factors], n)
+
+
 @pytest.mark.parametrize("parity", [0, 1], ids=["even-n", "odd-n"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_normal_crossing_family_agrees(parity, data):
     """Every row agrees on at least two routes, and a chiF changed to 1 or 2
-    on any stratum but the open one makes some row disagree."""
+    on any stratum but the open one makes some row disagree.  Either way
+    the intersection's thm1 and pp are the kernel's values on their own
+    inputs, whether or not pp shares thm1's evaluation."""
     doc = data.draw(normal_crossing_docs(parity))
     assert crosscheck_exit(doc) == EXIT_OK
+    assert_intersection_product_routes(doc)
     strata = [s for h in doc["hypersurfaces"] for s in h["strata"][1:]]
     if strata:
         data.draw(st.sampled_from(strata))["chiF"] = data.draw(st.sampled_from([1, 2]))
         assert crosscheck_exit(doc) == EXIT_DISAGREEMENT
+        assert_intersection_product_routes(doc)
 
 
 @pytest.mark.parametrize("parity", [0, 1], ids=["even-n", "odd-n"])

@@ -350,6 +350,50 @@ def test_a_report_computes_each_factors_pp_once(monkeypatch, doc):
     assert report.all_agree
 
 
+def _fixture_doc(name):
+    return json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def _with_moved_chif(doc, step):
+    """A copy of ``doc`` whose first stratified factor has its first
+    non-open chiF moved by ``step``: that factor's ``pp`` then differs
+    from its ``definition``."""
+    doc = json.loads(json.dumps(doc))
+    next(h for h in doc["hypersurfaces"] if h.get("strata", [])[1:])["strata"][1]["chiF"] += step
+    return doc
+
+
+@pytest.mark.parametrize("doc, evaluations", [
+    *[pytest.param(_fixture_doc(name), 1, id=name)
+      for name in ("paper-example", "plane-pairs-p4", "quadric-tangent-plane", "smooth-suite")],
+    pytest.param(normal_crossing_doc(4, [[1, 1], [1, 2], [2]]), 1, id="three-arrangements"),
+    *[pytest.param(_with_moved_chif(_fixture_doc(name), step), 2, id=f"{name}-chiF{step:+d}")
+      for name in ("paper-example", "plane-pairs-p4") for step in (1, -1)],
+    *[pytest.param(_with_moved_chif(normal_crossing_doc(5, [[1, 1, 2], [1, 1]]), step), 2,
+                   id=f"two-arrangements-chiF{step:+d}") for step in (1, -1)],
+])
+def test_an_intersection_row_evaluates_the_product_rule_once_per_input(monkeypatch, doc, evaluations):
+    """The intersection's ``pp`` takes thm1's class when its inputs are
+    thm1's, that is when every factor's ``pp`` equals its ``definition``:
+    one ``milnor_product`` call per report.  A factor whose ``pp`` differs
+    makes a second call, for ``pp`` alone, and the row disagrees."""
+    spec, intersection_csm, _ = parse_document(doc)
+    clear_class_memos()
+    calls = []
+    monkeypatch.setattr(engine, "milnor_product", lambda *args: calls.append(args) or milnor_product(*args))
+    report = compute_report(spec, None, intersection_csm)
+    monkeypatch.undo()
+    assert len(calls) == evaluations
+    *factor_routes, routes = [{rv.route: rv.value for rv in row.milnor} for row in report.varieties]
+    shared = evaluations == 1
+    assert all(f["pp"] == f["definition"] for f in factor_routes) == shared
+    strats = [_analyze_factor(h).strat for h in spec.hypersurfaces]
+    assert routes["pp"] == milnor_from_strata_ci(strats, [h.degree for h in spec.hypersurfaces], spec.ambient_dim)
+    assert (routes["pp"] == routes["thm1"]) == shared
+    if not shared:
+        assert not report.varieties[-1].agree
+
+
 @st.composite
 def ambient_and_degrees(draw):
     """P^n with n = 1..64 and 1..min(8, n) degrees in 1..1000, drawn from
