@@ -30,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ENGINE, CHOW, CLI = "src/milnorcalc/engine.py", "src/milnorcalc/chow.py", "src/milnorcalc/cli.py"
 BUNDLES, VARIETIES = "src/milnorcalc/bundles.py", "src/milnorcalc/varieties.py"
+RECORDS = "src/milnorcalc/records.py"
 TIER1 = ["-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench-out",
                               ".benchmarks", "*.egg-info", "build")
@@ -84,6 +85,13 @@ MUTANTS = [
     ("normal-guard-one-degree-late", VARIETIES, "range(self.normal_rank + 1, len(num))",
      "range(self.normal_rank + 2, len(num))"),
     ("locus-codimension-rank-plus-one", VARIETIES, "if a] != [m] or", "if a] != [m + 1] or"),
+    # the document readers compiled from the field table
+    ("object-reader-skips-unknown-keys", CLI, "if not value.keys() <= allowed:", "if False:"),
+    ("int-reader-excludes-its-lower-bound", CLI, "lo <= value <= hi", "lo < value <= hi"),
+    ("reader-without-given-twice", CLI, '"given twice" if value is _TWICE else f"expected', 'f"expected'),
+    # the record base: slots set by their bound setters, __post_init__ where a class has one
+    ("records-never-post-init", RECORDS, "if self._checked:", "if False:"),
+    ("slot-setters-reversed", RECORDS, "for f in fields), hasattr(", "for f in reversed(fields)), hasattr("),
 ]
 
 

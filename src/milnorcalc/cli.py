@@ -80,22 +80,116 @@ TRANSVERSALITY_WARNING = (
 # ---------------------------------------------------------------------------
 # JSON -> model
 #
-# The document format, declared once and checked in one walk by ``_read``.
-# A field is (type, bound, default, sub, total).  Types: int, in the range
-# ``bound``; NUMBER, an int of at most ``bound`` digits; COEFF, a NUMBER or
-# a string [-]digits[/digits] of at most ``bound`` digits a part; bool; str
-# and list, at most ``bound`` long, ``sub`` the item; dict, ``sub`` its
-# fields; KIND, ``sub`` the fields under each "kind".  A ``total`` (cap, noun,
-# weigh) caps the sum of weigh(item), or the item count, over the document.
-# ``default`` is REQUIRED or an absent field's value; an undeclared key is
-# an error.  ``_parse_*`` check n.
+# The document format, declared once in a table of fields, from which one
+# reader per field is compiled at import.  A field is (type, bound, default,
+# sub, total).  Types: int, in the range ``bound``; NUMBER, an int of at most
+# ``bound`` digits; COEFF, a NUMBER or a string [-]digits[/digits] of at most
+# ``bound`` digits a part; bool; str and list, at most ``bound`` long, ``sub``
+# the item; dict, ``sub`` its fields; KIND, ``sub`` the fields under each
+# "kind".  A ``total`` (cap, noun, weigh) caps the sum of weigh(item), or the
+# item count, over the document.  ``default`` is REQUIRED or an absent
+# field's value; an undeclared key is an error.  ``_parse_*`` check n.
 
 REQUIRED, NUMBER, COEFF, KIND = "required", "number", "coeff", "kind"
 _POWERS = {MAX_DIGITS: 10**MAX_DIGITS, MAX_LOCUS_DIGITS: 10**MAX_LOCUS_DIGITS}
 _RATIONAL = {d: rf"-?[0-9]{{1,{d}}}(/(?!0+$)[0-9]{{1,{d}}})?" for d in _POWERS}  # compiled on first use
-_TYPES = {NUMBER: int, COEFF: int, KIND: dict}
 _EXPECTED = {int: "an integer", NUMBER: "an integer", COEFF: "an integer or a rational string",
              str: "a string", bool: "true or false", list: "a list", dict: "an object", KIND: "an object"}
+_TWICE = object()  # the value of a key that a JSON object gives more than once
+
+
+def _object(pairs: list) -> dict:
+    """A JSON object; each key given twice maps to ``_TWICE``, which the readers reject."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        out.update((key, _TWICE) for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+    return out
+
+
+class _DocumentError(Exception):
+    """A problem at a field path, built key by key as the error leaves the readers."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = list(keys)
+
+
+def _reader(field):
+    """``read(value, totals)``: ``value`` checked against ``field``, defaults filled in, sums in ``totals``."""
+    kind, bound, _, sub, total = field
+
+    def wrong(value):  # the error of a value of another type; a key given twice has none
+        return _DocumentError("given twice" if value is _TWICE else f"expected {_EXPECTED[kind]}")
+    if kind is int:
+        lo, hi = bound
+        def read(value, totals):
+            if type(value) is int and lo <= value <= hi:
+                return value
+            raise wrong(value) if type(value) is not int else _DocumentError(
+                f"must be at least {lo}" if value < lo else f"must be at most {hi}")
+    elif kind is NUMBER or kind is COEFF:
+        power = _POWERS[bound]
+        def read(value, totals):
+            if type(value) is int and -power < value < power:
+                return value
+            if kind is not COEFF or type(value) is not str:
+                raise wrong(value) if type(value) is not int else _DocumentError(f"at most {bound} digits")
+            if re.fullmatch(_RATIONAL[bound], value) is None:
+                raise _DocumentError(f"expected [-]digits[/digits] of at most {bound} digits a part, "
+                                     "with a nonzero denominator")
+            from fractions import Fraction
+            return Fraction(value)
+    elif kind is str or kind is bool:
+        def read(value, totals):
+            if type(value) is kind and (kind is bool or len(value) <= bound and value.isprintable()):
+                return value
+            raise wrong(value) if type(value) is not kind else _DocumentError(
+                f"expected at most {bound} printable characters")  # else printing fails
+    elif kind is list:
+        item, index = _reader(sub), "[{}]" if sub[0] is not int and sub[0] is not str else ""  # else the list's path
+        def read(value, totals):
+            if type(value) is not list or len(value) > bound:
+                raise wrong(value) if type(value) is not list else _DocumentError(f"at most {bound}")
+            out = []
+            try:
+                for v in value:
+                    out.append(item(v, totals))
+            except _DocumentError as exc:
+                exc.keys.append(index.format(len(out)))
+                raise
+            if total is not None:
+                cap, noun, weigh = total
+                totals[noun] = totals.get(noun, 0) + (sum(map(weigh, out)) if weigh else len(out))
+                if totals[noun] > cap:
+                    raise _DocumentError(f"at most {cap} {noun} in all")
+            return out
+    else:  # an object; under KIND a table of members per choice, whose "kind" is the choice
+        tables = {choice: (frozenset([*fields, "kind"] if kind is KIND else fields),
+                           [(name, _reader(f), f[2]) for name, f in fields.items()])
+                  for choice, fields in (sub.items() if kind is KIND else [(None, sub)])}
+        def read(value, totals):
+            if type(value) is not dict:
+                raise wrong(value)
+            choice = value.get("kind") if kind is KIND else None
+            if kind is KIND and (type(choice) is not str or choice not in tables):
+                raise _DocumentError("given twice" if choice is _TWICE else f"expected one of: {', '.join(sub)}",
+                                     ".kind")
+            allowed, members = tables[choice]
+            if not value.keys() <= allowed:
+                name = min(value.keys() - allowed)
+                raise _DocumentError("unknown field", f".{name}" if name.isprintable() and len(name) <= MAX_NAME
+                                     else f".{ascii(name[:MAX_NAME])}")
+            out = {} if choice is None else {"kind": choice}
+            try:
+                for name, read_member, default in members:
+                    if name not in value and default is REQUIRED:
+                        raise _DocumentError("missing")
+                    out[name] = read_member(value[name], totals) if name in value else default
+            except _DocumentError as exc:
+                exc.keys.append(f".{name}")
+                raise
+            return out
+    return read
 
 
 def _f(kind, bound=None, default=REQUIRED, sub=None, total=None):
@@ -143,86 +237,7 @@ _DOCUMENT = _f(dict, sub={
     })}),
     "routes": _f(list, len(ROUTE_ORDER), None, _NAME),
 })
-
-
-_TWICE = object()  # the value of a key that a JSON object gives more than once
-
-
-def _object(pairs: list) -> dict:
-    """A JSON object; each key given twice maps to ``_TWICE``, which ``_read`` rejects."""
-    out = dict(pairs)
-    if len(out) < len(pairs):
-        out.update((key, _TWICE) for key, count in Counter(key for key, _ in pairs).items() if count > 1)
-    return out
-
-
-class _DocumentError(Exception):
-    """A problem at a field path, built key by key as the error leaves the walk."""
-
-    def __init__(self, message: str, *keys: str):
-        super().__init__(message)
-        self.keys = list(keys)
-
-
-def _read(value, field, totals: dict, key=None):
-    """``value`` checked against ``field``, with defaults filled in; ``totals``
-    keeps the sums over the document, ``key`` is a name or index for paths."""
-    kind, bound, _, sub, total = field
-    try:
-        if value is _TWICE:
-            raise _DocumentError("given twice")
-        if kind is COEFF and type(value) is str:
-            if re.fullmatch(_RATIONAL[bound], value) is None:
-                raise _DocumentError(f"expected [-]digits[/digits] of at most {bound} digits a part, "
-                                     "with a nonzero denominator")
-            from fractions import Fraction
-
-            return Fraction(value)
-        if type(value) is not _TYPES.get(kind, kind):
-            raise _DocumentError(f"expected {_EXPECTED[kind]}")
-        if kind is int and not bound[0] <= value <= bound[1]:
-            lo, hi = bound
-            raise _DocumentError(f"must be at least {lo}" if value < lo else f"must be at most {hi}")
-        if (kind is NUMBER or kind is COEFF) and abs(value) >= _POWERS[bound]:
-            raise _DocumentError(f"at most {bound} digits")
-        if kind is str and not (len(value) <= bound and value.isprintable()):  # else printing fails
-            raise _DocumentError(f"expected at most {bound} printable characters")
-        if kind is list:
-            if len(value) > bound:
-                raise _DocumentError(f"at most {bound}")
-            indexed = sub[0] is not int and sub[0] is not str  # else the list's path
-            value = [_read(v, sub, totals, i if indexed else None) for i, v in enumerate(value)]
-            if total is not None:
-                cap, noun, weigh = total
-                totals[noun] = totals.get(noun, 0) + (sum(map(weigh, value)) if weigh else len(value))
-                if totals[noun] > cap:
-                    raise _DocumentError(f"at most {cap} {noun} in all")
-        elif kind is dict or kind is KIND:
-            out = {}
-            if kind is KIND:
-                out["kind"] = choice = value.get("kind")
-                if type(choice) is not str or choice not in sub:
-                    raise _DocumentError("given twice" if choice is _TWICE else f"expected one of: {', '.join(sub)}",
-                                         ".kind")
-                sub = sub[choice]
-            unknown = value.keys() - sub.keys() - out.keys()
-            if unknown:
-                name = min(unknown)
-                raise _DocumentError("unknown field", f".{name}" if name.isprintable() and len(name) <= MAX_NAME
-                                     else f".{ascii(name[:MAX_NAME])}")
-            for name, member in sub.items():
-                if name in value:
-                    out[name] = _read(value[name], member, totals, name)
-                elif member[2] is REQUIRED:
-                    raise _DocumentError("missing", f".{name}")
-                else:
-                    out[name] = member[2]
-            return out
-        return value
-    except _DocumentError as exc:
-        if key is not None:
-            exc.keys.append(f"[{key}]" if type(key) is int else f".{key}")
-        raise
+_read_document = _reader(_DOCUMENT)
 
 
 def _class(coeffs, n: int, path: str) -> ChowClass:
@@ -290,7 +305,7 @@ def parse_document(doc):
     """Turn a JSON document into a validated spec: returns (spec,
     intersection_csm, requested_routes) or raises ValidationError."""
     try:
-        checked = _read(doc, _DOCUMENT, {})
+        checked = _read_document(doc, {})
         n, routes, intersection = checked["ambient"]["dim"], checked["routes"], checked["intersection"]
         if intersection is not None and len(checked["hypersurfaces"]) == 1:
             raise _DocumentError("a single hypersurface has no intersection row", "intersection")

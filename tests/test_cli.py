@@ -1,12 +1,16 @@
 import contextlib
+import copy
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
 import time
+import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -47,7 +51,14 @@ from milnorcalc.cli import (
     MAX_STRATA,
     TRANSVERSALITY_WARNING,
     _DOCUMENT,
+    _EXPECTED,
     _POWERS,
+    _RATIONAL,
+    _TWICE,
+    REQUIRED,
+    _DocumentError,
+    _object,
+    _read_document,
     KIND,
     NUMBER,
     COEFF,
@@ -851,6 +862,147 @@ def test_fuzz_any_json_value(doc):
 @given(doc=mutated_docs())
 def test_fuzz_mutated_normal_crossing_documents(doc):
     assert_front_end_holds(doc)
+
+
+# -- the compiled readers against the reference walk ------------------------------
+
+def ref_read(value, field, totals: dict, key=None):
+    """The one-walk reader that the compiled readers replaced, kept as the
+    reference: ``value`` checked against ``field`` with defaults filled in,
+    re-dispatching on the field's kind at every node."""
+    kind, bound, _, sub, total = field
+    try:
+        if value is _TWICE:
+            raise _DocumentError("given twice")
+        if kind is COEFF and type(value) is str:
+            if re.fullmatch(_RATIONAL[bound], value) is None:
+                raise _DocumentError(f"expected [-]digits[/digits] of at most {bound} digits a part, "
+                                     "with a nonzero denominator")
+            return Fraction(value)
+        if type(value) is not {NUMBER: int, COEFF: int, KIND: dict}.get(kind, kind):
+            raise _DocumentError(f"expected {_EXPECTED[kind]}")
+        if kind is int and not bound[0] <= value <= bound[1]:
+            lo, hi = bound
+            raise _DocumentError(f"must be at least {lo}" if value < lo else f"must be at most {hi}")
+        if (kind is NUMBER or kind is COEFF) and abs(value) >= _POWERS[bound]:
+            raise _DocumentError(f"at most {bound} digits")
+        if kind is str and not (len(value) <= bound and value.isprintable()):
+            raise _DocumentError(f"expected at most {bound} printable characters")
+        if kind is list:
+            if len(value) > bound:
+                raise _DocumentError(f"at most {bound}")
+            indexed = sub[0] is not int and sub[0] is not str
+            value = [ref_read(v, sub, totals, i if indexed else None) for i, v in enumerate(value)]
+            if total is not None:
+                cap, noun, weigh = total
+                totals[noun] = totals.get(noun, 0) + (sum(map(weigh, value)) if weigh else len(value))
+                if totals[noun] > cap:
+                    raise _DocumentError(f"at most {cap} {noun} in all")
+        elif kind is dict or kind is KIND:
+            out = {}
+            if kind is KIND:
+                out["kind"] = choice = value.get("kind")
+                if type(choice) is not str or choice not in sub:
+                    raise _DocumentError("given twice" if choice is _TWICE else f"expected one of: {', '.join(sub)}",
+                                         ".kind")
+                sub = sub[choice]
+            unknown = value.keys() - sub.keys() - out.keys()
+            if unknown:
+                name = min(unknown)
+                raise _DocumentError("unknown field", f".{name}" if name.isprintable() and len(name) <= MAX_NAME
+                                     else f".{ascii(name[:MAX_NAME])}")
+            for name, member in sub.items():
+                if name in value:
+                    out[name] = ref_read(value[name], member, totals, name)
+                elif member[2] is REQUIRED:
+                    raise _DocumentError("missing", f".{name}")
+                else:
+                    out[name] = member[2]
+            return out
+        return value
+    except _DocumentError as exc:
+        if key is not None:
+            exc.keys.append(f"[{key}]" if type(key) is int else f".{key}")
+        raise
+
+
+def _ladder_documents():
+    """Every rung's document of both ladder workloads of the benchmark."""
+    path = ROOT_DIR / "perfbench" / "workloads.py"
+    workloads = types.ModuleType("workloads")
+    workloads.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), workloads.__dict__)
+    ladders = [cls(ROOT_DIR, random.Random(0), False) for cls in (workloads.LadderComponents, workloads.LadderDim)]
+    return [ladder.document(rung)[0] for ladder in ladders for rung in ladder.rungs]
+
+
+ROOT_DIR = Path(milnorcalc.__file__).resolve().parent.parent.parent
+READER_DOCUMENTS = [
+    *(json.loads(path.read_text(), object_pairs_hook=_object) for path in sorted(FIXTURES.glob("*.json"))),
+    normal_crossing_doc(4, [[1, 1, 2], [1, 1]]), normal_crossing_doc(5, [[1, 2, 1]]),
+    join_doc(5, 3, 1), join_doc(4, 2, 0), *_ladder_documents(),
+]
+OTHER_TYPES = [None, True, False, 1.5, "x", [], {}, [1], {"kind": "linear"}, 0, 2]
+OUT_OF_RANGE = [-1, 0, MAX_AMBIENT_DIM + 1, MAX_DEGREE + 1, -(10**6)]
+LONG_INTS = [10**MAX_DIGITS, -(10**MAX_DIGITS), 10**MAX_DIGITS - 1, 10**MAX_LOCUS_DIGITS, 10**900]
+RATIONAL_STRINGS = ["1/0", "1/000", "1e5", "+1", " 1", "1.5", "1/-2", "\u0661", "1/" + "7" * (MAX_DIGITS + 1),
+                    "9" * (MAX_LOCUS_DIGITS + 1), "1/2", "-3"]
+KEYS = ["bogus", "x" * 100, "\n", "é" * (MAX_NAME + 1), "kind", "name", "weight"]
+CAPS = [MAX_HYPERSURFACES + 1, MAX_AMBIENT_DIM + 1, MAX_AMBIENT_DIM + 2, MAX_STRATA + 1, MAX_PARTS + 1,
+        MAX_COMPONENTS + 1, len(ROUTE_ORDER) + 1]
+
+
+def mutate(doc, rng):
+    """A copy of ``doc`` with one or two edits, each at a random place and
+    most of them ones the readers must refuse: a wrong type, a key given
+    twice, an out-of-range int, an int of too many digits, a bad rational
+    string, an unknown or overlong key, a missing key, or a list over its cap."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 2)):
+        places = _locations(doc, [])
+        objects = [doc, *(c[k] for c, k in places if type(c[k]) is dict and c[k])]
+        lists = [(c, k) for c, k in places if type(c[k]) is list and c[k]]
+        container, key = rng.choice(places)
+        edit = rng.choice(["type", "twice", "range", "digits", "rational", "unknown", "missing", "cap"])
+        if edit == "unknown":
+            rng.choice(objects)[rng.choice(KEYS)] = copy.deepcopy(rng.choice(OTHER_TYPES))
+        elif edit == "missing":
+            obj = rng.choice(objects)
+            del obj[rng.choice(sorted(obj))]
+        elif edit == "cap" and lists:
+            container, key = rng.choice(lists)
+            container[key] = (container[key] * MAX_COMPONENTS)[: rng.choice(CAPS)]
+        else:
+            pool = {"type": OTHER_TYPES, "twice": [_TWICE], "range": OUT_OF_RANGE, "digits": LONG_INTS,
+                    "rational": RATIONAL_STRINGS, "cap": OTHER_TYPES}[edit]
+            value = rng.choice(pool)
+            container[key] = value if value is _TWICE else copy.deepcopy(value)
+    return doc
+
+
+def read_outcome(read, doc):
+    """The checked value and the totals, or the error's message and path."""
+    totals = {}
+    try:
+        return "value", repr(read(doc, totals)), totals
+    except _DocumentError as exc:
+        return "error", str(exc), "".join(reversed(exc.keys))
+
+
+def ref_read_document(doc, totals):
+    return ref_read(doc, _DOCUMENT, totals)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compiled_readers_match_the_reference_walk(seed):
+    """On each document and on mutants of it, the readers compiled from the
+    field table give the reference's value, or its first error and path."""
+    rng = random.Random(seed)
+    for doc in READER_DOCUMENTS:
+        assert read_outcome(_read_document, doc) == read_outcome(ref_read_document, doc)
+        for _ in range(100):
+            mutated = mutate(doc, rng)
+            assert read_outcome(_read_document, mutated) == read_outcome(ref_read_document, mutated)
 
 
 # -- the normal-crossing family ------------------------------------------------

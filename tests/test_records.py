@@ -96,6 +96,43 @@ def test_post_init_fills_a_derived_default():
 
     assert Span(1) == Span(1, 2) != Span(1, 3)
     assert replace(Span(1), lo=5).hi == 2  # the filled value is a field like any other
+    assert vars(Span(1)) == {}  # and it lives in its slot
+
+
+def test_fields_live_in_slots():
+    """Each class's own fields are its ``__slots__``; a new record's
+    ``__dict__`` is empty, and a subclass adds slots for its new fields only."""
+    class Labelled(Pair):
+        label: str = "p"
+
+    rv = RouteValue("pp", one(2))
+    assert RouteValue.__slots__ == ("route", "value") and Point.__slots__ == Point._fields
+    assert vars(rv) == {} and vars(Point(1, 2)) == {}
+    assert Labelled.__slots__ == ("label",) and Labelled._fields == ("x", "y", "label")
+    assert vars(Labelled(1, 2)) == {} and Labelled(1, 2, "q").label == "q"
+
+
+def test_post_init_runs_only_where_a_class_has_one(monkeypatch):
+    """Whether a class has a ``__post_init__`` is settled when it is
+    defined: a hook added to the base later is never called."""
+    def refuse(self):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(Record, "__post_init__", refuse, raising=False)
+    assert RouteValue("pp", one(2)).route == "pp" and Pair(1, 2).y == 2
+
+
+def test_cached_property_and_immutability_on_a_report_row():
+    row = VarietyReport("Z", "hypersurface", 1, one(2), None, None,
+                        (RouteValue("pp", one(2)), RouteValue("thm1", one(2))))
+    assert vars(row) == {}
+    assert row.agree is True and vars(row) == {"agree": True}
+    for name in ("name", "agree", "extra"):
+        with pytest.raises(AttributeError, match=f"^VarietyReport is immutable; cannot change '{name}'$"):
+            setattr(row, name, None)
+        with pytest.raises(AttributeError, match=f"^VarietyReport is immutable; cannot change '{name}'$"):
+            delattr(row, name)
+    assert row.name == "Z" and row.agree is True
 
 
 def test_class_report_conventions_are_a_copy_of_the_constant():
@@ -247,6 +284,18 @@ def test_startup_rational_coefficients_keep_their_output(tmp_path):
     assert (half.returncode, half.stdout) == (4, "")
     assert half.stderr == ("error: C: Milnor class (expansion route) has non-integral coefficients, "
                            "the first in codimension 2\n")
+
+
+def test_startup_cli_import_without_site_leaves_out_typing_and_weakref():
+    """Under ``-S``, so that no ``.pth`` file of the interpreter's ``site``
+    imports them first: the records and the document readers use neither
+    ``typing`` nor ``weakref``, ``dataclasses``, ``inspect`` or ``argparse``."""
+    modules = {"typing", "weakref", "dataclasses", "inspect", "argparse"}
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-S", "-c", "import sys, milnorcalc.cli; "
+                           f"print(sorted(set({sorted(modules)!r}) & set(sys.modules)))"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
 
 
 def test_startup_identity_names_resolve_on_first_access():
