@@ -89,6 +89,10 @@ MUTANTS = [
     ("object-reader-skips-unknown-keys", CLI, "if not value.keys() <= allowed:", "if False:"),
     ("int-reader-excludes-its-lower-bound", CLI, "lo <= value <= hi", "lo < value <= hi"),
     ("reader-without-given-twice", CLI, '"given twice" if value is _TWICE else f"expected', 'f"expected'),
+    # compute_report is the one check of a spec: parse_document validates nothing
+    ("report-without-validation", ENGINE, "    validate(ci)\n    unknown =", "    unknown ="),
+    ("intersection-class-on-one-hypersurface", ENGINE,
+     "if intersection_csm is not None and len(ci.hypersurfaces) == 1:", "if False:"),
     # the record base: slots set by their bound setters, __post_init__ where a class has one
     ("records-never-post-init", RECORDS, "if self._checked:", "if False:"),
     ("slot-setters-reversed", RECORDS, "for f in fields), hasattr(", "for f in reversed(fields)), hasattr("),
@@ -143,7 +147,7 @@ def main(argv: list[str]) -> int:
         except LookupError as error:
             killed, detail = False, f"stale: {error}"
         took = time.perf_counter() - began
-        print(f"{'killed' if killed else 'FAIL':<6}  {name:<32} {took:5.1f}s  {detail}", flush=True)
+        print(f"{'killed' if killed else 'FAIL':<6}  {name:<38} {took:5.1f}s  {detail}", flush=True)
         if not killed:
             bad.append(name)
     print(f"{len(bad)} of the mutants not killed{': ' + ', '.join(bad) if bad else ''}"

@@ -47,8 +47,6 @@ def chern_twist(total: ChowClass, rank: int, c1) -> ChowClass:
 
 def segre_smooth(normal: ChowClass, z_class: ChowClass) -> ChowClass:
     """Segre class of a smooth subvariety: its class divided by c(N)."""
-    if normal.ambient_dim != z_class.ambient_dim:
-        raise ValueError("ambient dimensions differ")
     return z_class / normal
 
 

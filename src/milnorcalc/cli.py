@@ -21,7 +21,6 @@ from json.encoder import encode_basestring_ascii
 from .chow import ChowClass, format_class, h_power, make_class
 from .engine import (
     CONVENTIONS,
-    ROUTE_ORDER,
     ClassReport,
     IntegralityError,
     VarietyReport,
@@ -40,7 +39,7 @@ from .varieties import (
     Stratum,
     ValidationError,
     csm_linear_subspace,
-    validate,
+    validate,  # not called here: the benchmark's tracer (perfbench/tracer.py) wraps it where cli looks it up
 )
 from .bundles import fundamental_class_ci
 
@@ -58,7 +57,7 @@ MAX_DEGREE = 1000  # each degree, component degree and ci degree
 MAX_STRATA = 64  # strata per hypersurface, names per contains list
 MAX_CLOSURE_DEGREES = 256  # ci degrees of closures and of combination parts, summed
 MAX_PARTS = 64  # parts of intersection.csm.combination
-MAX_NAME = 64  # characters of a name or a route
+MAX_NAME = 64  # characters of a name
 MAX_DESCRIPTION = 1000  # characters of the document's description
 MAX_DIGITS = 700  # digits of chiF, of a weight and of each part of a coefficient
 MAX_LOCUS_DIGITS = 100  # the same in sing_locus, whose Segre class divides by its normal class
@@ -235,7 +234,6 @@ _DOCUMENT = _f(dict, sub={
         "combination": _f(list, MAX_PARTS, None, _PART, (
             MAX_CLOSURE_DEGREES, "ci closure degrees", lambda part: len(part.get("degrees", ())))),
     })}),
-    "routes": _f(list, len(ROUTE_ORDER), None, _NAME),
 })
 _read_document = _reader(_DOCUMENT)
 
@@ -302,25 +300,18 @@ def _parse_intersection_csm(csm: dict, n: int) -> ChowClass:
 
 
 def parse_document(doc):
-    """Turn a JSON document into a validated spec: returns (spec,
-    intersection_csm, requested_routes) or raises ValidationError."""
+    """(spec, intersection_csm, None): the spec a document declares, its format checked and
+    ``compute_report`` left to validate it; the None is kept for callers that unpack three."""
     try:
         checked = _read_document(doc, {})
-        n, routes, intersection = checked["ambient"]["dim"], checked["routes"], checked["intersection"]
-        if intersection is not None and len(checked["hypersurfaces"]) == 1:
-            raise _DocumentError("a single hypersurface has no intersection row", "intersection")
+        n, intersection = checked["ambient"]["dim"], checked["intersection"]
         hypersurfaces = tuple(
             _parse_hypersurface(h, n, f"hypersurfaces[{i}]") for i, h in enumerate(checked["hypersurfaces"])
         )
         intersection_csm = intersection and _parse_intersection_csm(intersection["csm"], n)
-        unknown = set(routes or ()) - set(ROUTE_ORDER)
-        if unknown:
-            raise _DocumentError(f"unknown routes {sorted(unknown)}", "routes")
     except _DocumentError as exc:
         raise ValidationError([f"{''.join(reversed(exc.keys)).lstrip('.') or 'document'}: {exc}"])
-    spec = CompleteIntersectionSpec(n, hypersurfaces, checked["transversal"])
-    validate(spec)
-    return spec, intersection_csm, routes
+    return CompleteIntersectionSpec(n, hypersurfaces, checked["transversal"]), intersection_csm, None
 
 
 def load_document(path: str):
@@ -440,13 +431,9 @@ def render_crosscheck(report: ClassReport) -> str:
 
 
 def _report(args, crosscheck: bool) -> ClassReport:
-    spec, intersection_csm, requested = load_document(args.input)
+    spec, intersection_csm, _ = load_document(args.input)
     sys.set_int_max_str_digits(0)  # print every number the caps allow; main restores the limit
-    if crosscheck and requested is not None and len(set(requested)) < 2:
-        raise ValidationError(["routes: crosscheck needs at least two distinct routes"])
-    if not crosscheck and args.method != "all":
-        requested = [args.method]
-    return compute_report(spec, None if requested is None else set(requested), intersection_csm)
+    return compute_report(spec, None if crosscheck or args.method == "all" else {args.method}, intersection_csm)
 
 
 def cmd_compute(args) -> tuple[str, str, int]:

@@ -73,6 +73,7 @@ from .varieties import (
     SmoothLocus,
     Stratification,
     Stratum,
+    ValidationError,
     containment_map,
     open_stratum,
     validate,
@@ -233,8 +234,6 @@ def csm_intersection_inclusion_exclusion(ci: CompleteIntersectionSpec) -> ChowCl
 
 def milnor_definition(cfj: ChowClass, csm: ChowClass, dim_x: int) -> ChowClass:
     """(-1)^dim(X) (c^FJ - c^SM)."""
-    if cfj.ambient_dim != csm.ambient_dim:
-        raise ValueError("ambient dimensions differ")
     return _sign(dim_x) * (cfj - csm)
 
 
@@ -688,9 +687,8 @@ def _intersection_report(ci, factors, intersection_csm, selected):
 def _build_row(name, kind, dim, cfj, csm, csm_route, routes, selected):
     """The report row: each selected route read once from ``routes``, as a
     class or a skip reason; a route missing there raises KeyError.  The
-    first non-integral class, in row order, raises IntegralityError."""
-    if not cfj.is_integral():
-        raise IntegralityError(name, "c^FJ", cfj)
+    first non-integral class, in row order, raises IntegralityError (c^FJ,
+    an integer class over a unit of constant term 1, is always integral)."""
     if csm is not None and not csm.is_integral():
         raise IntegralityError(name, f"c^SM ({csm_route} route)", csm)
     values, dropped = [], []
@@ -710,21 +708,20 @@ def compute_report(
     methods=None,
     intersection_csm: ChowClass | None = None,
 ) -> ClassReport:
-    """Run every requested route on every variety in the spec.
-
-    ``methods`` restricts the routes (None means all).  A single
-    hypersurface yields one row; an intersection of r >= 2 adds a row
-    per factor plus one for the intersection itself, whose SM class
-    ``intersection_csm`` supplies (ValueError on a single hypersurface).
-    Any non-integral reported class aborts with IntegralityError.
+    """Run every requested route on every variety in the spec, after the
+    one check of a spec: ``validate(ci)``, then the arguments, each a
+    ValidationError.  ``methods`` restricts the routes (None means all).
+    A single hypersurface yields one row; an intersection of r >= 2 adds
+    a row per factor plus one for the intersection itself, whose SM class
+    ``intersection_csm`` supplies (not on one hypersurface).  Any
+    non-integral reported class aborts with IntegralityError.
     """
     validate(ci)
-    if methods is not None:
-        unknown = set(methods) - set(ROUTE_ORDER)
-        if unknown:
-            raise ValueError(f"unknown routes: {sorted(unknown)}")
+    unknown = set(methods or ()) - set(ROUTE_ORDER)
+    if unknown:
+        raise ValidationError([f"methods: unknown routes {sorted(unknown)}"])
     if intersection_csm is not None and len(ci.hypersurfaces) == 1:
-        raise ValueError("intersection_csm: a single hypersurface has no intersection row")
+        raise ValidationError(["intersection: a single hypersurface has no intersection row"])
     selected = [route for route in ROUTE_ORDER if methods is None or route in methods]
     # Each row is checked once built: a non-integral factor stops the later ones.
     factors, rows = [], []

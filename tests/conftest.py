@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from milnorcalc import bundles, engine
-from milnorcalc.chow import ChowClass, h_power, line_power, make_class
+from milnorcalc.chow import ChowClass, h_power, line_power, make_class, one
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle" / "fixtures.json"
@@ -194,3 +195,119 @@ def join_doc(n: int, d: int, k: int) -> dict:
             ],
         }],
     }
+
+
+def _smooth_model_classes(n: int, model: dict) -> tuple[ChowClass, ChowClass]:
+    """(class, c^SM) of a ``linear``, ``ci`` or ``explicit`` closure in P^n, in
+    closed form: a P^k has (1 + H)^(k+1) H^(n-k), a smooth complete
+    intersection c(TP^n) prod_i d_iH / (1 + d_iH)."""
+    if model["kind"] == "linear":
+        k = model["dim"]
+        return h_power(n, n - k), line_power(n, 1, k + 1) * h_power(n, n - k)
+    if model["kind"] == "ci":
+        degrees = model["degrees"]
+        cls = prod(degrees) * h_power(n, len(degrees))
+        return cls, line_power(n, 1, n + 1) * cls / prod((line_power(n, d, 1) for d in degrees), start=one(n))
+    return make_class(n, model["class"]), make_class(n, model["csm"])
+
+
+def _explicit(cls: ChowClass, csm: ChowClass) -> dict:
+    return {"kind": "explicit", "class": list(cls.integer_coeffs()), "csm": list(csm.integer_coeffs())}
+
+
+def explicit_closures(doc: dict) -> dict:
+    """``doc``, one hypersurface with strata (``normal_crossing_doc`` of one
+    factor, ``isolated_singularities_doc`` or ``join_doc``), in the form that
+    ``cone_doc`` and ``cut_doc`` read and write: a ``stratified``
+    hypersurface without singular locus, the open stratum first, every
+    closure ``explicit`` with full coefficient lists, and ``contains``
+    lists that declare covering relations only.
+
+    An arrangement's open stratum gets the hypersurface's classes: dH and
+    c(TP^n) (1 - prod_i (1 + d_iH)^(-1)) (Aluffi 1999, see
+    ``engine._csm_intersection_of_unions``)."""
+    n = doc["ambient"]["dim"]
+    [h] = doc["hypersurfaces"]
+    reg, *rest = h["strata"]
+    if h["singularity"]["kind"] == "arrangement":
+        lines = prod((line_power(n, d, 1) for d in h["singularity"]["components"]), start=one(n))
+        reg_classes = h["degree"] * h_power(n, 1), line_power(n, 1, n + 1) * (one(n) - one(n) / lines)
+    else:
+        reg_classes = _smooth_model_classes(n, reg["closure"])
+    by_name, below = {s["name"]: s for s in rest}, {}
+
+    def lower(s):  # the names strictly below s; dimensions decrease along ``contains``
+        if s["name"] not in below:
+            below[s["name"]] = set(s.get("contains", ())).union(*(lower(by_name[t]) for t in s.get("contains", ())))
+        return below[s["name"]]
+    strata = [{"name": reg["name"], "dim": reg["dim"], "chiF": 1, "closure": _explicit(*reg_classes), "contains": []}]
+    for s in rest:
+        covered = [t for t in s.get("contains", ()) if not any(t in lower(by_name[u]) for u in s["contains"])]
+        strata.append({"name": s["name"], "dim": s["dim"], "chiF": s["chiF"],
+                       "closure": _explicit(*_smooth_model_classes(n, s["closure"])), "contains": covered})
+    return _stratified(n, h["name"], h["degree"], strata)
+
+
+def _stratified(n: int, name: str, degree: int, strata: list) -> dict:
+    return {
+        "ambient": {"kind": "projective", "dim": n},
+        "hypersurfaces": [{"name": name, "degree": degree, "singularity": {"kind": "stratified"}, "strata": strata}],
+    }
+
+
+def cone_doc(doc: dict) -> dict:
+    """The cone over X in P^(n+1), X of degree d in P^n in ``explicit_closures``
+    form: a hypersurface of degree d.
+
+    Each stratum S becomes the cone over S minus the vertex: dimension + 1,
+    the same chiF (locally S x C), the same closure-class coefficients, and
+    closure c^SM (1 + H) c^SM(S-bar) + [pt] (Aluffi and Marcolli,
+    "Algebro-geometric Feynman rules", 2011).  A new vertex stratum has
+    dimension 0 and chiF d (n + 1 - chi(X)), chi(X) the H^n coefficient of
+    c^SM(X): the Milnor fibre {f = 1} of a homogeneous f is a d-sheeted
+    unramified cover of P^n minus X (e.g. Dimca, "Singularities and Topology
+    of Hypersurfaces", 1992).  The vertex is declared only under the
+    minimal singular strata, so ``contains`` keeps covering relations only.
+    """
+    n = doc["ambient"]["dim"]
+    [h] = doc["hypersurfaces"]
+    reg = h["strata"][0]
+    names = {s["name"] for s in h["strata"]}
+    vertex = next(f"o{i}" for i in itertools.count() if f"o{i}" not in names)
+    chi = make_class(n, reg["closure"]["csm"]).integer_coeffs()[n]
+    point = h_power(n + 1, n + 1)
+    strata = [
+        {"name": s["name"], "dim": s["dim"] + 1, "chiF": s["chiF"],
+         "closure": _explicit(make_class(n + 1, s["closure"]["class"]),
+                              line_power(n + 1, 1, 1) * make_class(n + 1, s["closure"]["csm"]) + point),
+         "contains": s["contains"] or ([] if s is reg else [vertex])}
+        for s in h["strata"]
+    ]
+    strata.append({"name": vertex, "dim": 0, "chiF": h["degree"] * (n + 1 - chi),
+                   "closure": _explicit(point, point), "contains": []})
+    return _stratified(n + 1, h["name"], h["degree"], strata)
+
+
+def cut_doc(doc: dict) -> dict:
+    """X cut by a generic hyperplane H, a hypersurface of degree d in
+    H = P^(n-1), X in ``explicit_closures`` form.
+
+    A generic H misses the point strata.  Each stratum of positive
+    dimension loses one dimension and keeps its chiF (H is transversal to
+    it); its closure class [S-bar] becomes H [S-bar], and its closure c^SM c
+    becomes H c / (1 + H), the Verdier-Riemann-Roch formula for a
+    transversal hyperplane, both read in P^(n-1), where H^(j+1) of P^n is
+    H^j.
+    """
+    n = doc["ambient"]["dim"]
+    [h] = doc["hypersurfaces"]
+    kept = [s for s in h["strata"] if s["dim"] > 0]
+    names = {s["name"] for s in kept}
+    strata = [
+        {"name": s["name"], "dim": s["dim"] - 1, "chiF": s["chiF"],
+         "closure": {"kind": "explicit", "class": s["closure"]["class"][:n],
+                     "csm": list((make_class(n, s["closure"]["csm"]) / line_power(n, 1, 1)).integer_coeffs())[:n]},
+         "contains": [t for t in s["contains"] if t in names]}
+        for s in kept
+    ]
+    return _stratified(n - 1, h["name"], h["degree"], strata)

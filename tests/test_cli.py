@@ -1,7 +1,10 @@
 import contextlib
 import copy
+import functools
 import io
+import itertools
 import json
+import math
 import os
 import random
 import re
@@ -14,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import milnorcalc
@@ -24,6 +27,9 @@ from conftest import (
     JSON_OUTPUT,
     ORACLE,
     clear_class_memos,
+    cone_doc,
+    cut_doc,
+    explicit_closures,
     isolated_singularities_doc,
     join_csm,
     join_doc,
@@ -524,7 +530,7 @@ def distinct_denominators_doc(digits=5):
     "doc, code, message",
     [
         (_with(plane_pair_doc(), lambda d: d.update(routes=[["x"], "pp"])),
-         EXIT_VALIDATION, "error: routes: expected a string"),
+         EXIT_VALIDATION, "error: routes: unknown field"),
         (_with(plane_pair_doc(), lambda d: d["hypersurfaces"][0]["strata"][1].update(dim=1 - 10**4300)),
          EXIT_VALIDATION, "error: hypersurfaces[0].strata[1].dim: must be at least 0"),
         (_with(quadric_doc(), lambda d: d["intersection"]["csm"]["combination"][0].update(weight=-(10**4299))),
@@ -646,16 +652,19 @@ def test_a_report_sums_the_expansion_in_closed_form(monkeypatch):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_a_report_validates_its_document_once(fixtures_dir, monkeypatch, name):
-    """compute_report validates the whole spec; no factor or intersection
-    class formula validates its part again, and neither does the fill of a
-    factor's strata.  ``varieties.validate``, which
-    ``strata_topological_order`` calls, is counted too."""
-    spec, intersection_csm, routes = load_document(str(fixtures_dir / f"{name}.json"))
+    """Reading a document validates nothing; compute_report validates the
+    whole spec, and no factor or intersection class formula validates its
+    part again, nor does the fill of a factor's strata.  The ``validate``
+    of ``cli`` and of ``varieties``, which ``strata_topological_order``
+    calls, are counted too.  Earlier ``parse_document`` validated the spec
+    as well."""
     calls = []
-    validate = milnorcalc.engine.validate
-    for module in (milnorcalc.engine, milnorcalc.varieties):
+    validate = milnorcalc.varieties.validate
+    for module in (milnorcalc.cli, milnorcalc.engine, milnorcalc.varieties):
         monkeypatch.setattr(module, "validate", lambda s: calls.append(s) or validate(s))
-    compute_report(spec, None if routes is None else set(routes), intersection_csm)
+    spec, intersection_csm, _ = load_document(str(fixtures_dir / f"{name}.json"))
+    assert calls == []
+    compute_report(spec, None, intersection_csm)
     assert calls == [spec]
 
 
@@ -664,11 +673,11 @@ def test_a_report_fills_each_stratification_once(fixtures_dir, monkeypatch, name
     """A factor's mu, gamma and open-stratum SM class go into one copy of
     its strata: one Stratification per factor with strata, plus the
     one-stratum stratification of a smooth factor without any."""
-    spec, intersection_csm, routes = load_document(str(fixtures_dir / f"{name}.json"))
+    spec, intersection_csm, _ = load_document(str(fixtures_dir / f"{name}.json"))
     built = []
     init = Stratification.__init__
     monkeypatch.setattr(Stratification, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k))
-    compute_report(spec, None if routes is None else set(routes), intersection_csm)
+    compute_report(spec, None, intersection_csm)
     expected = [
         ("reg",) if h.strata is None else tuple(s.name for s in h.strata.strata)
         for h in spec.hypersurfaces
@@ -727,11 +736,18 @@ def test_coefficient_format(coeff, accepted):
             parse_document(doc)
 
 
+def _check(doc):
+    """A document's whole check in the library: ``parse_document`` reads
+    its format, and ``compute_report`` validates the spec it declares."""
+    spec, intersection_csm, _ = parse_document(doc)
+    return compute_report(spec, None, intersection_csm)
+
+
 def test_empty_strata_reach_validation():
     doc = smooth_doc(3, [2])
     doc["hypersurfaces"][0]["strata"] = []
     with pytest.raises(ValidationError, match=r"^hypersurfaces\[0\]\.strata: need at least one stratum$"):
-        parse_document(doc)
+        _check(doc)
 
 
 @pytest.mark.parametrize(
@@ -787,8 +803,8 @@ def test_a_description_of_bounded_printable_text_is_accepted():
 
 def test_root_paths_have_no_document_prefix():
     doc = plane_pair_doc()
-    doc["routes"] = "pp"
-    with pytest.raises(ValidationError, match=r"^routes: expected a list$"):
+    doc["description"] = 5
+    with pytest.raises(ValidationError, match=r"^description: expected a string$"):
         parse_document(doc)
     with pytest.raises(ValidationError, match=r"^document: expected an object$"):
         parse_document([])
@@ -1165,6 +1181,88 @@ def test_a_join_cut_by_a_hyperplane_is_a_smaller_join(n_parity, c_parity, data):
     assert crosscheck_exit(doc) == EXIT_DISAGREEMENT
 
 
+# -- cones and hyperplane cuts: gamma peeled through chains of strata -------------
+
+CONE_CUT = {"cone": cone_doc, "cut": cut_doc}
+CONE_CUT_BASES = [
+    *(("normal crossings", n, tuple(ds)) for n in range(2, 6)
+      for ds in ([1, 1], [1, 2], [2, 2], [1, 1, 1], [1, 1, 2], [2, 3], [1] * (n + 1), [1] * (n + 2))
+      if 1 + sum(math.comb(len(ds), j) for j in range(2, min(len(ds), n) + 1)) <= MAX_STRATA),
+    *(("isolated points", n, d, mus) for n in range(2, 10) for d in range(2, 5) for mus in ((1,), (2, 1))),
+    *(("join", n, d, k) for n in range(2, 10) for d in range(2, 5) for k in range(n - 1)),
+]
+
+
+def cone_cut_base(kind, n, *params):
+    """A base document in ``explicit_closures`` form."""
+    if kind == "normal crossings":
+        return explicit_closures(normal_crossing_doc(n, [list(params[0])]))
+    if kind == "isolated points":
+        return explicit_closures(isolated_singularities_doc(n, params[0], list(params[1])))
+    return explicit_closures(join_doc(n, *params))
+
+
+@functools.cache
+def cone_cut_cases(parity, last=None):
+    """(base, word) for every base and word of length at most 3 in cone and
+    cut that keeps the ambient space within P^2..P^9 and ends in P^n of the
+    given parity, and, given ``last``, ends with that operation."""
+    cases = []
+    for base in CONE_CUT_BASES:
+        for word in itertools.chain.from_iterable(itertools.product(CONE_CUT, repeat=j) for j in range(4)):
+            dims = list(itertools.accumulate((1 if op == "cone" else -1 for op in word), initial=base[1]))
+            if all(2 <= m <= 9 for m in dims) and dims[-1] % 2 == parity and (last is None or word[-1:] == (last,)):
+                cases.append((base, word))
+    return cases
+
+
+def cone_cut_doc(base, word):
+    return functools.reduce(lambda doc, op: CONE_CUT[op](doc), word, cone_cut_base(*base))
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even-n", "odd-n"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cones_and_cuts_agree(parity, data):
+    """Normal crossings, isolated points and joins, coned and cut up to three
+    times, with every input derived in closed form and ``contains`` lists of
+    covering relations only: ``definition`` (the coned or cut c^SM of X) and
+    ``pp`` (the coned or cut strata, whose chiF other than 0 and 1 gamma
+    peels through chains of strata) agree, and crosscheck agrees."""
+    doc = cone_cut_doc(*data.draw(st.sampled_from(cone_cut_cases(parity))))
+    [routes] = _routes_by_row(doc)
+    assert routes["definition"] == routes["pp"]
+    assert crosscheck_exit(doc) == EXIT_OK
+
+
+def _cone_vertex_chif_plus_one(strata):
+    strata[-1]["chiF"] += 1
+
+
+def _coned_stratum_chif_plus_one(strata):
+    strata[1]["chiF"] += 1
+
+
+def _plus_point_on_the_coned_csm(strata):
+    strata[0]["closure"]["csm"][-1] += 1
+
+
+@pytest.mark.parametrize("perturb", [_cone_vertex_chif_plus_one, _coned_stratum_chif_plus_one,
+                                     _plus_point_on_the_coned_csm],
+                         ids=["vertex-chiF-plus-one", "coned-chiF-plus-one", "csm-plus-point"])
+@pytest.mark.parametrize("parity", [0, 1], ids=["even-n", "odd-n"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_a_perturbed_cone_disagrees(perturb, parity, data):
+    """On a document whose last operation is a cone, each input of the cone
+    formula that one route reads: the new vertex's chiF plus one, a coned
+    singular stratum's chiF plus one, or a second point in c^SM(X)."""
+    doc = cone_cut_doc(*data.draw(st.sampled_from(cone_cut_cases(parity, "cone"))))
+    assume(len(doc["hypersurfaces"][0]["strata"]) > 2)  # a singular stratum besides the vertex
+    perturb(doc["hypersurfaces"][0]["strata"])
+    assert crosscheck_exit(doc) == EXIT_DISAGREEMENT
+
+
 @st.composite
 def normal_crossing_docs(draw, parity):
     """One or two arrangements in P^n, n of the given parity, each of one
@@ -1287,7 +1385,25 @@ def test_a_contradictory_document_exits_2_with_the_field_path(tmp_path, field):
     assert stderr.startswith(f"error: {field}: ")
     assert "Traceback" not in stderr and proc.stdout == b""
     with pytest.raises(ValidationError, match=f"^{re.escape(field)}: "):
-        parse_document(doc)
+        _check(doc)
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda d: None, "intersection: a single hypersurface has no intersection row"),
+    (lambda d: d["hypersurfaces"][0].update(degree=MAX_DEGREE + 1),
+     f"hypersurfaces[0].degree: must be at most {MAX_DEGREE}"),
+    (lambda d: d["hypersurfaces"][0].update(sing_locus={"kind": "linear", "dim": 0}),
+     "hypersurfaces[0].sing_locus: a smooth hypersurface has no singular locus"),
+], ids=["alone", "with-a-format-error", "with-a-broken-invariant"])
+def test_an_intersection_class_on_one_hypersurface_is_checked_after_the_spec(tmp_path, edit, error):
+    """A document is read, then its spec validated, then the intersection
+    class checked against it, so a second error is reported first.  Earlier
+    the intersection class was checked before anything else."""
+    doc = _with(copy.deepcopy(CONTRADICTIONS["intersection"]), edit)
+    proc = run_cli("crosscheck", write_doc(tmp_path, doc))
+    assert (proc.returncode, proc.stdout, proc.stderr.decode("utf-8")) == (EXIT_VALIDATION, b"", f"error: {error}\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(error)}$"):
+        _check(doc)
 
 
 def _fixture_with_locus(name, locus):
@@ -1316,7 +1432,7 @@ def test_a_smooth_locus_must_agree_with_its_normal_rank(tmp_path, capsys, comman
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: hypersurfaces[0].sing_locus.{field}: ")
     with pytest.raises(ValidationError, match=rf"^hypersurfaces\[0\]\.sing_locus\.{re.escape(field)}: "):
-        parse_document(doc)
+        _check(doc)
 
 
 def test_a_smooth_locus_of_the_right_rank_is_its_linear_locus():
@@ -1529,13 +1645,13 @@ def test_rendering_a_report_builds_no_fraction_view(fixtures_dir, name):
     are shared between reports, so the first report starts from empty
     memos, and a second, warm report is rendered too."""
     clear_class_memos()
-    spec, intersection_csm, routes = load_document(str(fixtures_dir / f"{name}.json"))
-    report = compute_report(spec, None if routes is None else set(routes), intersection_csm)
+    spec, intersection_csm, _ = load_document(str(fixtures_dir / f"{name}.json"))
+    report = compute_report(spec, None, intersection_csm)
     for render in (render_crosscheck, render_text, report_to_json):
         render(report)
     classes = [c for v in report.varieties for c in (v.cfj, v.csm, *(rv.value for rv in v.milnor))]
     assert all(c._coeffs is None for c in classes if isinstance(c, ChowClass))
-    warm = compute_report(spec, None if routes is None else set(routes), intersection_csm)
+    warm = compute_report(spec, None, intersection_csm)
     classes = [c for v in warm.varieties for c in (v.cfj, v.csm, *(rv.value for rv in v.milnor))]
     unviewed = [c for c in classes if isinstance(c, ChowClass) and c._coeffs is None]
     for render in (render_crosscheck, render_text, report_to_json):
@@ -1547,8 +1663,8 @@ def test_rendering_a_report_builds_no_fraction_view(fixtures_dir, name):
 def test_text_renderers_format_each_class_object_once(fixtures_dir, monkeypatch, name):
     """Routes and rows share class objects; ``render_text`` and
     ``render_crosscheck`` format each distinct object once."""
-    spec, intersection_csm, routes = load_document(str(fixtures_dir / f"{name}.json"))
-    report = compute_report(spec, None if routes is None else set(routes), intersection_csm)
+    spec, intersection_csm, _ = load_document(str(fixtures_dir / f"{name}.json"))
+    report = compute_report(spec, None, intersection_csm)
     expected = render_text(report), render_crosscheck(report)
     formatted = []
     fmt = milnorcalc.cli.format_class
@@ -1584,6 +1700,21 @@ def test_an_error_message_to_a_closed_stderr_keeps_its_exit_code(tmp_path, doc, 
 
 
 # -- the command line ---------------------------------------------------------
+
+README = FIXTURES.parent / "README.md"
+
+
+def test_the_readme_states_the_method_choices_and_the_exit_codes():
+    """The ``compute`` synopsis offers exactly the routes of ``ROUTE_ORDER``
+    after ``all``, and the "Exit codes" paragraph names exactly the values
+    of the ``EXIT_*`` constants of ``cli``."""
+    text = README.read_text(encoding="utf-8")
+    [choices] = re.findall(r"^milnorcalc compute INPUT\.json \[--method ([^\]]+)\]", text, re.M)
+    assert tuple(choices.split("|")) == ("all",) + ROUTE_ORDER
+    [paragraph] = re.findall(r"^Exit codes: .*?(?=\n\n)", text, re.M | re.S)
+    codes = {value for name, value in vars(milnorcalc.cli).items() if name.startswith("EXIT_")}
+    assert {int(code) for code in re.findall(r"`(\d+)`", paragraph)} == codes == {0, 2, 3, 4, 5, 141}
+
 
 COMPUTE = {"command": "compute", "input": "in.json", "method": "all", "output": "text"}
 CROSSCHECK = {"command": "crosscheck", "input": "in.json", "output": "text"}
@@ -1770,25 +1901,20 @@ def test_crosscheck_detects_wrong_milnor_fibre_data(tmp_path, capsys):
 
 
 def test_a_disagreeing_row_outranks_an_unchecked_one(tmp_path):
-    """C has one route, so its row is UNCHECKED; the intersection row's
-    supplied class is wrong, so it is DISAGREE, and the overall verdict
-    says so."""
-    doc = {
-        "ambient": {"kind": "projective", "dim": 3},
-        "transversal": True,
-        "routes": ["definition", "thm1", "pp"],
-        "hypersurfaces": [
-            {"name": "C", "degree": 2, "singularity": {"kind": "stratified"},
-             "strata": [{"name": "reg", "dim": 2, "chiF": 1},
-                        {"name": "v", "dim": 0, "chiF": 0, "closure": {"kind": "linear", "dim": 0}}]},
-            {"name": "H", "degree": 1, "singularity": {"kind": "smooth"}},
-        ],
-        "intersection": {"csm": {"coeffs": [0, 0, 2, 5]}},
-    }
+    """W, the two planes of ``two-planes-p3`` with a wrong chiF on their
+    axis, is DISAGREE; its intersection with a plane T, not asserted
+    transversal, keeps only the definition route of its supplied class,
+    so it is UNCHECKED; the overall verdict is DISAGREE."""
+    doc = json.loads((FIXTURES / "two-planes-p3.json").read_text())
+    doc["hypersurfaces"][0]["strata"][1]["chiF"] = 2
+    doc["hypersurfaces"].append({"name": "T", "degree": 1, "singularity": {"kind": "smooth"}})
+    doc["transversal"] = False
+    doc["intersection"] = {"csm": {"combination": [{"kind": "linear", "dim": 1, "weight": 2},
+                                                   {"kind": "linear", "dim": 0, "weight": -1}]}}
     proc = run_cli("crosscheck", write_doc(tmp_path, doc))
     out = proc.stdout.decode("utf-8")
     assert proc.returncode == EXIT_DISAGREEMENT
-    assert "C: 1 routes, UNCHECKED\n" in out and "C ∩ H: 2 routes, DISAGREE\n" in out
+    assert re.search(r"^W: \d routes, DISAGREE\n", out, re.M) and "W ∩ T: 1 routes, UNCHECKED\n" in out
     assert out.endswith("\ncrosscheck: DISAGREE\n")
 
 
@@ -1817,32 +1943,36 @@ def test_intersection_pp_reports_missing_strata_data_factor_by_factor(tmp_path):
     assert "regA" not in out
 
 
-@pytest.mark.parametrize("routes", [[], ["definition"], ["pp", "pp"]], ids=["none", "one", "repeated"])
-def test_crosscheck_needs_two_distinct_routes(fixtures_dir, tmp_path, capsys, routes):
-    """With fewer than two routes every row agrees vacuously, so the
-    known DISAGREE case would pass; compute still takes one route."""
-    doc = json.loads((fixtures_dir / "quadric-tangent-plane.json").read_text())
+@pytest.mark.parametrize("command", ["compute", "crosscheck"])
+@pytest.mark.parametrize("name, routes", [
+    ("quadric-tangent-plane", ["thm1", "expansion", "cor11"]),
+    ("two-planes-p3", ["definition", "thm1"]),
+], ids=["product-copies", "one-subtraction"])
+def test_a_document_cannot_choose_its_routes(fixtures_dir, tmp_path, command, name, routes):
+    """A document has no ``routes`` key: ``crosscheck`` runs every route,
+    and ``compute --method`` filters the output.  Earlier the first
+    document printed AGREE and exited 0 on three copies of one product,
+    although the full document disagrees, and the second AGREE on a
+    single subtraction."""
+    doc = json.loads((fixtures_dir / f"{name}.json").read_text())
     doc["routes"] = routes
-    path = write_doc(tmp_path, doc)
-    assert main(["crosscheck", path]) == EXIT_VALIDATION
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error: routes: crosscheck needs at least two distinct routes" in captured.err
-    if routes:
-        assert main(["compute", path]) == EXIT_OK
-        assert "routes AGREE" in capsys.readouterr().out
+    proc = run_cli(command, write_doc(tmp_path, doc))
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stdout == b""
+    assert proc.stderr.decode("utf-8") == "error: routes: unknown field\n"
 
 
 def test_crosscheck_row_with_one_route_is_unchecked(fixtures_dir, tmp_path):
-    """aluffi covers single hypersurfaces only, so the intersection row of
-    the non-transversal fixture keeps definition alone: nothing to compare."""
+    """aluffi covers single hypersurfaces only, and without the assertion of
+    transversality no product route runs, so the intersection row of the
+    quadric and its tangent plane keeps definition alone: nothing to compare."""
     doc = json.loads((fixtures_dir / "quadric-tangent-plane.json").read_text())
-    doc["routes"] = ["definition", "aluffi"]
+    doc["transversal"] = False
     path = write_doc(tmp_path, doc)
     proc = run_cli("crosscheck", path)
     out = proc.stdout.decode("utf-8")
     assert proc.returncode == EXIT_UNCHECKED
-    assert "Q: 2 routes, AGREE\n" in out
+    assert "Q: 6 routes, AGREE\n" in out
     assert "Q ∩ T: 1 routes, UNCHECKED\n" in out
     assert out.endswith("crosscheck: UNCHECKED\n")
     assert "AGREE" not in out.split("Q ∩ T: ")[1]
@@ -1852,20 +1982,19 @@ def test_crosscheck_row_with_one_route_is_unchecked(fixtures_dir, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, routes, verdict, rows",
+    "name, edit, verdict, rows",
     [
-        ("quadric-tangent-plane", ["definition", "aluffi"], "UNCHECKED",
+        ("quadric-tangent-plane", {"transversal": False}, "UNCHECKED",
          {"Q": "AGREE", "T": "AGREE", "Q ∩ T": "UNCHECKED"}),
-        ("quadric-tangent-plane", None, "DISAGREE", {"Q ∩ T": "DISAGREE"}),
-        ("paper-example", None, "AGREE", {"Z1": "AGREE", "Z2": "AGREE", "Z1 ∩ Z2": "AGREE"}),
+        ("quadric-tangent-plane", {}, "DISAGREE", {"Q ∩ T": "DISAGREE"}),
+        ("paper-example", {}, "AGREE", {"Z1": "AGREE", "Z2": "AGREE", "Z1 ∩ Z2": "AGREE"}),
     ],
+    ids=["quadric-tangent-plane-not-transversal", "quadric-tangent-plane", "paper-example"],
 )
-def test_crosscheck_json_carries_the_verdicts(fixtures_dir, tmp_path, name, routes, verdict, rows):
+def test_crosscheck_json_carries_the_verdicts(fixtures_dir, tmp_path, name, edit, verdict, rows):
     """``agree`` only says that no two routes differ; the verdicts say
     whether anything was compared, as the exit code does."""
-    doc = json.loads((fixtures_dir / f"{name}.json").read_text())
-    if routes is not None:
-        doc["routes"] = routes
+    doc = json.loads((fixtures_dir / f"{name}.json").read_text()) | edit
     path = write_doc(tmp_path, doc)
     proc = run_cli("crosscheck", path, "--output", "json")
     data = json.loads(proc.stdout)
@@ -1893,11 +2022,10 @@ def test_default_output_matches_the_oracle(fixtures_dir, name):
 @pytest.mark.parametrize("case", sorted(json.loads(JSON_OUTPUT.read_text(encoding="utf-8"))))
 def test_json_output_matches_the_golden_file(fixtures_dir, tmp_path, case):
     """Compute and crosscheck JSON, byte for byte, with their exit codes, on
-    every fixture and on fixtures whose ``routes`` leave a row UNCHECKED."""
+    every fixture and on fixtures whose ``edit`` of the top-level fields
+    leaves a row UNCHECKED."""
     expected = json.loads(JSON_OUTPUT.read_text(encoding="utf-8"))[case]
-    doc = json.loads((fixtures_dir / f"{expected['fixture']}.json").read_text(encoding="utf-8"))
-    if expected["routes"] is not None:
-        doc["routes"] = expected["routes"]
+    doc = json.loads((fixtures_dir / f"{expected['fixture']}.json").read_text(encoding="utf-8")) | expected["edit"]
     path = write_doc(tmp_path, doc)
     for command in ("compute", "crosscheck"):
         proc = run_cli(command, path, "--output", "json")
@@ -1957,29 +2085,13 @@ def test_identity_output_is_deterministic(capsys):
 # -- document parsing ----------------------------------------------------------
 
 def test_parse_document_builds_valid_spec():
-    spec, intersection_csm, routes = parse_document(plane_pair_doc())
+    spec, intersection_csm, third = parse_document(plane_pair_doc())
     assert spec.ambient_dim == 4
     assert spec.transversality_asserted
     assert intersection_csm is None
-    assert routes is None
+    assert third is None
     report = compute_report(spec)
     assert report.all_agree
-
-
-def test_parse_document_routes_filter(tmp_path, capsys):
-    doc = plane_pair_doc()
-    doc["routes"] = ["definition", "pp"]
-    code = main(["compute", write_doc(tmp_path, doc)])
-    out = capsys.readouterr().out
-    assert code == EXIT_OK
-    assert "thm1" not in out
-
-
-def test_parse_document_rejects_unknown_route():
-    doc = plane_pair_doc()
-    doc["routes"] = ["definition", "bogus"]
-    with pytest.raises(ValidationError, match="unknown routes"):
-        parse_document(doc)
 
 
 def test_parse_document_field_paths_in_errors():

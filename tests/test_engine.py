@@ -54,6 +54,7 @@ from milnorcalc.varieties import (
     Stratification,
     Stratified,
     Stratum,
+    ValidationError,
     csm_linear_subspace,
     open_stratum,
 )
@@ -1019,17 +1020,19 @@ def test_a_route_neither_computed_nor_skipped_raises():
 
 def test_an_intersection_class_needs_no_or_several_hypersurfaces():
     """A single hypersurface has no intersection row to take a supplied
-    intersection class; with no hypersurfaces it is the class of P^n."""
+    intersection class, and the error carries the document's path; with no
+    hypersurfaces it is the class of P^n."""
     quadric = CompleteIntersectionSpec(3, (HypersurfaceSpec("Q", 3, 2, Smooth()),))
-    with pytest.raises(ValueError, match="single hypersurface"):
+    with pytest.raises(ValidationError, match="^intersection: a single hypersurface has no intersection row$"):
         compute_report(quadric, None, make_class(3, [0, 2, 0, 99]))
     (row,) = compute_report(CompleteIntersectionSpec(3, ()), None, chern_tangent(3)).varieties
     assert row.csm_route == "supplied" and row.agree
 
 
 def test_report_rejects_unknown_method():
-    with pytest.raises(ValueError, match="unknown routes"):
+    with pytest.raises(ValidationError, match=r"^methods: unknown routes \['magic'\]$"):
         compute_report(PAPER_CI, methods={"definition", "magic"})
+    assert issubclass(ValidationError, ValueError)
 
 
 def test_report_without_transversality_skips_product_routes():
