@@ -53,7 +53,9 @@ def _aluffi_of_linear_locus('''
 MUTANTS = [
     # sign conventions and exponents of the routes
     ("aluffi-global-sign", ENGINE, "ALUFFI_GLOBAL_SIGN = -1", "ALUFFI_GLOBAL_SIGN = 1"),
-    ("definition-sign", ENGINE, "return _sign(dim_x) * (cfj - csm)", "return _sign(dim_x + 1) * (cfj - csm)"),
+    # (the definition route's sign is the order of its subtraction, one per parity)
+    ("definition-even-subtraction-order", ENGINE, "return cfj - csm if dim_x", "return csm - cfj if dim_x"),
+    ("definition-odd-subtraction-order", ENGINE, "== 0 else csm - cfj", "== 0 else cfj - csm"),
     ("local-milnor-number-sign", ENGINE, "return _sign(dim_x) * (chi_fiber - 1)",
      "return -_sign(dim_x) * (chi_fiber - 1)"),
     ("tangent-correction-exponent", ENGINE, "line_power(n, 1, -(n + 1) * (r - 1))", "line_power(n, 1, -(n + 1) * r)"),
@@ -80,6 +82,11 @@ MUTANTS = [
     # the intersection's pp shares thm1's evaluation only on thm1's inputs
     ("pp-shares-thm1-unconditionally", ENGINE, "elif inputs == (cfj_list, csm_list):",
      'elif isinstance(routes["thm1"], ChowClass):'),
+    # a factor's pp inputs: c_i backfilled from its own c^SM, and whether a gamma is nonzero
+    ("smooth-factor-c-not-backfilled", ENGINE, "(zero(h.ambient_dim), csm, False)",
+     "(zero(h.ambient_dim), zero(h.ambient_dim), False)"),
+    ("nonzero-gamma-flag-inverted", ENGINE, "any(gamma for _, gamma, _ in others)",
+     "not any(gamma for _, gamma, _ in others)"),
     # a smooth singular locus: its Segre class and the checks of its declaration
     ("segre-multiplies-by-normal", BUNDLES, "return z_class / normal", "return z_class * normal"),
     ("normal-guard-one-degree-late", VARIETIES, "range(self.normal_rank + 1, len(num))",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import prod
 
-from .chow import ChowClass, _degree_one_scalar, h_power, line_power
+from .chow import ChowClass, _degree_one_scalar, _from_ints, line_power
 
 
 @lru_cache(maxsize=128)
@@ -57,4 +57,4 @@ def fundamental_class_ci(n: int, degrees) -> ChowClass:
         raise ValueError("hypersurface degrees must be positive")
     if len(degrees) > n:
         raise ValueError(f"{len(degrees)} hypersurfaces do not cut P^{n}")
-    return prod(degrees, start=1) * h_power(n, len(degrees))
+    return _from_ints(n, (0,) * len(degrees) + (prod(degrees, start=1),) + (0,) * (n - len(degrees)))

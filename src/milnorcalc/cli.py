@@ -46,8 +46,9 @@ from .bundles import fundamental_class_ci
 #: Input size caps, one bound for every field of a document (see the
 #: table under "JSON -> model").  Ring products cost O(dim^2) operations
 #: on integers that grow with the degrees; the product rule, run once for
-#: thm1/expansion/cor11 and once for pp, forms about two per hypersurface,
-#: and each distinct component degree and ci closure degree a few more.
+#: thm1/expansion/cor11 and pp (again for pp only when a factor's pp differs
+#: from its definition), forms about two per hypersurface per run, and
+#: each distinct component degree and ci closure degree a few more.
 #: At these caps the slowest documents found (P^64, 8 hypersurfaces) run
 #: in under 1 s as a process.
 MAX_AMBIENT_DIM = 64  # ambient.dim; every dim, rank, ci degree count and class length

@@ -19,8 +19,9 @@ agree after pushforward:
   ``milnor_expansion`` and ``milnor_telescope`` form each term on its own
   and sum all in one ``chow.dot`` accumulator, with the term's sign as its
   integer weight, so no class is negated; ``milnor_product`` takes its
-  difference the same way.  ``identities`` checks them against the
-  product rule.
+  difference the same way, and every other sign of a report is a ``dot``
+  weight or the order of a subtraction.  ``identities`` checks them
+  against the product rule.
 * ``aluffi``      from the mu-class of the singular locus (single
   hypersurfaces only).
 * ``pp``          from per-stratum Milnor-fibre data.
@@ -63,7 +64,7 @@ from .bundles import (
     segre_smooth,
 )
 from .chow import ChowClass, _sign, dot, h_power, line_power, one, zero
-from .records import Record
+from .records import Record, replace
 from .varieties import (
     Arrangement,
     CompleteIntersectionSpec,
@@ -233,8 +234,8 @@ def csm_intersection_inclusion_exclusion(ci: CompleteIntersectionSpec) -> ChowCl
 
 
 def milnor_definition(cfj: ChowClass, csm: ChowClass, dim_x: int) -> ChowClass:
-    """(-1)^dim(X) (c^FJ - c^SM)."""
-    return _sign(dim_x) * (cfj - csm)
+    """(-1)^dim(X) (c^FJ - c^SM): the sign is the order of the subtraction."""
+    return cfj - csm if dim_x % 2 == 0 else csm - cfj
 
 
 @lru_cache(maxsize=64)
@@ -369,10 +370,10 @@ def milnor_from_mu(mu: ChowClass, degree: int, n: int) -> ChowClass:
 
     sign * (1+dH)^(n-1) * (mu dualised, then twisted by O(d)), with the
     regrading done by ambient codimension and the overall sign being
-    ALUFFI_GLOBAL_SIGN * (-1)^(n-1).
+    ALUFFI_GLOBAL_SIGN * (-1)^(n-1), the weight of one ``dot`` pair.
     """
-    value = line_power(n, degree, n - 1) * mu.dual().tensor_line(degree)
-    return (ALUFFI_GLOBAL_SIGN * _sign(n - 1)) * value
+    pair = (line_power(n, degree, n - 1), mu.dual().tensor_line(degree), ALUFFI_GLOBAL_SIGN * _sign(n - 1))
+    return dot([pair], n)
 
 
 @lru_cache(maxsize=1024)
@@ -396,53 +397,58 @@ def local_milnor_number(chi_fiber: int, dim_x: int) -> int:
     return _sign(dim_x) * (chi_fiber - 1)
 
 
-def gamma_weights(strat: Stratification) -> Stratification:
-    """Validate the stratification, then fill the mu and gamma fields of every stratum.
-
-    gamma peels off the contributions of every stratum whose closure
-    contains the given one, working from the open stratum downward.
-    """
-    return _filled(validate(strat), None)
-
-
-def _filled(strat: Stratification, csm: ChowClass | None) -> Stratification:
-    """``gamma_weights`` of a valid stratification, not validated again,
-    with ``csm`` as the open stratum's closure class where that is
-    missing.  Each stratum is built once."""
-    above = containment_map(strat)  # the open stratum first, then downward
+def _gammas(strat: Stratification) -> tuple[dict[str, int], dict[str, int]]:
+    """mu and gamma of every stratum of a valid stratification, by name, the
+    open stratum first.  gamma peels off the contributions of every stratum
+    whose closure contains the given one, working from the open stratum
+    downward."""
+    above = containment_map(strat)
     by_name = {s.name: s for s in strat.strata}
-    reg = next(iter(above))
-    dim_x = by_name[reg].dim
+    dim_x = by_name[next(iter(above))].dim
     mu: dict[str, int] = {}
     gamma: dict[str, int] = {}
     for name, uppers in above.items():
         mu[name] = local_milnor_number(by_name[name].chi_fiber, dim_x)
         gamma[name] = mu[name] - sum(gamma[upper] for upper in uppers)
-    strata = tuple(
-        Stratum(s.name, s.dim, s.chi_fiber, s.closure_class,
-                csm if s.csm_closure is None and s.name == reg else s.csm_closure, mu[s.name], gamma[s.name])
-        for s in strat.strata
-    )
-    return Stratification(strata, strat.closure_order)
+    return mu, gamma
+
+
+def gamma_weights(strat: Stratification) -> Stratification:
+    """Validate the stratification, then fill the mu and gamma fields of every stratum."""
+    mu, gamma = _gammas(validate(strat))
+    return Stratification(tuple(replace(s, mu=mu[s.name], gamma=gamma[s.name]) for s in strat.strata),
+                          strat.closure_order)
+
+
+def _non_open(strat: Stratification, gamma=None):
+    """The open stratum, and (name, gamma, SM class of the closure) of every
+    other stratum in order: gamma from the ``gamma`` dict, else its field."""
+    reg = open_stratum(strat)
+    return reg, [(s.name, s.gamma if gamma is None else gamma[s.name], s.csm_closure)
+                 for s in strat.strata if s is not reg]
+
+
+def _gamma_sum(others, degree: int, n: int) -> ChowClass:
+    """sum gamma_s c^SM(closure of s) / c(O(d)) over the (name, gamma, class)
+    of ``_non_open``, each gamma a ``dot`` weight; the first stratum without
+    gamma, or with a nonzero gamma and no class, raises."""
+    pairs, unit = [], one(n)
+    for name, gamma, csm in others:
+        if gamma is None:
+            raise ValueError(f"stratum {name}: gamma not computed yet")
+        if gamma == 0:
+            continue
+        if csm is None:
+            raise ValueError(f"stratum {name}: SM class of the closure is missing")
+        pairs.append((unit, csm, gamma))
+    return dot(pairs, n) / line_power(n, degree, 1) if pairs else zero(n)
 
 
 def milnor_from_strata(strat: Stratification, degree: int, n: int) -> ChowClass:
     """Milnor class of a hypersurface as a gamma-weighted sum of
     c(O(d))^(-1) times the SM classes of the stratum closures.  The open
     stratum, where gamma is 0, is left out."""
-    reg = open_stratum(strat)
-    acc = zero(n)
-    for s in strat.strata:
-        if s is reg:
-            continue
-        if s.gamma is None:
-            raise ValueError(f"stratum {s.name}: gamma not computed yet")
-        if s.gamma == 0:
-            continue
-        if s.csm_closure is None:
-            raise ValueError(f"stratum {s.name}: SM class of the closure is missing")
-        acc += s.gamma * s.csm_closure
-    return acc if acc.is_zero() else acc / line_power(n, degree, 1)
+    return _gamma_sum(_non_open(strat)[1], degree, n)
 
 
 def trivial_stratification(n: int, degree: int, csm: ChowClass) -> Stratification:
@@ -477,32 +483,46 @@ def milnor_from_strata_ci(strats, degrees, n: int) -> ChowClass:
     first raises its own ``milnor_from_strata`` error.  Then a missing c_i
     is reported for the first factor whose c_i is read: o_i is read only
     when another factor has a non-open stratum of nonzero gamma, and
-    otherwise cancels from the difference.  ``_strata_product_inputs``
-    takes these steps and returns (v, c); a report's intersection row
-    calls it on the m_i its factor rows already hold, and takes thm1's
-    class when (v, c) are thm1's inputs (c^FJ_i, c^SM_i).
+    otherwise cancels from the difference.  ``_strata_inputs`` gives each
+    factor's (m_i, c_i, whether a non-open gamma is nonzero), here from the
+    filled strata and in a report from the gammas of ``_pp_inputs``, and
+    ``_strata_product_inputs`` turns them into (v, c); a report takes
+    thm1's class when (v, c) are thm1's inputs (c^FJ_i, c^SM_i).
     """
     strats, degrees = list(strats), list(degrees)
     if len(strats) != len(degrees):
         raise ValueError("need one stratification per degree")
     if not strats:
         raise ValueError("need at least one factor")
-    m_list = [milnor_from_strata(s, d, n) for s, d in zip(strats, degrees)]
-    return milnor_product(*_strata_product_inputs(strats, m_list, n), n, n - len(strats))
+    inputs = [_strata_inputs(*_non_open(s), None, d, n) for s, d in zip(strats, degrees)]
+    return milnor_product(*_strata_product_inputs(inputs, n), n, n - len(strats))
 
 
-def _strata_product_inputs(strats, m_list, n: int) -> tuple[list, list]:
-    """(v_list, c_list) of ``milnor_from_strata_ci``, from each m_i or the message of its error."""
-    failed = next((m for m in m_list if not isinstance(m, ChowClass)), None)
+def _strata_inputs(reg: Stratum, others, csm, degree: int, n: int) -> tuple:
+    """(m, c, weighted) of one factor from ``_non_open``'s output: m its
+    ``milnor_from_strata`` class, or the message of its error; c the SM
+    class of the open stratum's closure, else ``csm``, else the message
+    that it is missing; weighted whether some other stratum has nonzero gamma."""
+    c = csm if reg.csm_closure is None else reg.csm_closure
+    return (
+        _or_reason(_gamma_sum, others, degree, n),
+        f"stratum {reg.name}: SM class of the closure is missing" if c is None else c,
+        any(gamma for _, gamma, _ in others),
+    )
+
+
+def _strata_product_inputs(inputs, n: int) -> tuple[list, list]:
+    """(v_list, c_list) of ``milnor_from_strata_ci`` from each factor's
+    (m, c, weighted); v_i is c_i + m_i or c_i - m_i by the parity of n."""
+    failed = next((m for m, _, _ in inputs if not isinstance(m, ChowClass)), None)
     if failed is not None:
         raise ValueError(failed)
-    opens = [open_stratum(s) for s in strats]
-    weighted = [any(s is not reg and s.gamma for s in strat.strata) for strat, reg in zip(strats, opens)]
-    for i, reg in enumerate(opens):
-        if reg.csm_closure is None and any(weighted[:i] + weighted[i + 1:]):
-            raise ValueError(f"stratum {reg.name}: SM class of the closure is missing")
-    c_list = [zero(n) if reg.csm_closure is None else reg.csm_closure for reg in opens]
-    return [c + _sign(n - 1) * m for c, m in zip(c_list, m_list)], c_list
+    weighted = [w for _, _, w in inputs]
+    for i, (_, c, _) in enumerate(inputs):
+        if not isinstance(c, ChowClass) and any(weighted[:i] + weighted[i + 1:]):
+            raise ValueError(c)
+    c_list = [c if isinstance(c, ChowClass) else zero(n) for _, c, _ in inputs]
+    return [c + m if n % 2 else c - m for c, (m, _, _) in zip(c_list, inputs)], c_list
 
 
 # ---------------------------------------------------------------------------
@@ -569,20 +589,21 @@ class ClassReport(Record):
 
 
 class _Factor(Record):
-    """A hypersurface with its classes, its gamma-filled stratification and
-    ``routes``: each route's Milnor class, or the reason it was skipped."""
+    """A hypersurface with its classes, ``routes``: each route's Milnor
+    class or the reason it was skipped, and ``pp``: its ``_pp_inputs``."""
     spec: HypersurfaceSpec
     cfj: ChowClass
     csm: ChowClass | None
     csm_route: str | None
     routes: dict
-    strat: Stratification | None
+    pp: tuple | None
 
 
 def _factor_csm(h: HypersurfaceSpec, cfj: ChowClass):
-    if isinstance(h.singularity, Smooth):
+    kind = type(h.singularity)
+    if kind is Smooth:
         return cfj, "smooth model"
-    if isinstance(h.singularity, Arrangement):
+    if kind is Arrangement:
         pieces = [h.singularity.component_degrees]
         return _csm_intersection_of_unions(h.ambient_dim, pieces), "inclusion-exclusion"
     supplied = open_stratum(h.strata).csm_closure
@@ -591,14 +612,14 @@ def _factor_csm(h: HypersurfaceSpec, cfj: ChowClass):
     return None, None
 
 
-def _factor_stratification(h: HypersurfaceSpec, csm):
-    """Gamma-filled stratification, with the open stratum's closure class
-    backfilled from the hypersurface's own SM class when known."""
-    if h.strata is not None:
-        return _filled(h.strata, csm)  # compute_report validated the spec
-    if isinstance(h.singularity, Smooth):
-        return trivial_stratification(h.ambient_dim, h.degree, csm)
-    return None
+def _pp_inputs(h: HypersurfaceSpec, csm):
+    """The factor's ``_strata_inputs`` (m, c, weighted), its gammas walked
+    into a dict and c backfilled from its own SM class ``csm``: no strata
+    record is built.  A smooth factor without strata gives (0, csm, False),
+    any other None."""
+    if h.strata is not None:  # compute_report validated the spec
+        return _strata_inputs(*_non_open(h.strata, _gammas(h.strata)[1]), csm, h.degree, h.ambient_dim)
+    return (zero(h.ambient_dim), csm, False) if type(h.singularity) is Smooth else None
 
 
 def _or_reason(route, *args):
@@ -613,30 +634,28 @@ def _analyze_factor(h: HypersurfaceSpec) -> _Factor:
     n = h.ambient_dim
     cfj = _cfj(n, [h.degree])
     csm, csm_route = _factor_csm(h, cfj)
-    strat = _factor_stratification(h, csm)
+    pp = _pp_inputs(h, csm)
     routes: dict = {}
     if csm is not None:
         # with one factor the product rule is the definition
         routes["definition"] = routes["thm1"] = milnor_definition(cfj, csm, n - 1)
     else:
         routes["definition"] = routes["thm1"] = "no SM class without arrangement or supplied data"
-    if isinstance(h.sing_locus, LinearLocus):
+    if type(h.sing_locus) is LinearLocus:
         routes["aluffi"] = _aluffi_of_linear_locus(n, h.degree, h.sing_locus.dim)
     elif h.sing_locus is not None:
         routes["aluffi"] = milnor_from_mu(mu_class(n, h.degree, h.sing_locus), h.degree, n)
-    elif isinstance(h.singularity, Smooth):  # validation rejects a locus on a smooth one
+    elif type(h.singularity) is Smooth:  # validation rejects a locus on a smooth one
         routes["aluffi"] = zero(n)
     else:
         routes["aluffi"] = "no singular-locus descriptor"
-    routes["pp"] = (
-        "no stratification" if strat is None else _or_reason(milnor_from_strata, strat, h.degree, n)
-    )
+    routes["pp"] = "no stratification" if pp is None else pp[0]
     # A one-term expansion or telescoped sum is its term: the reference.
     routes["expansion"] = routes["cor11"] = next(
         (routes[route] for route in ("definition", "pp", "aluffi") if isinstance(routes[route], ChowClass)),
         "no Milnor class available for the factor",
     )
-    return _Factor(h, cfj, csm, csm_route, routes, strat)
+    return _Factor(h, cfj, csm, csm_route, routes, pp)
 
 
 def _intersection_report(ci, factors, intersection_csm, selected):
@@ -669,8 +688,8 @@ def _intersection_report(ci, factors, intersection_csm, selected):
             routes["thm1"] = "a factor is missing its SM class"
             routes["expansion"] = routes["cor11"] = "a factor is missing its Milnor or SM class"
         inputs = (
-            _or_reason(_strata_product_inputs, [f.strat for f in factors], [f.routes["pp"] for f in factors], n)
-            if all(f.strat is not None for f in factors)
+            _or_reason(_strata_product_inputs, [f.pp for f in factors], n)
+            if all(f.pp is not None for f in factors)
             else "a factor is missing its stratification"
         )
         if isinstance(inputs, str):

@@ -158,8 +158,10 @@ def _hypersurface_errors(h: HypersurfaceSpec, path: str) -> list[str]:
         return errors
     if h.degree < 1:
         errors.append(f"{path}.degree: must be positive")
-    sing = h.singularity
-    if isinstance(sing, Arrangement):
+    # records are never subclassed: ``type(x) is`` is half an isinstance miss's cost
+    sing, locus = h.singularity, h.sing_locus
+    kind, locus_kind = type(sing), type(locus)
+    if kind is Arrangement:
         degs = sing.component_degrees
         if not degs:
             errors.append(f"{path}.singularity.components: need at least one")
@@ -170,27 +172,26 @@ def _hypersurface_errors(h: HypersurfaceSpec, path: str) -> list[str]:
                 f"{path}.singularity.components: degrees sum to {sum(degs)}, "
                 f"not the total degree {h.degree}"
             )
-    elif isinstance(sing, Stratified):
+    elif kind is Stratified:
         if h.strata is None:
             errors.append(f"{path}.strata: required for stratified singularities")
-    elif not isinstance(sing, Smooth):
-        errors.append(f"{path}.singularity: unknown kind {type(sing).__name__}")
-    if isinstance(sing, Smooth) and h.strata is not None and len(h.strata.strata) > 1:
+    elif kind is not Smooth:
+        errors.append(f"{path}.singularity: unknown kind {kind.__name__}")
+    if kind is Smooth and h.strata is not None and len(h.strata.strata) > 1:
         errors.append(f"{path}.strata: a smooth hypersurface has only its open stratum")
-    if isinstance(sing, Smooth) and h.sing_locus is not None:
+    if kind is Smooth and locus is not None:
         errors.append(f"{path}.sing_locus: a smooth hypersurface has no singular locus")
-    if isinstance(sing, (Smooth, Arrangement)) and h.strata is not None and h.strata.strata:
+    if (kind is Smooth or kind is Arrangement) and h.strata is not None and h.strata.strata:
         reg = open_stratum(h.strata)
         if reg.closure_class is not None or reg.csm_closure is not None:
             errors.append(f"{path}.strata.{reg.name}.closure: the open stratum's closure is the "
                           "hypersurface, whose classes are derived")
-    locus = h.sing_locus
-    if isinstance(locus, LinearLocus) and not 0 <= locus.dim <= n - 2:
+    if locus_kind is LinearLocus and not 0 <= locus.dim <= n - 2:
         errors.append(
             f"{path}.sing_locus.dim: must lie in [0, {n - 2}] for a reduced "
             f"hypersurface of P^{n}"
         )
-    if isinstance(locus, SmoothLocus):
+    if locus_kind is SmoothLocus:
         m, num = locus.normal_rank, locus.locus_class._num
         if locus.locus_class.ambient_dim != n:
             errors.append(f"{path}.sing_locus.class: wrong ambient dimension")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from milnorcalc import bundles, engine
 from milnorcalc.chow import ChowClass, h_power, line_power, make_class, one
+from milnorcalc.records import replace
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle" / "fixtures.json"
@@ -23,6 +24,21 @@ def clear_class_memos():
     for memo in (bundles.chern_tangent, engine._cfj_of_sorted, engine._csm_of_sorted_unions,
                  engine._tangent_correction, engine._aluffi_of_linear_locus):
         memo.cache_clear()
+
+
+def public_strata(h, csm):
+    """The filled stratification that a report's ``pp`` for the factor ``h``
+    equals, built by the public functions: ``gamma_weights`` of its strata
+    with the open stratum's missing closure SM class set to the factor's
+    c^SM ``csm``, or the ``trivial_stratification`` of a smooth factor
+    without strata."""
+    if h.strata is None:
+        return engine.trivial_stratification(h.ambient_dim, h.degree, csm)
+    strat = engine.gamma_weights(h.strata)
+    reg = engine.open_stratum(strat)
+    backfilled = replace(reg, csm_closure=csm) if reg.csm_closure is None else reg
+    return replace(strat, strata=tuple(backfilled if s is reg else s for s in strat.strata))
+
 
 coefficients = st.one_of(
     st.integers(-9, 9),

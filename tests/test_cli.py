@@ -34,6 +34,7 @@ from conftest import (
     join_csm,
     join_doc,
     normal_crossing_doc,
+    public_strata,
 )
 from milnorcalc.chow import ChowClass, h_power, line_power, make_class
 from milnorcalc.cli import (
@@ -77,9 +78,18 @@ from milnorcalc.cli import (
     report_to_dict,
     report_to_json,
 )
-from milnorcalc.engine import ROUTE_ORDER, _analyze_factor, compute_report, milnor_from_strata_ci, milnor_product
+from milnorcalc.engine import (
+    ROUTE_ORDER,
+    _analyze_factor,
+    compute_report,
+    gamma_weights,
+    milnor_from_strata,
+    milnor_from_strata_ci,
+    milnor_product,
+    trivial_stratification,
+)
 from milnorcalc.identities import check_identities
-from milnorcalc.varieties import Arrangement, Smooth, Stratification, ValidationError
+from milnorcalc.varieties import Arrangement, Stratification, Stratum, ValidationError
 
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json"))
 CLI = [sys.executable, "-m", "milnorcalc.cli"]
@@ -654,7 +664,7 @@ def test_a_report_sums_the_expansion_in_closed_form(monkeypatch):
 def test_a_report_validates_its_document_once(fixtures_dir, monkeypatch, name):
     """Reading a document validates nothing; compute_report validates the
     whole spec, and no factor or intersection class formula validates its
-    part again, nor does the fill of a factor's strata.  The ``validate``
+    part again, nor does the gamma walk of a factor's strata.  The ``validate``
     of ``cli`` and of ``varieties``, which ``strata_topological_order``
     calls, are counted too.  Earlier ``parse_document`` validated the spec
     as well."""
@@ -669,21 +679,35 @@ def test_a_report_validates_its_document_once(fixtures_dir, monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_a_report_fills_each_stratification_once(fixtures_dir, monkeypatch, name):
-    """A factor's mu, gamma and open-stratum SM class go into one copy of
-    its strata: one Stratification per factor with strata, plus the
-    one-stratum stratification of a smooth factor without any."""
+def test_a_report_builds_no_strata_records(fixtures_dir, monkeypatch, name):
+    """A factor's gammas go into a dict and its open stratum's SM class
+    into its ``pp`` inputs: a report builds no Stratum or Stratification
+    beyond the parsed spec's, not even the one-stratum stratification of a
+    smooth factor.  Earlier each factor with strata, or smooth, got one
+    filled copy."""
     spec, intersection_csm, _ = load_document(str(fixtures_dir / f"{name}.json"))
     built = []
-    init = Stratification.__init__
-    monkeypatch.setattr(Stratification, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    for record in (Stratum, Stratification):
+        init = record.__init__
+        monkeypatch.setattr(record, "__init__", lambda self, *a, init=init, **k: built.append(self) or init(self, *a, **k))
     compute_report(spec, None, intersection_csm)
-    expected = [
-        ("reg",) if h.strata is None else tuple(s.name for s in h.strata.strata)
-        for h in spec.hypersurfaces
-        if h.strata is not None or isinstance(h.singularity, Smooth)
-    ]
-    assert [tuple(s.name for s in strat.strata) for strat in built] == expected
+    assert built == []
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_a_report_multiplies_no_class_by_a_sign(fixtures_dir, monkeypatch, name):
+    """Every sign in a report is the order of a subtraction or a ``dot``
+    weight: on cold memos and again on warm ones, ``compute_report`` calls
+    ``ChowClass.scale`` by neither 1 nor -1.  Earlier the definition route,
+    each gamma-weighted sum and v_i of ``pp``, the aluffi route and the
+    class [X] of a degree-1 factor did."""
+    spec, intersection_csm, _ = load_document(str(fixtures_dir / f"{name}.json"))
+    clear_class_memos()
+    scalars, scale = [], ChowClass.scale
+    monkeypatch.setattr(ChowClass, "scale", lambda c, q: scalars.append(q) or scale(c, q))
+    for _ in range(2):
+        compute_report(spec, None, intersection_csm)
+    assert [q for q in scalars if q in (1, -1)] == []
 
 
 def _fields(field, path="document"):
@@ -1263,6 +1287,61 @@ def test_a_perturbed_cone_disagrees(perturb, parity, data):
     assert crosscheck_exit(doc) == EXIT_DISAGREEMENT
 
 
+def _route_outcome(row, route):
+    """The row's class for ``route``, or the reason it was skipped."""
+    return next((rv.value for rv in row.milnor if rv.route == route), None) or next(
+        s.reason for s in row.skipped if s.route == route)
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_pp_is_the_public_strata_sum(doc):
+    """Each hypersurface row's ``pp`` is ``milnor_from_strata`` of its
+    ``gamma_weights``-filled strata (``trivial_stratification`` for a
+    smooth factor without strata), and an intersection row's is
+    ``milnor_from_strata_ci`` of the public filled strata: the same class,
+    or the same message for a skipped route."""
+    spec, intersection_csm, _ = parse_document(doc)
+    report = compute_report(spec, None, intersection_csm)
+    n, factors = spec.ambient_dim, spec.hypersurfaces
+    csms = [_analyze_factor(h).csm for h in factors]
+    for h, csm, row in zip(factors, csms, report.varieties):
+        strat = trivial_stratification(n, h.degree, csm) if h.strata is None else gamma_weights(h.strata)
+        assert _route_outcome(row, "pp") == _outcome(milnor_from_strata, strat, h.degree, n)
+    if len(factors) > 1:
+        strats = [public_strata(h, csm) for h, csm in zip(factors, csms)]
+        expected = _outcome(milnor_from_strata_ci, strats, [h.degree for h in factors], n)
+        assert _route_outcome(report.varieties[-1], "pp") == expected
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even-n", "odd-n"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_reports_pp_is_the_public_strata_sum(parity, data):
+    """Cones and cuts (chains of strata whose chiF other than 0 and 1 gamma
+    peels through) and normal crossings, one or two arrangements with at
+    most one smooth factor, in P^n of either parity: a report's ``pp``,
+    built from gammas in a dict with no strata records, is the public
+    functions' value on every row.  A non-open chiF is sometimes moved, so
+    that gammas of every sign and zero occur."""
+    if data.draw(st.booleans()):
+        doc = cone_cut_doc(*data.draw(st.sampled_from(cone_cut_cases(parity))))
+    else:
+        doc = data.draw(normal_crossing_docs(parity))
+        if len(doc["hypersurfaces"]) < doc["ambient"]["dim"] and data.draw(st.booleans()):
+            doc["hypersurfaces"].append({"name": "S", "degree": data.draw(st.integers(1, 3)),
+                                         "singularity": {"kind": "smooth"}})
+    strata = [s for h in doc["hypersurfaces"] for s in h.get("strata", [])[1:]]
+    if strata and data.draw(st.booleans()):
+        data.draw(st.sampled_from(strata))["chiF"] = data.draw(st.integers(-2, 3))
+    assert_pp_is_the_public_strata_sum(doc)
+
+
 @st.composite
 def normal_crossing_docs(draw, parity):
     """One or two arrangements in P^n, n of the given parity, each of one
@@ -1277,7 +1356,7 @@ def normal_crossing_docs(draw, parity):
 def assert_intersection_product_routes(doc):
     """An intersection row's thm1 and pp equal the product-rule kernel on
     each route's own inputs, evaluated afresh: thm1 on the factors' c^FJ
-    and c^SM, pp through ``milnor_from_strata_ci`` on the filled strata."""
+    and c^SM, pp through ``milnor_from_strata_ci`` on the public filled strata."""
     spec, intersection_csm, _ = parse_document(doc)
     if len(spec.hypersurfaces) < 2:
         return
@@ -1286,7 +1365,8 @@ def assert_intersection_product_routes(doc):
     factors = [_analyze_factor(h) for h in spec.hypersurfaces]
     n, r = spec.ambient_dim, len(factors)
     assert routes["thm1"] == milnor_product([f.cfj for f in factors], [f.csm for f in factors], n, n - r)
-    assert routes["pp"] == milnor_from_strata_ci([f.strat for f in factors], [f.spec.degree for f in factors], n)
+    strats = [public_strata(f.spec, f.csm) for f in factors]
+    assert routes["pp"] == milnor_from_strata_ci(strats, [f.spec.degree for f in factors], n)
 
 
 @pytest.mark.parametrize("parity", [0, 1], ids=["even-n", "odd-n"])

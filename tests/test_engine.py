@@ -68,6 +68,7 @@ from conftest import (
     coefficients,
     isolated_singularities_doc,
     normal_crossing_doc,
+    public_strata,
 )
 
 
@@ -336,17 +337,19 @@ def test_a_smooth_factor_computes_its_cfj_once(monkeypatch):
                          ids=["paper-example", "three-arrangements"])
 def test_a_report_computes_each_factors_pp_once(monkeypatch, doc):
     """The intersection's ``pp`` is built from the classes its factor rows
-    hold: one ``milnor_from_strata`` call per factor with a stratification."""
+    hold: one ``_pp_inputs`` call per factor, in order, and no
+    ``milnor_from_strata`` call.  Its value is ``milnor_from_strata_ci`` on
+    the public filled strata."""
     spec, intersection_csm, _ = parse_document(doc)
     clear_class_memos()
-    calls = []
-    monkeypatch.setattr(engine, "milnor_from_strata",
-                        lambda strat, d, n: calls.append(d) or milnor_from_strata(strat, d, n))
+    calls, pp_inputs = [], engine._pp_inputs
+    monkeypatch.setattr(engine, "_pp_inputs", lambda h, csm: calls.append(h) or pp_inputs(h, csm))
+    monkeypatch.setattr(engine, "milnor_from_strata", None)
     report = compute_report(spec, None, intersection_csm)
-    assert calls == [h.degree for h in spec.hypersurfaces]
+    assert calls == list(spec.hypersurfaces)
     monkeypatch.undo()
     pp = {rv.route: rv.value for rv in report.varieties[-1].milnor}["pp"]
-    strats = [_analyze_factor(h).strat for h in spec.hypersurfaces]
+    strats = [public_strata(h, _analyze_factor(h).csm) for h in spec.hypersurfaces]
     assert pp == milnor_from_strata_ci(strats, [h.degree for h in spec.hypersurfaces], spec.ambient_dim)
     assert report.all_agree
 
@@ -388,7 +391,7 @@ def test_an_intersection_row_evaluates_the_product_rule_once_per_input(monkeypat
     *factor_routes, routes = [{rv.route: rv.value for rv in row.milnor} for row in report.varieties]
     shared = evaluations == 1
     assert all(f["pp"] == f["definition"] for f in factor_routes) == shared
-    strats = [_analyze_factor(h).strat for h in spec.hypersurfaces]
+    strats = [public_strata(h, _analyze_factor(h).csm) for h in spec.hypersurfaces]
     assert routes["pp"] == milnor_from_strata_ci(strats, [h.degree for h in spec.hypersurfaces], spec.ambient_dim)
     assert (routes["pp"] == routes["thm1"]) == shared
     if not shared:
