@@ -69,12 +69,12 @@ MUTANTS = [
     # verdicts
     ("agree-with-one-route", CLI, "len(v.milnor) >= 2", "len(v.milnor) >= 1"),
     ("unchecked-outranks-disagree", CLI, '("DISAGREE", "UNCHECKED")', '("UNCHECKED", "DISAGREE")'),
-    # exact ring arithmetic
-    ("reduced-without-gcd", CHOW, "g = gcd(den, *num)", "g = 1"),
-    ("division-sign-of-c0", CHOW, "sign = 1 if c0 > 0 or n % 2 else -1", "sign = 1"),
+    # exact ring arithmetic over the integers: only a unit divides, and a coefficient is an int
+    ("division-by-any-nonzero-constant", CHOW, "if c0 != 1 and c0 != -1:", "if c0 == 0:"),
+    ("quotient-ignores-sign-of-c0", CHOW, "q.append(a if c0 == 1 else -a)", "q.append(a)"),
     ("sparse-quotient-one-term-early", CHOW, "if i > k:\n                    break",
      "if i >= k:\n                    break"),
-    ("tensor-line-denominator-of-t", CHOW, "p, q = -t.numerator, t.denominator", "p, q = -t.numerator, 1"),
+    ("coefficient-of-non-ascii-digits", CHOW, "if digits.isascii() and digits.isdigit():", "if digits.isdigit():"),
     # the signs that the product-rule routes give their terms as dot weights
     ("product-weight", ENGINE, "csm_list[-1], -sign)]", "csm_list[-1], sign)]"),
     ("expansion-weight", ENGINE, "(x, y, sign * s * t)", "(x, y, sign * s)"),
@@ -96,10 +96,18 @@ MUTANTS = [
     ("object-reader-skips-unknown-keys", CLI, "if not value.keys() <= allowed:", "if False:"),
     ("int-reader-excludes-its-lower-bound", CLI, "lo <= value <= hi", "lo < value <= hi"),
     ("reader-without-given-twice", CLI, '"given twice" if value is _TWICE else f"expected', 'f"expected'),
+    ("reader-takes-fraction-strings", CLI, 'rf"-?[0-9]{{1,{d}}}"', 'rf"-?[0-9]{{1,{d}}}(/[1-9])?"'),
     # compute_report is the one check of a spec: parse_document validates nothing
     ("report-without-validation", ENGINE, "    validate(ci)\n    unknown =", "    unknown ="),
     ("intersection-class-on-one-hypersurface", ENGINE,
      "if intersection_csm is not None and len(ci.hypersurfaces) == 1:", "if False:"),
+    # a supplied SM class leads with the class of its variety
+    ("sm-class-below-codimension-unchecked", VARIETIES, "if any(csm.coeffs[:codim]):", "if False:"),
+    ("sm-class-lead-unchecked", VARIETIES, "if lead is not None and csm.coeffs[codim] != lead:", "if False:"),
+    ("open-closure-class-unchecked", VARIETIES, "if lead is not None and lead != degree:", "if False:"),
+    ("open-closure-sm-lead-from-its-class", VARIETIES, "            lead = degree\n", ""),
+    ("intersection-sm-class-unchecked", ENGINE, "        if errors:\n            raise ValidationError(errors)",
+     "        pass"),
     # the record base: slots set by their bound setters, __post_init__ where a class has one
     ("records-never-post-init", RECORDS, "if self._checked:", "if False:"),
     ("slot-setters-reversed", RECORDS, "for f in fields), hasattr(", "for f in reversed(fields)), hasattr("),

@@ -3,7 +3,7 @@
 Computes Schwartz-MacPherson, Fulton-Johnson and Milnor classes of
 hypersurfaces of projective space and of their transversal
 intersections, each Milnor class along several routes, and
-cross-validates the routes exactly (arbitrary-precision rational
+cross-validates the routes exactly (arbitrary-precision integer
 arithmetic throughout).
 
 The names from ``identities`` resolve on first access, so a process that
@@ -24,7 +24,6 @@ from .engine import (
     CONVENTIONS,
     ROUTE_ORDER,
     ClassReport,
-    IntegralityError,
     VarietyReport,
     cfj_ci,
     compute_report,

@@ -1,21 +1,15 @@
-"""Exact arithmetic in the truncated ring Q[H]/(H^(n+1)).
+"""Exact arithmetic in the truncated ring Z[H]/(H^(n+1)).
 
 H is the hyperplane class of complex projective n-space.  A class has
-one exact rational coefficient per codimension 0..n, so the pushed
-forward fundamental class of a k-plane is H^(n-k) and the class of a
-point is H^n.  Products drop everything above H^n.  There is no
-floating point anywhere in this module.
+one integer coefficient per codimension 0..n, so the pushed forward
+fundamental class of a k-plane is H^(n-k) and the class of a point is
+H^n.  Products drop everything above H^n.  There is no floating point
+anywhere in this module, and no rational number either: the classes of
+the paper are integral, and every report divides only by a unit, a class
+whose constant term is 1 or -1, which ``/`` alone accepts.
 
-A class is stored as integer numerators over one positive common
-denominator in lowest terms (zero over 1), like FLINT's ``fmpq_poly``.
-Ring operations (``+``, ``-``, ``*``, and ``/`` by a class with nonzero
-constant term) work on the integers and reduce once per result, and
-``coeffs`` builds the ``Fraction`` view on first use.
-
-``fractions`` (which loads ``decimal`` and ``numbers``) is imported by
-``_rationals`` at the first non-integer: a non-int coefficient or scalar,
-the ``coeffs`` view, ``integral()``, or the text of a class whose
-denominator is not 1.  Integer inputs and classes never load it.
+A coefficient is an int or a string of ASCII digits with an optional
+leading minus sign, the form in which reports write them.
 
 The regrading operations ``dual`` and ``tensor_line`` act on the
 codimension-j piece by (-1)^j and by division by (1 + c1)^j.  Grading
@@ -25,34 +19,20 @@ reports expose this convention.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import accumulate
-from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, sub
 
 
-@cache
-def _rationals():
-    """``(Fraction, numbers.Rational)``, imported on the first call."""
-    from fractions import Fraction
-    from numbers import Rational
-    return Fraction, Rational
-
-
-def _coerce(value) -> int | Fraction:
-    """Exact coercion to an int or a Fraction; floats are rejected on purpose."""
+def _coerce(value) -> int:
+    """An int, or the int a ``[-]digits`` string spells; anything else
+    (floats, fractions, "1/2", "1_000", " 1", non-ASCII digits) is rejected."""
     if isinstance(value, int):
         return value
-    Fraction, Rational = _rationals()
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (str, Rational)):
-        return Fraction(value)
-    raise TypeError(f"cannot use {value!r} as an exact rational coefficient")
-
-
-def _is_scalar(value) -> bool:
-    return isinstance(value, int) or isinstance(value, _rationals()[0])
+    if isinstance(value, str):
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isascii() and digits.isdigit():
+            return int(value)
+    raise TypeError(f"cannot use {value!r} as an integer coefficient")
 
 
 def _sign(exponent: int) -> int:
@@ -62,24 +42,12 @@ def _sign(exponent: int) -> int:
 _new = object.__new__
 
 
-def _from_ints(n: int, num: tuple[int, ...], den: int = 1) -> "ChowClass":
-    """Unchecked: numerators over a positive denominator, in lowest terms."""
+def _from_ints(n: int, coeffs: tuple[int, ...]) -> "ChowClass":
+    """Unchecked: a class from its n + 1 integer coefficients."""
     c = _new(ChowClass)
     _set_dim(c, n)
-    _set_num(c, num)
-    _set_den(c, den)
-    _set_coeffs(c, None)
+    _set_coeffs(c, coeffs)
     return c
-
-
-def _reduced(n: int, num, den: int) -> "ChowClass":
-    """A class from numerators over a positive denominator, reduced by one gcd."""
-    if den != 1:
-        g = gcd(den, *num)
-        if g != 1:
-            num = [a // g for a in num]
-            den //= g
-    return _from_ints(n, tuple(num), den)
 
 
 def _accumulate(out: list, x: tuple, y: tuple, f: int) -> None:
@@ -97,16 +65,15 @@ def _accumulate(out: list, x: tuple, y: tuple, f: int) -> None:
 
 
 class ChowClass:
-    """A class in Q[H]/(H^(n+1)), graded by ambient codimension.
+    """A class in Z[H]/(H^(n+1)), graded by ambient codimension.
 
-    Immutable.  Stored as integer numerators over one positive common
-    denominator in lowest terms; ``coeffs`` gives them as ``Fraction``s.
+    Immutable; ``coeffs`` is the tuple of integer coefficients.
 
     >>> print(make_class(4, [0, 2, 6, 8, 4]))
     2H + 6H^2 + 8H^3 + 4H^4
     """
 
-    __slots__ = ("ambient_dim", "_num", "_den", "_coeffs")
+    __slots__ = ("ambient_dim", "coeffs")
 
     def __new__(cls, ambient_dim: int, coeffs):
         if ambient_dim < 0:
@@ -117,34 +84,20 @@ class ChowClass:
                 f"need exactly {ambient_dim + 1} coefficients for "
                 f"P^{ambient_dim}, got {len(coeffs)}"
             )
-        # The lcm of lowest-terms denominators leaves the numerators coprime to it.
-        den = lcm(*(c.denominator for c in coeffs))
-        return _from_ints(
-            ambient_dim, tuple(c.numerator * (den // c.denominator) for c in coeffs), den
-        )
+        return _from_ints(ambient_dim, coeffs)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"ChowClass is immutable; cannot change {name!r}")
 
     __delattr__ = __setattr__
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        if self._coeffs is None:
-            den, Fraction = self._den, _rationals()[0]
-            view = map(Fraction, self._num) if den == 1 else (Fraction(a, den) for a in self._num)
-            _set_coeffs(self, tuple(view))
-        return self._coeffs
-
     def __eq__(self, other):
         if other.__class__ is not ChowClass:
             return NotImplemented
-        return (self.ambient_dim, self._den, self._num) == (
-            other.ambient_dim, other._den, other._num
-        )
+        return self.ambient_dim == other.ambient_dim and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.ambient_dim, self._num, self._den))
+        return hash((self.ambient_dim, self.coeffs))
 
     def __repr__(self) -> str:
         return f"ChowClass(ambient_dim={self.ambient_dim!r}, coeffs={self.coeffs!r})"
@@ -160,51 +113,41 @@ class ChowClass:
             return NotImplemented
         if other.ambient_dim != self.ambient_dim:
             self._check_compatible(other)
-        if self._den == 1 == other._den:
-            return _from_ints(self.ambient_dim, tuple(map(add, self._num, other._num)))
-        den = lcm(self._den, other._den)
-        f, g = den // self._den, den // other._den
-        return _reduced(
-            self.ambient_dim, [f * a + g * b for a, b in zip(self._num, other._num)], den
-        )
+        return _from_ints(self.ambient_dim, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         if other.__class__ is not ChowClass:
             return NotImplemented
-        if self._den == 1 == other._den and other.ambient_dim == self.ambient_dim:
-            return _from_ints(self.ambient_dim, tuple(map(sub, self._num, other._num)))
-        return self + -other
+        if other.ambient_dim != self.ambient_dim:
+            self._check_compatible(other)
+        return _from_ints(self.ambient_dim, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return _from_ints(self.ambient_dim, tuple(-a for a in self._num), self._den)
+        return _from_ints(self.ambient_dim, tuple(-a for a in self.coeffs))
 
     def scale(self, q) -> "ChowClass":
         q = _coerce(q)
-        return _reduced(
-            self.ambient_dim, [q.numerator * a for a in self._num], q.denominator * self._den
-        )
+        return _from_ints(self.ambient_dim, tuple(q * a for a in self.coeffs))
 
     def __mul__(self, other):
         if other.__class__ is not ChowClass:
-            return self.scale(other) if _is_scalar(other) else NotImplemented
+            return self.scale(other) if isinstance(other, int) else NotImplemented
         n = self.ambient_dim
         if other.ambient_dim != n:
             self._check_compatible(other)
         out = [0] * (n + 1)
-        _accumulate(out, self._num, other._num, 1)
-        return _reduced(n, out, self._den * other._den)
+        _accumulate(out, self.coeffs, other.coeffs, 1)
+        return _from_ints(n, tuple(out))
 
     def __rmul__(self, other):
-        return self.scale(other) if _is_scalar(other) else NotImplemented
+        return self.scale(other) if isinstance(other, int) else NotImplemented
 
     def __truediv__(self, other):
-        """Exact quotient by a class with nonzero constant term, solved
-        degree by degree over the integers.
-
-        With c0 the constant numerator of ``other``, the numerator quotient
-        has H^k coefficient g_k / c0^(k+1), where the integer
-        g_k = c0^k a_k - sum_(i >= 1) b_i c0^(i-1) g_(k-i) sums over the
-        nonzero b_i only, so a divisor with t of them costs O(n t).
+        """Exact quotient by a unit, a class with constant term c0 = 1 or -1,
+        solved degree by degree: the H^k coefficient is
+        c0 (a_k - sum_(i >= 1) b_i q_(k-i)), summed over the nonzero b_i
+        only, so a divisor with t of them costs O(n t).  Any other divisor
+        raises ValueError: its quotient need not be integral.
 
         >>> print(make_class(4, [1, 3, 2]) / make_class(4, [1, 1]))
         1 + 2H
@@ -212,25 +155,21 @@ class ChowClass:
         if other.__class__ is not ChowClass:
             return NotImplemented
         self._check_compatible(other)
-        n, c0 = self.ambient_dim, other._num[0]
-        if c0 == 0:
-            raise ValueError("cannot divide by a class with zero constant term")
-        powers = list(accumulate([c0] * n, mul, initial=1))
-        terms = [(i, b * powers[i - 1]) for i, b in enumerate(other._num) if i and b]
-        g = []
-        for k, a in enumerate(self._num):
-            s = a * powers[k]
-            for i, w in terms:
+        c0 = other.coeffs[0]
+        if c0 != 1 and c0 != -1:
+            raise ValueError("can divide only by a class with constant term 1 or -1")
+        terms = [(i, b) for i, b in enumerate(other.coeffs) if i and b]
+        q = []
+        for k, a in enumerate(self.coeffs):
+            for i, b in terms:
                 if i > k:
                     break
-                s -= w * g[k - i]
-            g.append(s)
-        sign = 1 if c0 > 0 or n % 2 else -1  # the sign of c0^(n+1)
-        num = [sign * other._den * x * powers[n - k] for k, x in enumerate(g)]
-        return _reduced(n, num, sign * c0 * powers[n] * self._den)
+                a -= b * q[k - i]
+            q.append(a if c0 == 1 else -a)
+        return _from_ints(self.ambient_dim, tuple(q))
 
     def invert(self) -> "ChowClass":
-        """Multiplicative inverse: ``one(n) / self``.
+        """Multiplicative inverse of a unit: ``one(n) / self``.
 
         >>> print(make_class(4, [1, 2]).invert())
         1 - 2H + 4H^2 - 8H^3 + 16H^4
@@ -253,89 +192,77 @@ class ChowClass:
 
     def dual(self) -> "ChowClass":
         """Multiply the codimension-j piece by (-1)^j."""
-        num = tuple(-a if j % 2 else a for j, a in enumerate(self._num))
-        return _from_ints(self.ambient_dim, num, self._den)
+        return _from_ints(self.ambient_dim, tuple(-a if j % 2 else a for j, a in enumerate(self.coeffs)))
 
     def tensor_line(self, c1) -> "ChowClass":
         """Divide the codimension-j piece by (1 + c1)^j.
 
         ``c1`` is the first Chern class of a line bundle: either a class
-        concentrated in degree 1 or a bare rational t standing for tH.
+        concentrated in degree 1 or a bare integer t standing for tH.
         The H^m coefficient of (1 + tH)^(-j) is (-t)^m C(j+m-1, m), a
-        running sum over the row for j-1; t = p/q puts all over q^n.
+        running sum over the row for j-1.
 
         >>> print(make_class(4, [0, 0, 1, -1, 1]).tensor_line(2))
         H^2 - 5H^3 + 19H^4
         """
         n = self.ambient_dim
         t = _degree_one_scalar(n, c1)
-        p, q = -t.numerator, t.denominator
-        powers = [p**m * q ** (n - m) for m in range(n + 1)]
+        powers = [(-t) ** m for m in range(n + 1)]
         out = [0] * (n + 1)
         row = [1] + [0] * n  # C(j+m-1, m) for m = 0..n, starting at j = 0
-        for j, a in enumerate(self._num):
+        for j, a in enumerate(self.coeffs):
             if j:
                 row = list(accumulate(row))
             if a:
                 for m in range(n + 1 - j):
                     out[j + m] += a * row[m] * powers[m]
-        return _reduced(n, out, self._den * q**n)
+        return _from_ints(n, tuple(out))
 
     def component(self, j: int) -> "ChowClass":
         if not 0 <= j <= self.ambient_dim:
             raise ValueError(f"component {j} out of range for P^{self.ambient_dim}")
-        out = [a if i == j else 0 for i, a in enumerate(self._num)]
-        return _reduced(self.ambient_dim, out, self._den)
+        return _from_ints(self.ambient_dim, tuple(a if i == j else 0 for i, a in enumerate(self.coeffs)))
 
-    def integral(self) -> Fraction:
+    def integral(self) -> int:
         """Degree of the zero-dimensional piece (the H^n coefficient)."""
-        return _rationals()[0](self._num[-1], self._den)
+        return self.coeffs[-1]
 
     def is_zero(self) -> bool:
-        return not any(self._num)
+        return not any(self.coeffs)
 
-    def is_integral(self) -> bool:
-        return self._den == 1
+    def is_integral(self) -> bool:  # always true; kept for the benchmark (perfbench/workloads.py)
+        return True
 
-    def integer_coeffs(self) -> tuple[int, ...]:
-        if self._den != 1:
-            raise ValueError(f"non-integral coefficients in {self}")
-        return self._num
+    def integer_coeffs(self) -> tuple[int, ...]:  # ``coeffs``; kept for perfbench/workloads.py and capture_oracle.py
+        return self.coeffs
 
     def __str__(self) -> str:
         return format_class(self)
 
 
 # Each slot's own descriptor, bound once: about half the cost of object.__setattr__.
-_set_dim, _set_num, _set_den, _set_coeffs = (ChowClass.__dict__[s].__set__ for s in ChowClass.__slots__)
+_set_dim, _set_coeffs = (ChowClass.__dict__[s].__set__ for s in ChowClass.__slots__)
 
 
 def dot(pairs, n: int) -> ChowClass:
     """The sum of w * x * y over the pairs (x, y, w) of classes in P^n and
     ints w; a pair (x, y) has weight 1.  The products are accumulated in
-    one list of integer numerators over the lcm of the pairs' denominators
-    and reduced once: no class is built per product, nor for a weight such
-    as a sign.  Integral pairs need no lcm and no division.
+    one list of integers: no class is built per product, nor for a weight
+    such as a sign.
 
-    >>> a, b = make_class(2, ["1/2", 1]), make_class(2, [1, 0, "1/3"])
+    >>> a, b = make_class(2, [1, 1]), make_class(2, [1, 0, 3])
     >>> print(dot([(a, a), (b, h_power(2, 1))], 2))
-    (1/4) + 2H + H^2
+    1 + 3H + H^2
     >>> print(dot([(a, a, 4), (b, h_power(2, 1), -1)], 2))
-    1 + 3H + 4H^2
+    4 + 7H + 4H^2
     """
-    rows, den = [], 1
+    out = [0] * (n + 1)
     for pair in pairs:
         x, y = pair[0], pair[1]
         if x.ambient_dim != n or y.ambient_dim != n:
             raise ValueError(f"ambient dimensions differ from {n}")
-        d = x._den * y._den
-        if d != 1:
-            den = lcm(den, d)
-        rows.append((x._num, y._num, pair[2] if len(pair) > 2 else 1, d))
-    out = [0] * (n + 1)
-    for x, y, w, d in rows:
-        _accumulate(out, x, y, w if d == den else w * (den // d))
-    return _reduced(n, out, den)
+        _accumulate(out, x.coeffs, y.coeffs, pair[2] if len(pair) > 2 else 1)
+    return _from_ints(n, tuple(out))
 
 
 def make_class(n: int, coeffs) -> ChowClass:
@@ -366,42 +293,36 @@ def h_power(n: int, j: int) -> ChowClass:
 
 
 def line_power(n: int, t, e: int) -> ChowClass:
-    """(1 + tH)^e in P^n, for any integer e: C(e, m) t^m over q^n when
-    t = p/q.  The row C(e, m) = C(e, m-1) (e - m + 1) / m is exact in
-    integers, and for e < 0 it is the generalized binomial row
-    (-1)^m C(m - e - 1, m), so no inversion is needed.  For e >= 0 the
-    row stops after its e + 1 nonzero terms."""
+    """(1 + tH)^e in P^n, for any integer e: C(e, m) t^m.  The row
+    C(e, m) = C(e, m-1) (e - m + 1) / m is exact in integers, and for
+    e < 0 it is the generalized binomial row (-1)^m C(m - e - 1, m), so no
+    inversion is needed.  For e >= 0 the row stops after its e + 1
+    nonzero terms."""
     t = _coerce(t)
-    p, q = t.numerator, t.denominator
     top = n if e < 0 else min(n, e)
-    num, c, pm = [1], 1, 1
+    coeffs, c, tm = [1], 1, 1
     for m in range(top):
-        c, pm = c * (e - m) // (m + 1), pm * p
-        num.append(c * pm)
-    if q != 1:
-        num = [a * q ** (top - m) for m, a in enumerate(num)]
-    return _reduced(n, num + [0] * (n - top), q**top)
+        c, tm = c * (e - m) // (m + 1), tm * t
+        coeffs.append(c * tm)
+    return _from_ints(n, tuple(coeffs) + (0,) * (n - top))
 
 
-def _degree_one_scalar(n: int, c1) -> int | Fraction:
+def _degree_one_scalar(n: int, c1) -> int:
     if not isinstance(c1, ChowClass):
         return _coerce(c1)
     if c1.ambient_dim != n:
         raise ValueError("ambient dimensions differ")
-    if any(a for j, a in enumerate(c1._num) if j != 1):
+    if any(a for j, a in enumerate(c1.coeffs) if j != 1):
         raise ValueError("expected a class concentrated in degree 1")
-    return 0 if n < 1 else c1._num[1] if c1._den == 1 else c1.coeffs[1]
+    return 0 if n < 1 else c1.coeffs[1]
 
 
 def format_class(c: ChowClass) -> str:
-    """Render like ``2H + 7H^2 - 5H^3``, omitting zero terms; a coefficient
-    that is not an integer shows as ``(p/q)``."""
-    den, terms = c._den, []
-    for j, a in enumerate(c._num):
+    """Render like ``2H + 7H^2 - 5H^3``, omitting zero terms."""
+    terms = []
+    for j, a in enumerate(c.coeffs):
         if a:
-            mag = abs(a) if den == 1 else _rationals()[0](abs(a), den)
             h = "" if j == 0 else "H" if j == 1 else f"H^{j}"
-            coeff = "" if h and mag == 1 else str(mag) if mag.denominator == 1 else f"({mag})"
-            terms.append(("- " if a < 0 else "+ ") + coeff + h)
+            terms.append(("- " if a < 0 else "+ ") + ("" if h and (a == 1 or a == -1) else str(abs(a))) + h)
     text = " ".join(terms) or "+ 0"  # e.g. "+ 2H - 5H^3"; a leading "+ " is dropped
     return text[2:] if text[0] == "+" else "-" + text[2:]

@@ -4,9 +4,12 @@ Input is a single JSON document, declared field by field in the table
 under "JSON -> model" below; ``fixtures/`` and the README hold examples.
 
 Exit codes: 0 success or help, 2 validation or usage error, 3 route disagreement
-(or identity-check failure), 4 integrality failure, 5 a ``crosscheck``
-row with fewer than two routes (UNCHECKED), 141 standard output closed before
-the start or by its reader (128 + SIGPIPE, as a shell reports a broken pipe).
+(or identity-check failure), 5 a ``crosscheck`` row with fewer than two routes
+(UNCHECKED), 141 standard output closed before the start or by its reader
+(128 + SIGPIPE, as a shell reports a broken pipe).
+
+Every class is integral, and so is every coefficient a document gives: a
+JSON integer or a string of ASCII digits with an optional leading minus.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .chow import ChowClass, format_class, h_power, make_class
 from .engine import (
     CONVENTIONS,
     ClassReport,
-    IntegralityError,
     VarietyReport,
     compute_report,
     csm_smooth_ci_degrees,
@@ -60,14 +62,12 @@ MAX_CLOSURE_DEGREES = 256  # ci degrees of closures and of combination parts, su
 MAX_PARTS = 64  # parts of intersection.csm.combination
 MAX_NAME = 64  # characters of a name
 MAX_DESCRIPTION = 1000  # characters of the document's description
-MAX_DIGITS = 700  # digits of chiF, of a weight and of each part of a coefficient
+MAX_DIGITS = 700  # digits of chiF, of a weight and of a coefficient
 MAX_LOCUS_DIGITS = 100  # the same in sing_locus, whose Segre class divides by its normal class
-MAX_DENOMINATOR_DIGITS = 5000  # coefficient denominators, summed: a class has one denominator
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DISAGREEMENT = 3
-EXIT_INTEGRALITY = 4
 EXIT_UNCHECKED = 5
 EXIT_BROKEN_PIPE = 141
 
@@ -83,8 +83,8 @@ TRANSVERSALITY_WARNING = (
 # The document format, declared once in a table of fields, from which one
 # reader per field is compiled at import.  A field is (type, bound, default,
 # sub, total).  Types: int, in the range ``bound``; NUMBER, an int of at most
-# ``bound`` digits; COEFF, a NUMBER or a string [-]digits[/digits] of at most
-# ``bound`` digits a part; bool; str and list, at most ``bound`` long, ``sub``
+# ``bound`` digits; COEFF, a NUMBER or a string [-]digits of at most ``bound``
+# digits; bool; str and list, at most ``bound`` long, ``sub``
 # the item; dict, ``sub`` its fields; KIND, ``sub`` the fields under each
 # "kind".  A ``total`` (cap, noun, weigh) caps the sum of weigh(item), or the
 # item count, over the document.  ``default`` is REQUIRED or an absent
@@ -92,8 +92,8 @@ TRANSVERSALITY_WARNING = (
 
 REQUIRED, NUMBER, COEFF, KIND = "required", "number", "coeff", "kind"
 _POWERS = {MAX_DIGITS: 10**MAX_DIGITS, MAX_LOCUS_DIGITS: 10**MAX_LOCUS_DIGITS}
-_RATIONAL = {d: rf"-?[0-9]{{1,{d}}}(/(?!0+$)[0-9]{{1,{d}}})?" for d in _POWERS}  # compiled on first use
-_EXPECTED = {int: "an integer", NUMBER: "an integer", COEFF: "an integer or a rational string",
+_DIGITS = {d: rf"-?[0-9]{{1,{d}}}" for d in _POWERS}  # compiled on first use
+_EXPECTED = {int: "an integer", NUMBER: "an integer", COEFF: "an integer or a string of digits",
              str: "a string", bool: "true or false", list: "a list", dict: "an object", KIND: "an object"}
 _TWICE = object()  # the value of a key that a JSON object gives more than once
 
@@ -134,11 +134,9 @@ def _reader(field):
                 return value
             if kind is not COEFF or type(value) is not str:
                 raise wrong(value) if type(value) is not int else _DocumentError(f"at most {bound} digits")
-            if re.fullmatch(_RATIONAL[bound], value) is None:
-                raise _DocumentError(f"expected [-]digits[/digits] of at most {bound} digits a part, "
-                                     "with a nonzero denominator")
-            from fractions import Fraction
-            return Fraction(value)
+            if re.fullmatch(_DIGITS[bound], value) is None:
+                raise _DocumentError(f"expected [-]digits of at most {bound} digits")
+            return int(value)
     elif kind is str or kind is bool:
         def read(value, totals):
             if type(value) is kind and (kind is bool or len(value) <= bound and value.isprintable()):
@@ -197,10 +195,8 @@ def _f(kind, bound=None, default=REQUIRED, sub=None, total=None):
 
 
 _NAME, _DIM, _DEGREE = _f(str, MAX_NAME), _f(int, (0, MAX_AMBIENT_DIM)), _f(int, (1, MAX_DEGREE))
-_DENOMINATORS = (MAX_DENOMINATOR_DIGITS, "denominator digits",
-                 lambda c: len(str(c.denominator)) if c.denominator > 1 else 0)
-_COEFFS = _f(list, MAX_AMBIENT_DIM + 1, sub=_f(COEFF, MAX_DIGITS), total=_DENOMINATORS)
-_LOCUS_COEFFS = _f(list, MAX_AMBIENT_DIM + 1, sub=_f(COEFF, MAX_LOCUS_DIGITS), total=_DENOMINATORS)
+_COEFFS = _f(list, MAX_AMBIENT_DIM + 1, sub=_f(COEFF, MAX_DIGITS))
+_LOCUS_COEFFS = _f(list, MAX_AMBIENT_DIM + 1, sub=_f(COEFF, MAX_LOCUS_DIGITS))
 _SMOOTH_MODEL = {  # a closed smooth subvariety: closures and combination parts
     "linear": {"dim": _DIM},
     "ci": {"degrees": _f(list, MAX_AMBIENT_DIM, sub=_DEGREE)},
@@ -231,7 +227,7 @@ _DOCUMENT = _f(dict, sub={
     "transversal": _f(bool, default=False),
     "hypersurfaces": _f(list, MAX_HYPERSURFACES, sub=_HYPERSURFACE),
     "intersection": _f(dict, default=None, sub={"csm": _f(dict, sub={
-        "coeffs": _f(list, MAX_AMBIENT_DIM + 1, None, _f(COEFF, MAX_DIGITS), _DENOMINATORS),
+        "coeffs": _f(list, MAX_AMBIENT_DIM + 1, None, _f(COEFF, MAX_DIGITS)),
         "combination": _f(list, MAX_PARTS, None, _PART, (
             MAX_CLOSURE_DEGREES, "ci closure degrees", lambda part: len(part.get("degrees", ())))),
     })}),
@@ -347,7 +343,7 @@ def _list(items: list[str], indent: str) -> str:
 
 
 def _coeff_strings(c: ChowClass) -> list[str]:
-    return list(map(str, c.integer_coeffs())) if c.is_integral() else [str(a) for a in c.coeffs]
+    return list(map(str, c.coeffs))
 
 
 def _coeffs_json(c: ChowClass | None, indent: str) -> str:
@@ -485,8 +481,6 @@ def main(argv=None) -> int:
         lost = code  # help into a closed stdout exits 0
     except ValidationError as exc:
         out, err, code = "", "".join(f"error: {m}\n" for m in exc.errors), EXIT_VALIDATION
-    except IntegralityError as exc:
-        out, err, code = "", f"error: {exc}\n", EXIT_INTEGRALITY
     finally:
         sys.set_int_max_str_digits(limit)
     if not _write(sys.stdout, out):

@@ -1,7 +1,7 @@
 """Characteristic classes of hypersurfaces and their intersections.
 
 Every class on a subvariety X of P^n is computed as its pushforward to
-the ambient ring Q[H]/(H^(n+1)); cap products and refined intersection
+the ambient ring Z[H]/(H^(n+1)); cap products and refined intersection
 products then both become truncated polynomial multiplication.  The
 Milnor class of X is computed along several routes, three of them
 restatements of the product rule, and the report records whether they
@@ -76,6 +76,7 @@ from .varieties import (
     Stratum,
     ValidationError,
     containment_map,
+    leading_term_errors,
     open_stratum,
     validate,
 )
@@ -96,22 +97,6 @@ CONVENTIONS = {
     "milnor_number_exponent": "dim of the hypersurface",
     "comparison": "routes compared after pushforward to the ambient ring",
 }
-
-
-class IntegralityError(ValueError):
-    """A reported class came out non-integral; the route or input is wrong.
-
-    The message names the first non-integral codimension, not the class,
-    whose digits can run past what Python converts to a string."""
-
-    def __init__(self, variety: str, label: str, value: ChowClass):
-        self.variety = variety
-        self.label = label
-        self.value = value
-        codim = next(j for j, a in enumerate(value.coeffs) if a.denominator != 1)
-        super().__init__(
-            f"{variety}: {label} has non-integral coefficients, the first in codimension {codim}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -705,20 +690,14 @@ def _intersection_report(ci, factors, intersection_csm, selected):
 
 def _build_row(name, kind, dim, cfj, csm, csm_route, routes, selected):
     """The report row: each selected route read once from ``routes``, as a
-    class or a skip reason; a route missing there raises KeyError.  The
-    first non-integral class, in row order, raises IntegralityError (c^FJ,
-    an integer class over a unit of constant term 1, is always integral)."""
-    if csm is not None and not csm.is_integral():
-        raise IntegralityError(name, f"c^SM ({csm_route} route)", csm)
+    class or a skip reason; a route missing there raises KeyError."""
     values, dropped = [], []
     for route in selected:
         value = routes[route]
-        if not isinstance(value, ChowClass):
-            dropped.append(SkippedRoute(route, value))
-        elif value.is_integral():
+        if isinstance(value, ChowClass):
             values.append(RouteValue(route, value))
         else:
-            raise IntegralityError(name, f"Milnor class ({route} route)", value)
+            dropped.append(SkippedRoute(route, value))
     return VarietyReport(name, kind, dim, cfj, csm, csm_route, tuple(values), tuple(dropped))
 
 
@@ -729,11 +708,12 @@ def compute_report(
 ) -> ClassReport:
     """Run every requested route on every variety in the spec, after the
     one check of a spec: ``validate(ci)``, then the arguments, each a
-    ValidationError.  ``methods`` restricts the routes (None means all).
-    A single hypersurface yields one row; an intersection of r >= 2 adds
-    a row per factor plus one for the intersection itself, whose SM class
-    ``intersection_csm`` supplies (not on one hypersurface).  Any
-    non-integral reported class aborts with IntegralityError.
+    ValidationError; a supplied ``intersection_csm`` must lead with the
+    intersection's class (prod d_i) H^r.  ``methods`` restricts the routes
+    (None means all).  A single hypersurface yields one row; an
+    intersection of r >= 2 adds a row per factor plus one for the
+    intersection itself, whose SM class ``intersection_csm`` supplies (not
+    on one hypersurface).
     """
     validate(ci)
     unknown = set(methods or ()) - set(ROUTE_ORDER)
@@ -741,8 +721,13 @@ def compute_report(
         raise ValidationError([f"methods: unknown routes {sorted(unknown)}"])
     if intersection_csm is not None and len(ci.hypersurfaces) == 1:
         raise ValidationError(["intersection: a single hypersurface has no intersection row"])
+    if intersection_csm is not None:
+        degree = prod(h.degree for h in ci.hypersurfaces)
+        errors = (["intersection.csm: wrong ambient dimension"] if intersection_csm.ambient_dim != ci.ambient_dim
+                  else leading_term_errors("intersection.csm", intersection_csm, len(ci.hypersurfaces), degree))
+        if errors:
+            raise ValidationError(errors)
     selected = [route for route in ROUTE_ORDER if methods is None or route in methods]
-    # Each row is checked once built: a non-integral factor stops the later ones.
     factors, rows = [], []
     for h in ci.hypersurfaces:
         factors.append(f := _analyze_factor(h))

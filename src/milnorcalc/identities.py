@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from operator import add, sub
 
-from .chow import ChowClass, _from_ints, _reduced
+from .chow import ChowClass, _from_ints
 from .engine import milnor_expansion, milnor_product, milnor_telescope
 from .records import Record
 
@@ -38,15 +39,12 @@ class RandomInstance(Record):
     m_list: tuple[ChowClass, ...]
 
     def __post_init__(self):
-        # csm +- m straight from the numerators, over the product of the two
-        # denominators: one path for integral and rational classes.
+        # csm +- m straight from the coefficients, so a trial adds no class
         cfj, n = [], self.n
         for csm, m, d in zip(self.csm_list, self.m_list, self.codims):
             if csm.ambient_dim != m.ambient_dim:
                 csm._check_compatible(m)
-            f, g = m._den, -csm._den if (n - d) % 2 else csm._den
-            num = [a * f + b * g for a, b in zip(csm._num, m._num)]
-            cfj.append(_reduced(csm.ambient_dim, num, csm._den * m._den))
+            cfj.append(_from_ints(csm.ambient_dim, tuple(map(sub if (n - d) % 2 else add, csm.coeffs, m.coeffs))))
         object.__setattr__(self, "cfj_list", tuple(cfj))
 
     @property

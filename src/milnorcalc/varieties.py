@@ -46,12 +46,10 @@ class SmoothLocus(Record):
     normal: ChowClass
 
     def __post_init__(self):
-        # Checked on the integer numerators: building the Fraction view of
-        # the normal class would cost more than the rest of the record.
-        num, den = self.normal._num, self.normal._den
+        num = self.normal.coeffs
         if self.normal_rank < 0:
             raise ValueError("rank must be non-negative")
-        if num[0] != den:
+        if num[0] != 1:
             raise ValueError("a total Chern class has constant term 1")
         for j in range(self.normal_rank + 1, len(num)):
             if num[j] != 0:
@@ -192,7 +190,7 @@ def _hypersurface_errors(h: HypersurfaceSpec, path: str) -> list[str]:
             f"hypersurface of P^{n}"
         )
     if locus_kind is SmoothLocus:
-        m, num = locus.normal_rank, locus.locus_class._num
+        m, num = locus.normal_rank, locus.locus_class.coeffs
         if locus.locus_class.ambient_dim != n:
             errors.append(f"{path}.sing_locus.class: wrong ambient dimension")
         if locus.normal.ambient_dim != n:
@@ -208,16 +206,20 @@ def _hypersurface_errors(h: HypersurfaceSpec, path: str) -> list[str]:
     if h.strata is not None:
         errors.extend(
             _stratification_errors(
-                h.strata, path=f"{path}.strata", ambient_dim=n, variety_dim=n - 1
+                h.strata, path=f"{path}.strata", ambient_dim=n, variety_dim=n - 1, degree=h.degree
             )
         )
     return errors
 
 
 def _stratification_errors(
-    strat: Stratification, path: str, ambient_dim=None, variety_dim=None
+    strat: Stratification, path: str, ambient_dim=None, variety_dim=None, degree=None
 ) -> list[str]:
-    errors = []
+    """In a hypersurface of ``degree``, each closure's classes are also
+    checked: the class concentrated in the stratum's codimension, the SM
+    class vanishing below it and there equal to the class; the open
+    stratum's closure is the hypersurface, of class dH."""
+    errors, reg = [], None
     if not strat.strata:
         errors.append(f"{path}: need at least one stratum")
         return errors
@@ -264,19 +266,40 @@ def _stratification_errors(
             errors.append(f"{path}.{s.name}.dim: must be non-negative")
         if variety_dim is not None and s.dim > variety_dim:
             errors.append(f"{path}.{s.name}.dim: exceeds the variety dimension")
-        if s.closure_class is not None and ambient_dim is not None:
-            if s.closure_class.ambient_dim != ambient_dim:
+        cls = s.closure_class
+        if cls is not None and ambient_dim is not None:
+            if cls.ambient_dim != ambient_dim:
                 errors.append(f"{path}.{s.name}.closure: wrong ambient dimension")
             else:
                 codim = ambient_dim - s.dim
-                for j, a in enumerate(s.closure_class._num):
+                for j, a in enumerate(cls.coeffs):
                     if j != codim and a != 0:
                         errors.append(
                             f"{path}.{s.name}.closure: class must be concentrated "
                             f"in codimension {codim}"
                         )
                         break
+        if ambient_dim is None or not 0 <= s.dim <= ambient_dim:
+            continue
+        codim = ambient_dim - s.dim
+        lead = cls.coeffs[codim] if cls is not None and cls.ambient_dim == ambient_dim else None
+        if s is reg and degree is not None and codim == 1:
+            if lead is not None and lead != degree:
+                errors.append(f"{path}.{s.name}.closure: class must be {degree}H, the class of the hypersurface")
+            lead = degree
+        if s.csm_closure is not None and s.csm_closure.ambient_dim == ambient_dim:
+            errors.extend(leading_term_errors(f"{path}.{s.name}.closure", s.csm_closure, codim, lead))
     return errors
+
+
+def leading_term_errors(path: str, csm: ChowClass, codim: int, lead: int | None) -> list[str]:
+    """The SM class of a variety of codimension ``codim`` vanishes below it,
+    and there equals the variety's class, ``lead`` H^codim (unchecked if None)."""
+    if any(csm.coeffs[:codim]):
+        return [f"{path}: SM class must vanish below codimension {codim}"]
+    if lead is not None and csm.coeffs[codim] != lead:
+        return [f"{path}: SM class must equal the class, {lead}, in codimension {codim}"]
+    return []
 
 
 def open_stratum(strat: Stratification) -> Stratum:
@@ -325,4 +348,4 @@ def csm_linear_subspace(n: int, k: int) -> ChowClass:
     """
     if not 0 <= k <= n:
         raise ValueError(f"no P^{k} inside P^{n}")
-    return _from_ints(n, (0,) * (n - k) + line_power(k, 1, k + 1)._num)
+    return _from_ints(n, (0,) * (n - k) + line_power(k, 1, k + 1).coeffs)

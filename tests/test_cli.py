@@ -13,7 +13,6 @@ import sys
 import tempfile
 import time
 import types
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -40,7 +39,6 @@ from milnorcalc.chow import ChowClass, h_power, line_power, make_class
 from milnorcalc.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_DISAGREEMENT,
-    EXIT_INTEGRALITY,
     EXIT_OK,
     EXIT_UNCHECKED,
     EXIT_VALIDATION,
@@ -48,7 +46,6 @@ from milnorcalc.cli import (
     MAX_CLOSURE_DEGREES,
     MAX_COMPONENTS,
     MAX_DEGREE,
-    MAX_DENOMINATOR_DIGITS,
     MAX_DESCRIPTION,
     MAX_DIGITS,
     MAX_HYPERSURFACES,
@@ -60,7 +57,7 @@ from milnorcalc.cli import (
     _DOCUMENT,
     _EXPECTED,
     _POWERS,
-    _RATIONAL,
+    _DIGITS,
     _TWICE,
     REQUIRED,
     _DocumentError,
@@ -503,8 +500,9 @@ def _closure_csm(coeffs):
 
 def integrality_doc(digits=601, count=8, n=8):
     """A cubic in P^n whose point stratum has an explicit closure csm of
-    ``count`` coefficients 1/d with distinct ``digits``-digit d: the
-    common denominator has about count * digits digits."""
+    ``count`` coefficients 1/d with distinct ``digits``-digit d, which
+    once stopped the run on a non-integral class: the reader now refuses
+    the first rational string."""
     denominators = [10 ** (digits - 1) + 2 * k + 1 for k in range(count)]
     return {
         "ambient": {"kind": "projective", "dim": n},
@@ -524,8 +522,8 @@ def integrality_doc(digits=601, count=8, n=8):
 def distinct_denominators_doc(digits=5):
     """Eight cubics in P^64 of 64 strata, each point stratum with an explicit
     closure csm whose coefficients have distinct ``digits``-digit
-    denominators: their common denominator grows with every stratum, and
-    crosscheck ran for more than 20 s."""
+    denominators: their common denominator grew with every stratum, and
+    crosscheck ran for more than 20 s, until the reader refused rationals."""
     doc = stratified_intersection_doc([MAX_STRATA] * MAX_HYPERSURFACES, n=MAX_AMBIENT_DIM)
     denominators = iter(range(10 ** (digits - 1) + 1, 10**digits, 2))
     for h in doc["hypersurfaces"]:
@@ -546,24 +544,23 @@ def distinct_denominators_doc(digits=5):
         (_with(quadric_doc(), lambda d: d["intersection"]["csm"]["combination"][0].update(weight=-(10**4299))),
          EXIT_VALIDATION, f"error: intersection.csm.combination[0].weight: at most {MAX_DIGITS} digits"),
         (_with(plane_pair_doc(), _closure_csm(["0", "0", "1e10000000"])),
-         EXIT_VALIDATION, "error: hypersurfaces[0].strata[1].closure.csm[2]: expected [-]digits[/digits]"),
+         EXIT_VALIDATION, "error: hypersurfaces[0].strata[1].closure.csm[2]: expected [-]digits of at most"),
         (quadric_doc(intersection={"csm": {"combination": [
             {"kind": "ci", "degrees": [k % 7 + 1, k // 7 % 5 + 1], "weight": 1} for k in range(2000)
         ]}}), EXIT_VALIDATION, f"error: intersection.csm.combination: at most {MAX_PARTS}\n"),
-        (integrality_doc(), EXIT_INTEGRALITY,
-         "error: C: Milnor class (expansion route) has non-integral coefficients, the first in codimension 1"),
+        (integrality_doc(), EXIT_VALIDATION,
+         "error: hypersurfaces[0].strata[1].closure.csm[1]: expected [-]digits of at most"),
         (_with(smooth_doc(3, [2]), lambda d: d["hypersurfaces"][0].update(name="Q\ud800")),
          EXIT_VALIDATION, "error: hypersurfaces[0].name: expected at most 64 printable characters"),
         (distinct_denominators_doc(), EXIT_VALIDATION,
-         "error: hypersurfaces[0].strata[16].closure.csm: "
-         f"at most {MAX_DENOMINATOR_DIGITS} denominator digits in all"),
+         "error: hypersurfaces[0].strata[1].closure.csm[0]: expected [-]digits of at most"),
     ],
-    ids=["route-list", "huge-dim", "huge-weight", "exponent", "combination-2000", "integrality-message",
+    ids=["route-list", "huge-dim", "huge-weight", "exponent", "combination-2000", "rational-coefficient",
          "surrogate-name", "distinct-denominators"],
 )
 def test_documents_that_once_crashed_or_ran_long(tmp_path, command, doc, code, message):
     """Each of these ended in a traceback, or ran for seconds, before every
-    field had a bound and the integrality message left the class out."""
+    field had a bound and coefficients were integers."""
     start = time.perf_counter()
     proc = run_cli(command, write_doc(tmp_path, doc))
     elapsed = time.perf_counter() - start
@@ -621,7 +618,8 @@ def _locus(h, s):
     "edit",
     [
         lambda h, s: s.update(chiF=1 - 10**MAX_DIGITS),
-        lambda h, s: s.update(closure={"kind": "explicit", "class": [0, 0, 1], "csm": [0, 0, str(10**MAX_DIGITS - 1)]}),
+        lambda h, s: s.update(closure={"kind": "explicit", "class": [0, 0, 10**MAX_DIGITS - 1],
+                                       "csm": [0, 0, str(10**MAX_DIGITS - 1)]}),
         _locus,
     ],
     ids=["chiF", "explicit-csm", "sing-locus"],
@@ -742,16 +740,16 @@ def test_every_declared_field_has_a_bound():
 @pytest.mark.parametrize(
     "coeff, accepted",
     [
-        ("1/2", True), ("-3", True), ("007/010", True), (-5, True), ("9" * MAX_DIGITS, True),
-        ("1/" + "7" * MAX_DIGITS, True), ("1e5", False), ("1.5", False), (" 1", False), ("+1", False),
+        ("1/2", False), ("-3", True), ("007/010", False), (-5, True), ("9" * MAX_DIGITS, True),
+        ("1/" + "7" * MAX_DIGITS, False), ("1e5", False), ("1.5", False), (" 1", False), ("+1", False),
         ("1/-2", False), ("1/0", False), ("1/000", False), ("1_000", False), ("\u0661", False),
         ("9" * (MAX_DIGITS + 1), False), ("1/" + "7" * (MAX_DIGITS + 1), False), (10**MAX_DIGITS, False),
-        (1.0, False), (True, False), (None, False),
+        (1.0, False), (True, False), (None, False), ("3/3", False), ("007", True), ("-0", True),
     ],
 )
 def test_coefficient_format(coeff, accepted):
-    """Integers and [-]digits[/digits] strings, each part at most MAX_DIGITS
-    digits and the denominator nonzero; nothing that Fraction alone accepts."""
+    """Integers and [-]digits strings of at most MAX_DIGITS digits; no
+    rational string, not even one that is an integer, such as "3/3"."""
     doc = _with(plane_pair_doc(), _closure_csm(["0", "0", coeff]))
     if accepted:
         parse_document(doc)
@@ -765,6 +763,45 @@ def _check(doc):
     its format, and ``compute_report`` validates the spec it declares."""
     spec, intersection_csm, _ = parse_document(doc)
     return compute_report(spec, None, intersection_csm)
+
+
+def _nodal_cubic(index, cls, csm):
+    """``nodal-cubic`` with an ``explicit`` closure on its stratum ``index``."""
+    doc = json.loads((FIXTURES / "nodal-cubic.json").read_text())
+    doc["hypersurfaces"][0]["strata"][index]["closure"] = {"kind": "explicit", "class": cls, "csm": csm}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_nodal_cubic(1, [0, 0, 1], [0, 1, 1]),
+         "hypersurfaces[0].strata.node.closure: SM class must vanish below codimension 2"),
+        (_nodal_cubic(1, [0, 0, 1], [0, 0, 2]),
+         "hypersurfaces[0].strata.node.closure: SM class must equal the class, 1, in codimension 2"),
+        (_nodal_cubic(0, [0, 2], [0, 3]),
+         "hypersurfaces[0].strata.reg.closure: class must be 3H, the class of the hypersurface"),
+        (_nodal_cubic(0, [0, 3], [0, 5]),
+         "hypersurfaces[0].strata.reg.closure: SM class must equal the class, 3, in codimension 1"),
+        (_with(json.loads((FIXTURES / "quadric-tangent-plane.json").read_text()),
+               lambda d: d["intersection"].update(csm={"coeffs": [0, 0, 3, 3]})),
+         "intersection.csm: SM class must equal the class, 2, in codimension 2"),
+        (_with(json.loads((FIXTURES / "quadric-tangent-plane.json").read_text()),
+               lambda d: d["intersection"]["csm"]["combination"].append({"kind": "ci", "degrees": [2]})),
+         "intersection.csm: SM class must vanish below codimension 2"),
+    ],
+    ids=["node-csm-below", "node-csm-lead", "open-class", "open-csm-lead", "intersection-lead", "intersection-below"],
+)
+def test_impossible_supplied_classes_exit_2_with_their_path(tmp_path, doc, message):
+    """A supplied SM class leads with the class of its variety: a closure's
+    in the stratum's codimension, the open stratum's dH, and the
+    intersection's (prod d_i) H^r.  Before these checks the four nodal
+    cubics ran through every route and exited 3."""
+    for command in ("compute", "crosscheck"):
+        proc = run_cli(command, write_doc(tmp_path, doc))
+        stderr = proc.stderr.decode("utf-8")
+        assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, b"")
+        assert f"error: {message}\n" in stderr and "Traceback" not in stderr
 
 
 def test_empty_strata_reach_validation():
@@ -888,7 +925,7 @@ def assert_front_end_holds(doc):
             start = time.perf_counter()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main([*argv, path])
-            assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_DISAGREEMENT, EXIT_INTEGRALITY, EXIT_UNCHECKED)
+            assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_DISAGREEMENT, EXIT_UNCHECKED)
             assert time.perf_counter() - start < 1.0
 
 
@@ -915,10 +952,9 @@ def ref_read(value, field, totals: dict, key=None):
         if value is _TWICE:
             raise _DocumentError("given twice")
         if kind is COEFF and type(value) is str:
-            if re.fullmatch(_RATIONAL[bound], value) is None:
-                raise _DocumentError(f"expected [-]digits[/digits] of at most {bound} digits a part, "
-                                     "with a nonzero denominator")
-            return Fraction(value)
+            if re.fullmatch(_DIGITS[bound], value) is None:
+                raise _DocumentError(f"expected [-]digits of at most {bound} digits")
+            return int(value)
         if type(value) is not {NUMBER: int, COEFF: int, KIND: dict}.get(kind, kind):
             raise _DocumentError(f"expected {_EXPECTED[kind]}")
         if kind is int and not bound[0] <= value <= bound[1]:
@@ -990,6 +1026,22 @@ RATIONAL_STRINGS = ["1/0", "1/000", "1e5", "+1", " 1", "1.5", "1/-2", "\u0661", 
 KEYS = ["bogus", "x" * 100, "\n", "é" * (MAX_NAME + 1), "kind", "name", "weight"]
 CAPS = [MAX_HYPERSURFACES + 1, MAX_AMBIENT_DIM + 1, MAX_AMBIENT_DIM + 2, MAX_STRATA + 1, MAX_PARTS + 1,
         MAX_COMPONENTS + 1, len(ROUTE_ORDER) + 1]
+
+
+@pytest.mark.parametrize("coeff", sorted({*RATIONAL_STRINGS, "3/3", "007/010", "007", "-0", "1_000", "\uff11", "",
+                                           "-", "--1", "1 ", "0x1", "9" * MAX_DIGITS}))
+def test_make_class_rejects_every_string_the_reader_rejects(coeff):
+    """A string coefficient has one form, ``[-]digits``, in a document and in
+    ``make_class``; only the reader caps its digits, and none here is over."""
+    assert not (coeff.lstrip("-").isdigit() and len(coeff) > MAX_DIGITS)
+    doc = _with(plane_pair_doc(), _closure_csm(["0", "0", coeff]))
+    try:
+        parse_document(doc)
+    except ValidationError:
+        with pytest.raises(TypeError):
+            make_class(2, [0, 0, coeff])
+    else:
+        assert make_class(2, [0, 0, coeff]).coeffs[2] == int(coeff)
 
 
 def mutate(doc, rng):
@@ -1077,14 +1129,15 @@ def test_isolated_singularities_with_the_wrong_point_sign_disagree(n):
     assert crosscheck_exit(isolated_singularities_doc(n, 3, [1, 4], sign=-1)) == EXIT_DISAGREEMENT
 
 
-def cut_by_a_hyperplane(doc, csm_degrees):
+def cut_by_a_hyperplane(doc, csm_degrees, points=0):
     """``doc`` cut by a smooth hyperplane H, asserted transversal, with the
     intersection's c^SM supplied as that of the smooth complete
-    intersection of ``csm_degrees``."""
+    intersection of ``csm_degrees``, plus ``points`` times a point's."""
+    point = [{"kind": "linear", "dim": 0, "weight": points}] if points else []
     return doc | {
         "transversal": True,
         "hypersurfaces": doc["hypersurfaces"] + [{"name": "H", "degree": 1, "singularity": {"kind": "smooth"}}],
-        "intersection": {"csm": {"combination": [{"kind": "ci", "degrees": csm_degrees}]}},
+        "intersection": {"csm": {"combination": [{"kind": "ci", "degrees": csm_degrees}, *point]}},
     }
 
 
@@ -1094,8 +1147,9 @@ def cut_by_a_hyperplane(doc, csm_degrees):
 def test_isolated_singularities_cut_by_a_hyperplane_that_misses_them(n, d, mus):
     """X ∩ H is a smooth complete intersection of degrees (d, 1), so its
     Milnor class is 0 by ``definition`` (the supplied c^SM), ``thm1`` (the
-    product rule) and ``pp`` (the strata); a c^SM of degrees (d + 1, 1)
-    disagrees."""
+    product rule) and ``pp`` (the strata); a c^SM with an extra point
+    disagrees, and one of degrees (d + 1, 1), whose leading term is not
+    the class of X ∩ H, is refused."""
     doc = isolated_singularities_doc(n, d, mus)
     spec, intersection_csm, _ = parse_document(cut_by_a_hyperplane(doc, [d, 1]))
     row = compute_report(spec, None, intersection_csm).varieties[-1]
@@ -1107,7 +1161,8 @@ def test_isolated_singularities_cut_by_a_hyperplane_that_misses_them(n, d, mus):
         assert main(["crosscheck", write_doc(Path(tmp), cut_by_a_hyperplane(doc, [d, 1]))]) == EXIT_OK
     assert "\nX ∩ H: 5 routes, AGREE\n" in out.getvalue()
     assert out.getvalue().endswith("\ncrosscheck: AGREE\n")
-    assert crosscheck_exit(cut_by_a_hyperplane(doc, [d + 1, 1])) == EXIT_DISAGREEMENT
+    assert crosscheck_exit(cut_by_a_hyperplane(doc, [d, 1], points=1)) == EXIT_DISAGREEMENT
+    assert crosscheck_exit(cut_by_a_hyperplane(doc, [d + 1, 1])) == EXIT_VALIDATION
 
 
 # -- joins: positive-dimensional, non-reduced singular schemes -------------------
@@ -1567,7 +1622,7 @@ def test_compute_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_compute_integrality_failure(tmp_path, capsys):
+def test_compute_rational_coefficient_exits_2(tmp_path, capsys):
     doc = {
         "ambient": {"kind": "projective", "dim": 2},
         "transversal": True,
@@ -1593,15 +1648,14 @@ def test_compute_integrality_failure(tmp_path, capsys):
         ],
     }
     code = main(["compute", write_doc(tmp_path, doc)])
-    err = capsys.readouterr().err
-    assert code == EXIT_INTEGRALITY
-    assert "non-integral" in err
-    assert "route" in err
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: hypersurfaces[0].strata[1].closure.csm[2]: expected [-]digits of at most 700 digits\n")
 
 
-def test_integrality_failure_stops_at_the_first_factor(tmp_path, capsys, monkeypatch):
+def test_a_rational_coefficient_stops_before_the_first_factor(tmp_path, capsys, monkeypatch):
     """Eight cubics in P^64 whose first factor's closure classes carry a
-    1/2: the run stops on that row without analysing the other seven."""
+    1/2: the reader stops on the first one, and no factor is analysed."""
     doc = stratified_intersection_doc([MAX_STRATA] * MAX_HYPERSURFACES, n=MAX_AMBIENT_DIM)
     for s in doc["hypersurfaces"][0]["strata"][1:]:
         s["closure"] = {"kind": "explicit", "class": [0] * MAX_AMBIENT_DIM + [1],
@@ -1610,12 +1664,12 @@ def test_integrality_failure_stops_at_the_first_factor(tmp_path, capsys, monkeyp
     analyze = milnorcalc.engine._analyze_factor
     monkeypatch.setattr(milnorcalc.engine, "_analyze_factor", lambda h: calls.append(h.name) or analyze(h))
     code = main(["compute", write_doc(tmp_path, doc)])
-    assert code == EXIT_INTEGRALITY
+    assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == (
-        "error: Z0: Milnor class (pp route) has non-integral coefficients, "
-        f"the first in codimension {MAX_AMBIENT_DIM}\n"
+        f"error: hypersurfaces[0].strata[1].closure.csm[{MAX_AMBIENT_DIM}]: "
+        f"expected [-]digits of at most {MAX_DIGITS} digits\n"
     )
-    assert calls == ["Z0"]
+    assert calls == []
 
 
 def test_compute_json_output_round_trips(fixtures_dir, capsys):
@@ -1681,7 +1735,8 @@ def writer_docs(draw, parity):
         n, d = 2 * draw(st.integers(1, 3)) + parity, draw(st.integers(2, 4))
         doc = isolated_singularities_doc(n, d, draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
         if kind == "isolated and cut":
-            doc = cut_by_a_hyperplane(doc, [d, draw(st.integers(1, 2))])
+            # an extra point in the c^SM of X ∩ H disagrees; in P^2 it would change its class
+            doc = cut_by_a_hyperplane(doc, [d, 1], draw(st.integers(0, int(n > 2))))
     names = draw(st.lists(hypersurface_names.filter(str.isprintable), min_size=len(doc["hypersurfaces"]),
                           max_size=len(doc["hypersurfaces"]), unique=True))
     for h, name in zip(doc["hypersurfaces"], names):
@@ -1719,24 +1774,18 @@ def test_json_writer_escapes_names():
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_rendering_a_report_builds_no_fraction_view(fixtures_dir, name):
-    """Reports are integral, so every renderer reads the numerators and no
-    class in the report gets its ``Fraction`` view built.  Memoised classes
-    are shared between reports, so the first report starts from empty
-    memos, and a second, warm report is rendered too."""
+def test_rendering_a_report_reads_integer_coefficients(fixtures_dir, name):
+    """Every class of a report holds ints, and the renderers give the same
+    text for a cold report and a warm one, whose memoised classes are
+    shared with the first."""
     clear_class_memos()
     spec, intersection_csm, _ = load_document(str(fixtures_dir / f"{name}.json"))
     report = compute_report(spec, None, intersection_csm)
-    for render in (render_crosscheck, render_text, report_to_json):
-        render(report)
+    texts = [render(report) for render in (render_crosscheck, render_text, report_to_json)]
     classes = [c for v in report.varieties for c in (v.cfj, v.csm, *(rv.value for rv in v.milnor))]
-    assert all(c._coeffs is None for c in classes if isinstance(c, ChowClass))
+    assert all(type(a) is int for c in classes if isinstance(c, ChowClass) for a in c.coeffs)
     warm = compute_report(spec, None, intersection_csm)
-    classes = [c for v in warm.varieties for c in (v.cfj, v.csm, *(rv.value for rv in v.milnor))]
-    unviewed = [c for c in classes if isinstance(c, ChowClass) and c._coeffs is None]
-    for render in (render_crosscheck, render_text, report_to_json):
-        render(warm)
-    assert all(c._coeffs is None for c in unviewed)
+    assert [render(warm) for render in (render_crosscheck, render_text, report_to_json)] == texts
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -1768,7 +1817,7 @@ def test_a_reader_that_quits_early_ends_quietly(fixtures_dir, argv):
     assert stderr == b""
 
 
-@pytest.mark.parametrize("doc, code", [({}, EXIT_VALIDATION), (integrality_doc(), EXIT_INTEGRALITY)])
+@pytest.mark.parametrize("doc, code", [({}, EXIT_VALIDATION), (integrality_doc(), EXIT_VALIDATION)])
 def test_an_error_message_to_a_closed_stderr_keeps_its_exit_code(tmp_path, doc, code):
     """stdout and stderr share one pipe whose reader quit at once, as in
     ``compute doc.json 2>&1 | head -c 0``: the message has nowhere to go,
@@ -1793,7 +1842,7 @@ def test_the_readme_states_the_method_choices_and_the_exit_codes():
     assert tuple(choices.split("|")) == ("all",) + ROUTE_ORDER
     [paragraph] = re.findall(r"^Exit codes: .*?(?=\n\n)", text, re.M | re.S)
     codes = {value for name, value in vars(milnorcalc.cli).items() if name.startswith("EXIT_")}
-    assert {int(code) for code in re.findall(r"`(\d+)`", paragraph)} == codes == {0, 2, 3, 4, 5, 141}
+    assert {int(code) for code in re.findall(r"`(\d+)`", paragraph)} == codes == {0, 2, 3, 5, 141}
 
 
 COMPUTE = {"command": "compute", "input": "in.json", "method": "all", "output": "text"}

@@ -20,7 +20,6 @@ from milnorcalc.bundles import (
 from milnorcalc.chow import ChowClass, _sign, h_power, line_power, make_class, one, zero
 from milnorcalc.cli import load_document, main, parse_document
 from milnorcalc.engine import (
-    IntegralityError,
     ROUTE_ORDER,
     _aluffi_of_linear_locus,
     _analyze_factor,
@@ -679,10 +678,10 @@ def ref_milnor_telescope(m_list, csm_list, cfj_list, codims, n):
 @st.composite
 def factor_lists(draw):
     """Milnor, SM and virtual classes and codimensions of both parities
-    for r = 0..5 factors, all integral or mixed with rationals."""
+    for r = 0..5 factors, with small or large coefficients."""
     n = draw(st.integers(1, 6))
     r = draw(st.integers(0, 5))
-    coeff = draw(st.sampled_from([st.integers(-9, 9), coefficients]))
+    coeff = draw(st.sampled_from([coefficients, st.integers(-10**12, 10**12)]))
     m, csm, cfj = ([draw(chow_class(n, coeff)) for _ in range(r)] for _ in range(3))
     codims = draw(st.lists(st.integers(1, 5), min_size=r, max_size=r))
     return n, m, csm, cfj, codims
@@ -707,7 +706,7 @@ def test_the_report_product_rule_sums_the_expansion_and_the_telescope(n, r, data
     """The product rule the report evaluates once per intersection, on
     cfj_i = csm_i + (-1)^(n-1) m_i, equals the 2^r - 1 mixed products of
     the hypersurface factors' m_i summed one by one and the telescoped sum."""
-    coeff = data.draw(st.sampled_from([st.integers(-9, 9), coefficients]))
+    coeff = data.draw(st.sampled_from([coefficients, st.integers(-10**12, 10**12)]))
     m, csm = ([data.draw(chow_class(n, coeff)) for _ in range(r)] for _ in range(2))
     cfj = [s + _sign(n - 1) * x for s, x in zip(csm, m)]
     value = milnor_product(cfj, csm, n, n - r)
@@ -730,7 +729,7 @@ def test_milnor_product_matches_the_two_product_rules(n, r, dim_x, data):
     """One correction applied to the difference of the products, with the
     sign taken by negation, equals (-1)^dim(X) times the difference of
     the two product rules, each started at the correction."""
-    coeff = data.draw(st.sampled_from([st.integers(-9, 9), coefficients]))
+    coeff = data.draw(st.sampled_from([coefficients, st.integers(-10**12, 10**12)]))
     cfj, csm = ([data.draw(chow_class(n, coeff)) for _ in range(r)] for _ in range(2))
     expected = _sign(dim_x) * (ref_product_rule(cfj, n) - ref_product_rule(csm, n))
     assert milnor_product(cfj, csm, n, dim_x).coeffs == expected.coeffs
@@ -1073,19 +1072,23 @@ def test_report_dim_zero_intersection():
     assert x_row.consensus == zero(4)
 
 
-def test_report_integrality_guard():
-    bad_csm = make_class(2, ["0", "0", "1/2"])
+def test_report_classes_are_integral_by_type():
+    """The rational node class that a report once stopped on cannot be
+    built; an integral one gives integer classes on every route."""
+    with pytest.raises(TypeError):
+        make_class(2, ["0", "0", "1/2"])
     strat = Stratification(
         (
             Stratum("reg", 1, chi_fiber=1),
-            Stratum("node", 0, chi_fiber=0, csm_closure=bad_csm),
+            Stratum("node", 0, chi_fiber=0, closure_class=h_power(2, 2), csm_closure=h_power(2, 2)),
         )
     )
     spec = CompleteIntersectionSpec(
         2, (HypersurfaceSpec("C", 2, 3, Stratified(), None, strat),), True
     )
-    with pytest.raises(IntegralityError, match=r"Milnor class \(\w+ route\)"):
-        compute_report(spec)
+    [row] = compute_report(spec).varieties
+    assert [rv.route for rv in row.milnor] == ["expansion", "cor11", "pp"] and row.consensus == h_power(2, 2)
+    assert all(type(a) is int for c in (row.cfj, row.consensus) for a in c.coeffs)
 
 
 def test_milnor_support_starts_at_singular_codimension():
@@ -1096,3 +1099,18 @@ def test_milnor_support_starts_at_singular_codimension():
     ]
     for milnor, codim in cases:
         assert all(milnor.coeffs[j] == 0 for j in range(codim))
+
+
+def test_a_supplied_intersection_class_leads_with_the_intersection_class():
+    """A supplied c^SM of X, of codimension r, is (prod d_i) H^r plus higher
+    terms, in the ambient space of the spec; anything else is a ValidationError."""
+    ci = CompleteIntersectionSpec(3, (HypersurfaceSpec("Q", 3, 2, Smooth()), HypersurfaceSpec("T", 3, 1, Smooth())))
+    assert compute_report(ci, None, cls(3, 0, 0, 2, 3)).varieties[-1].csm_route == "supplied"
+    for csm, message in [
+        (cls(3, 0, 1, 2, 3), "intersection.csm: SM class must vanish below codimension 2"),
+        (cls(3, 0, 0, 1, 3), "intersection.csm: SM class must equal the class, 2, in codimension 2"),
+        (cls(4, 0, 0, 2, 3), "intersection.csm: wrong ambient dimension"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            compute_report(ci, None, csm)
+        assert info.value.errors == (message,)

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -66,12 +65,12 @@ def test_cfj_relation_holds_per_factor():
 
 @given(st.lists(st.tuples(st.integers(1, 5), st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=4),
        st.integers(1, 7))
-def test_cfj_list_is_the_class_sum_for_rational_and_replaced_trials(factors, n):
-    """``cfj_list`` is derived, never passed: it equals csm +- m for rational
-    classes too, and ``replace`` forms it again from the new fields."""
+def test_cfj_list_is_the_class_sum_for_given_and_replaced_trials(factors, n):
+    """``cfj_list`` is derived, never passed: it equals csm +- m for classes
+    given by hand too, and ``replace`` forms it again from the new fields."""
     codims = tuple(d for d, _, _ in factors)
-    csm = tuple(ChowClass(n, [Fraction(a, k + 2) for k in range(n + 1)]) for _, a, _ in factors)
-    m = tuple(ChowClass(n, [Fraction(b, 3 * k + 1) for k in range(n + 1)]) for _, _, b in factors)
+    csm = tuple(ChowClass(n, [a * (k + 2) for k in range(n + 1)]) for _, a, _ in factors)
+    m = tuple(ChowClass(n, [b - 3 * k for k in range(n + 1)]) for _, _, b in factors)
     inst = RandomInstance(0, n, len(factors), codims, csm, m)
     assert inst.cfj_list == tuple(c - x if (n - d) % 2 else c + x for c, x, d in zip(csm, m, codims))
     swapped = replace(inst, m_list=csm)

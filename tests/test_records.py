@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import types
-from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
@@ -68,13 +67,13 @@ def test_post_init_still_validates_bundles():
     class when it is built, and again on ``replace``."""
     n, point = 3, make_class(3, [0, 0, 0, 1])
     SmoothLocus(point, 1, make_class(n, [1, 2, 0, 0]))
-    SmoothLocus(point, 1, make_class(n, [1, Fraction(1, 2), 0, 0]))  # stored over 2
+    SmoothLocus(point, 1, make_class(n, [1, -5, 0, 0]))
     with pytest.raises(ValueError, match="rank must be non-negative"):
         SmoothLocus(point, -1, one(n))
     with pytest.raises(ValueError, match="constant term 1"):
         SmoothLocus(point, 1, make_class(n, [2, 0, 0, 0]))
     with pytest.raises(ValueError, match="constant term 1"):
-        SmoothLocus(point, 1, make_class(n, [Fraction(1, 2), 0, 0, 0]))
+        SmoothLocus(point, 1, make_class(n, [-1, 0, 0, 0]))
     with pytest.raises(ValueError, match="cannot have c_2"):
         SmoothLocus(point, 1, make_class(n, [1, 1, 1, 0]))
     with pytest.raises(ValueError, match="cannot have c_2"):
@@ -267,23 +266,24 @@ def test_startup_identity_leaves_out_fractions():
     assert not modules & (RATIONALS | ARGPARSE)
 
 
-def test_startup_rational_coefficients_keep_their_output(tmp_path):
-    """Rational strings load ``fractions`` and read as before: "3/3" is 1,
-    and a "1/2" point class still stops the run with exit 4."""
+def test_startup_rational_coefficients_exit_2_without_fractions(tmp_path):
+    """A coefficient is an integer: "3/3" and a "1/2" point class both exit 2
+    with the item's path, and neither loads ``fractions``; "1" reads as 1."""
     doc = json.loads((ROOT / "fixtures" / "nodal-cubic.json").read_text())
     node = doc["hypersurfaces"][0]["strata"][1]
-    node["closure"] = {"kind": "explicit", "class": ["0", "0", "3/3"], "csm": [0, "0", "2/2"]}
+    node["closure"] = {"kind": "explicit", "class": ["0", "0", "1"], "csm": [0, "-0", "1"]}
     (tmp_path / "whole.json").write_text(json.dumps(doc))
-    node["closure"]["csm"] = [0, 0, "1/2"]
-    (tmp_path / "half.json").write_text(json.dumps(doc))
     integral, _ = startup_run("crosscheck", str(ROOT / "fixtures" / "nodal-cubic.json"))
     whole, modules = startup_run("crosscheck", str(tmp_path / "whole.json"))
     assert (whole.returncode, whole.stdout, whole.stderr) == (0, integral.stdout, "")
-    assert RATIONALS <= modules
-    half, _ = startup_run("crosscheck", str(tmp_path / "half.json"))
-    assert (half.returncode, half.stdout) == (4, "")
-    assert half.stderr == ("error: C: Milnor class (expansion route) has non-integral coefficients, "
-                           "the first in codimension 2\n")
+    for key, value in (("class", ["0", "0", "3/3"]), ("csm", [0, 0, "1/2"])):
+        node["closure"] = {"kind": "explicit", "class": [0, 0, 1], "csm": [0, 0, 1], key: value}
+        (tmp_path / "rational.json").write_text(json.dumps(doc))
+        rational, modules = startup_run("crosscheck", str(tmp_path / "rational.json"))
+        assert (rational.returncode, rational.stdout) == (2, "")
+        assert rational.stderr == (f"error: hypersurfaces[0].strata[1].closure.{key}[2]: "
+                                   "expected [-]digits of at most 700 digits\n")
+        assert not modules & RATIONALS
 
 
 def test_startup_cli_import_without_site_leaves_out_typing_and_weakref():

@@ -231,3 +231,30 @@ def test_csm_linear_subspace_integral_is_euler_characteristic():
 
 def test_point_class():
     assert csm_linear_subspace(4, 0) == h_power(4, 4)
+
+
+def test_closure_sm_classes_lead_with_their_classes():
+    """In a hypersurface, a closure's SM class vanishes below the stratum's
+    codimension and there equals its class; the open stratum's closure is
+    the hypersurface, of class dH, whose SM class leads with dH."""
+    def spec(reg=None, node=None):
+        reg_cls, reg_csm = reg or (None, None)
+        node_cls, node_csm = node or (None, None)
+        strata = Stratification((Stratum("reg", 1, 1, reg_cls, reg_csm), Stratum("node", 0, 0, node_cls, node_csm)))
+        return HypersurfaceSpec("C", 2, 3, Stratified(), None, strata)
+
+    point, line = h_power(2, 2), h_power(2, 1)
+    assert validation_errors(spec((3 * line, 3 * line + point), (point, point))) == []
+    assert validation_errors(spec((None, 3 * line), (None, 2 * point))) == []  # a class not given is not checked
+    assert validation_errors(spec(node=(point, line + point))) == [
+        "C.strata.node.closure: SM class must vanish below codimension 2"]
+    assert validation_errors(spec(node=(None, make_class(2, [1])))) == [
+        "C.strata.node.closure: SM class must vanish below codimension 2"]
+    assert validation_errors(spec(node=(point, 2 * point))) == [
+        "C.strata.node.closure: SM class must equal the class, 1, in codimension 2"]
+    assert validation_errors(spec(reg=(2 * line, None))) == [
+        "C.strata.reg.closure: class must be 3H, the class of the hypersurface"]
+    assert validation_errors(spec(reg=(None, 5 * line))) == [
+        "C.strata.reg.closure: SM class must equal the class, 3, in codimension 1"]
+    # a Stratification alone has no ambient space to read codimensions in
+    assert validation_errors(spec(node=(point, line)).strata) == []
