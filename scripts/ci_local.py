@@ -12,7 +12,6 @@ step fails, else 0.
 
     python scripts/ci_local.py                        # every step it can run
     python scripts/ci_local.py --skip "Tier-1 tests"  # leave out a step (repeatable)
-    python scripts/ci_local.py --python-version 3.13  # take the 3.13 matrix entry's conditions
 
 What it cannot run, each named as skipped in the output:
 
@@ -20,9 +19,9 @@ What it cannot run, each named as skipped in the output:
   and the Python running this script runs every step.
 * the ``Install`` step: ``pip install`` fetches the build backend over the
   network; the shim stands in for what it installs.
-* the other entries of the version matrix: one run takes one entry, the
-  running Python's version unless ``--python-version`` names another, and
-  ``if: matrix.python-version == '...'`` (or ``!=``) is evaluated against it.
+* the other entries of the version matrix: one run takes the running
+  Python's entry, ``if: matrix.python-version == '...'`` (or ``!=``) is
+  evaluated against its version, and a step for another entry is skipped.
   Any other ``if:`` condition is not evaluated, and its step is skipped.
 
 It needs PyYAML (``pip install ".[test]"`` brings it) to read the workflow.
@@ -45,6 +44,7 @@ WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 NEEDS_NETWORK = {"Install"}
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench-out",
                               ".benchmarks", "*.egg-info", "build")
+VERSION = "{}.{}".format(*sys.version_info[:2])
 CONDITION = re.compile(r"""matrix\.python-version\s*(==|!=)\s*'([^']*)'""")
 
 
@@ -54,7 +54,7 @@ def steps(workflow: dict) -> list[dict]:
     return job["steps"]
 
 
-def skip_reason(step: dict, skipped: set[str], version: str) -> str | None:
+def skip_reason(step: dict, skipped: set[str]) -> str | None:
     """Why the step does not run here, or None if it runs."""
     name = step.get("name", step.get("uses", "?"))
     if "run" not in step:
@@ -70,7 +70,7 @@ def skip_reason(step: dict, skipped: set[str], version: str) -> str | None:
     if match is None:
         return f"cannot evaluate if: {condition}"
     op, value = match.groups()
-    return None if (version == value) == (op == "==") else f"if: {condition} (python {version})"
+    return None if (VERSION == value) == (op == "==") else f"if: {condition} (python {VERSION})"
 
 
 def shim(directory: Path, tree: Path) -> None:
@@ -84,8 +84,6 @@ def shim(directory: Path, tree: Path) -> None:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="Run the CI workflow's shell steps offline.")
     parser.add_argument("--skip", action="append", default=[], metavar="NAME", help="a step name to leave out")
-    parser.add_argument("--python-version", default="{}.{}".format(*sys.version_info[:2]),
-                        help="the matrix entry whose conditions to take (default: the running Python's)")
     args = parser.parse_args(argv)
     try:
         import yaml
@@ -110,12 +108,12 @@ def main(argv: list[str]) -> int:
         env.pop("PYTHONPATH", None)
         for step in steps(workflow):
             name = step.get("name", step.get("uses", "?"))
-            reason = skip_reason(step, set(args.skip), args.python_version)
+            reason = skip_reason(step, set(args.skip))
             if reason is not None:
                 skipped.append(name)
                 print(f"skip    {name}: {reason}", flush=True)
                 continue
-            script = step["run"].replace("${{ matrix.python-version }}", args.python_version)
+            script = step["run"].replace("${{ matrix.python-version }}", VERSION)
             began = time.perf_counter()
             proc = subprocess.run(["bash", "--noprofile", "--norc", "-e", "-o", "pipefail", "-c", script],
                                   cwd=tree, env=env, capture_output=True, text=True)

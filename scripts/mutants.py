@@ -104,6 +104,12 @@ MUTANTS = [
     # a supplied SM class leads with the class of its variety
     ("sm-class-below-codimension-unchecked", VARIETIES, "if any(csm.coeffs[:codim]):", "if False:"),
     ("sm-class-lead-unchecked", VARIETIES, "if lead is not None and csm.coeffs[codim] != lead:", "if False:"),
+    ("intersection-lead-unchecked-when-transversal", ENGINE, "degree if ci.transversality_asserted else None",
+     "None"),
+    ("intersection-lead-exact-when-not-transversal", ENGINE, "degree if ci.transversality_asserted else None",
+     "degree"),
+    ("intersection-lead-range-unchecked", ENGINE, "if not errors and not 0 < intersection_csm.coeffs[r] <= degree:",
+     "if False:"),
     ("open-closure-class-unchecked", VARIETIES, "if lead is not None and lead != degree:", "if False:"),
     ("open-closure-sm-lead-from-its-class", VARIETIES, "            lead = degree\n", ""),
     ("intersection-sm-class-unchecked", ENGINE, "        if errors:\n            raise ValidationError(errors)",

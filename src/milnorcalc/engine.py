@@ -708,12 +708,13 @@ def compute_report(
 ) -> ClassReport:
     """Run every requested route on every variety in the spec, after the
     one check of a spec: ``validate(ci)``, then the arguments, each a
-    ValidationError; a supplied ``intersection_csm`` must lead with the
-    intersection's class (prod d_i) H^r.  ``methods`` restricts the routes
-    (None means all).  A single hypersurface yields one row; an
-    intersection of r >= 2 adds a row per factor plus one for the
-    intersection itself, whose SM class ``intersection_csm`` supplies (not
-    on one hypersurface).
+    ValidationError; a supplied ``intersection_csm`` must lead with
+    (prod d_i) H^r if transversality is asserted, else with e H^r,
+    0 < e <= prod d_i (a tangency can make the intersection non-reduced).
+    ``methods`` restricts the routes (None means all).  A single
+    hypersurface yields one row; an intersection of r >= 2 adds a row per
+    factor plus one for the intersection itself, whose SM class
+    ``intersection_csm`` supplies (not on one hypersurface).
     """
     validate(ci)
     unknown = set(methods or ()) - set(ROUTE_ORDER)
@@ -722,9 +723,13 @@ def compute_report(
     if intersection_csm is not None and len(ci.hypersurfaces) == 1:
         raise ValidationError(["intersection: a single hypersurface has no intersection row"])
     if intersection_csm is not None:
-        degree = prod(h.degree for h in ci.hypersurfaces)
-        errors = (["intersection.csm: wrong ambient dimension"] if intersection_csm.ambient_dim != ci.ambient_dim
-                  else leading_term_errors("intersection.csm", intersection_csm, len(ci.hypersurfaces), degree))
+        degree, r = prod(h.degree for h in ci.hypersurfaces), len(ci.hypersurfaces)
+        if intersection_csm.ambient_dim != ci.ambient_dim:
+            raise ValidationError(["intersection.csm: wrong ambient dimension"])
+        errors = leading_term_errors("intersection.csm", intersection_csm, r,
+                                     degree if ci.transversality_asserted else None)
+        if not errors and not 0 < intersection_csm.coeffs[r] <= degree:
+            errors = [f"intersection.csm: SM class must lead with a degree in 1..{degree} in codimension {r}"]
         if errors:
             raise ValidationError(errors)
     selected = [route for route in ROUTE_ORDER if methods is None or route in methods]

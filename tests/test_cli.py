@@ -772,6 +772,16 @@ def _nodal_cubic(index, cls, csm):
     return doc
 
 
+def _conic_and_tangent_line(csm):
+    """A smooth conic and a tangent line in P^2, not asserted transversal:
+    they meet in one double point, so the reduced intersection's SM class
+    is H^2 while c^FJ leads with 2H^2."""
+    return {"ambient": {"kind": "projective", "dim": 2}, "transversal": False,
+            "hypersurfaces": [{"name": "C", "degree": 2, "singularity": {"kind": "smooth"}},
+                              {"name": "L", "degree": 1, "singularity": {"kind": "smooth"}}],
+            "intersection": {"csm": {"coeffs": csm}}}
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -784,13 +794,16 @@ def _nodal_cubic(index, cls, csm):
         (_nodal_cubic(0, [0, 3], [0, 5]),
          "hypersurfaces[0].strata.reg.closure: SM class must equal the class, 3, in codimension 1"),
         (_with(json.loads((FIXTURES / "quadric-tangent-plane.json").read_text()),
-               lambda d: d["intersection"].update(csm={"coeffs": [0, 0, 3, 3]})),
+               lambda d: d["intersection"].update(csm={"coeffs": [0, 0, 1, 3]})),
          "intersection.csm: SM class must equal the class, 2, in codimension 2"),
+        (_conic_and_tangent_line([0, 0, 3]),
+         "intersection.csm: SM class must lead with a degree in 1..2 in codimension 2"),
         (_with(json.loads((FIXTURES / "quadric-tangent-plane.json").read_text()),
                lambda d: d["intersection"]["csm"]["combination"].append({"kind": "ci", "degrees": [2]})),
          "intersection.csm: SM class must vanish below codimension 2"),
     ],
-    ids=["node-csm-below", "node-csm-lead", "open-class", "open-csm-lead", "intersection-lead", "intersection-below"],
+    ids=["node-csm-below", "node-csm-lead", "open-class", "open-csm-lead", "intersection-lead",
+         "intersection-lead-above-degree", "intersection-below"],
 )
 def test_impossible_supplied_classes_exit_2_with_their_path(tmp_path, doc, message):
     """A supplied SM class leads with the class of its variety: a closure's
@@ -802,6 +815,17 @@ def test_impossible_supplied_classes_exit_2_with_their_path(tmp_path, doc, messa
         stderr = proc.stderr.decode("utf-8")
         assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, b"")
         assert f"error: {message}\n" in stderr and "Traceback" not in stderr
+
+
+def test_a_non_reduced_intersection_leads_with_its_reduced_degree(tmp_path):
+    """Without transversality the intersection may be non-reduced, and its
+    SM class leads with the reduced variety's degree, at most prod d_i: the
+    conic's double point with its tangent line has c^SM = H^2, and the
+    definition route gives c^FJ - c^SM = 2H^2 - H^2."""
+    proc = run_cli("compute", write_doc(tmp_path, _conic_and_tangent_line([0, 0, 1])))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    row = _check(_conic_and_tangent_line([0, 0, 1])).varieties[-1]
+    assert [(rv.route, rv.value) for rv in row.milnor] == [("definition", h_power(2, 2))]
 
 
 def test_empty_strata_reach_validation():

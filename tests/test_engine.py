@@ -1102,14 +1102,21 @@ def test_milnor_support_starts_at_singular_codimension():
 
 
 def test_a_supplied_intersection_class_leads_with_the_intersection_class():
-    """A supplied c^SM of X, of codimension r, is (prod d_i) H^r plus higher
-    terms, in the ambient space of the spec; anything else is a ValidationError."""
-    ci = CompleteIntersectionSpec(3, (HypersurfaceSpec("Q", 3, 2, Smooth()), HypersurfaceSpec("T", 3, 1, Smooth())))
-    assert compute_report(ci, None, cls(3, 0, 0, 2, 3)).varieties[-1].csm_route == "supplied"
-    for csm, message in [
-        (cls(3, 0, 1, 2, 3), "intersection.csm: SM class must vanish below codimension 2"),
-        (cls(3, 0, 0, 1, 3), "intersection.csm: SM class must equal the class, 2, in codimension 2"),
-        (cls(4, 0, 0, 2, 3), "intersection.csm: wrong ambient dimension"),
+    """A supplied c^SM of X, of codimension r, vanishes below H^r, in the
+    ambient space of the spec.  It leads with (prod d_i) H^r when
+    transversality is asserted; otherwise X may be non-reduced, and it leads
+    with e H^r, 0 < e <= prod d_i.  Anything else is a ValidationError."""
+    factors = (HypersurfaceSpec("Q", 3, 2, Smooth()), HypersurfaceSpec("T", 3, 1, Smooth()))
+    transversal, tangent = CompleteIntersectionSpec(3, factors, True), CompleteIntersectionSpec(3, factors)
+    for ci, csm in [(transversal, cls(3, 0, 0, 2, 3)), (tangent, cls(3, 0, 0, 2, 3)), (tangent, cls(3, 0, 0, 1, 3))]:
+        assert compute_report(ci, None, csm).varieties[-1].csm_route == "supplied"
+    for ci, csm, message in [
+        (transversal, cls(3, 0, 1, 2, 3), "intersection.csm: SM class must vanish below codimension 2"),
+        (tangent, cls(3, 0, 1, 2, 3), "intersection.csm: SM class must vanish below codimension 2"),
+        (transversal, cls(3, 0, 0, 1, 3), "intersection.csm: SM class must equal the class, 2, in codimension 2"),
+        (tangent, cls(3, 0, 0, 3, 3), "intersection.csm: SM class must lead with a degree in 1..2 in codimension 2"),
+        (tangent, cls(3, 0, 0, 0, 3), "intersection.csm: SM class must lead with a degree in 1..2 in codimension 2"),
+        (tangent, cls(4, 0, 0, 2, 3), "intersection.csm: wrong ambient dimension"),
     ]:
         with pytest.raises(ValidationError) as info:
             compute_report(ci, None, csm)
