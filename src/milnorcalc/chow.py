@@ -25,7 +25,7 @@ from operator import add, sub
 
 def _coerce(value) -> int:
     """An int, or the int a ``[-]digits`` string spells; anything else
-    (floats, fractions, "1/2", "1_000", " 1", non-ASCII digits) is rejected."""
+    (floats, rationals, "1/2", "1_000", " 1", non-ASCII digits) is rejected."""
     if isinstance(value, int):
         return value
     if isinstance(value, str):
