@@ -75,6 +75,12 @@ MUTANTS = [
     ("sparse-quotient-one-term-early", CHOW, "if i > k:\n                    break",
      "if i >= k:\n                    break"),
     ("coefficient-of-non-ascii-digits", CHOW, "if digits.isascii() and digits.isdigit():", "if digits.isdigit():"),
+    # the packed product kernel: the digit width's sign bit, the borrow, the mask, and the two thresholds
+    ("packed-digit-without-sign-bit", CHOW, "(m * len(triples)).bit_length() + 1", "(m * len(triples)).bit_length()"),
+    ("packed-digit-without-borrow", CHOW, "            v += 1\n", ""),
+    ("packed-mask-one-digit-short", CHOW, "& ((1 << m * bits) - 1)", "& ((1 << (m - 1) * bits) - 1)"),
+    ("packed-from-eleven-terms", CHOW, "_PACKED_MIN_TERMS = 12", "_PACKED_MIN_TERMS = 11"),
+    ("packed-up-to-193-bits", CHOW, "_PACKED_MAX_BITS = 192", "_PACKED_MAX_BITS = 193"),
     # the signs that the product-rule routes give their terms as dot weights
     ("product-weight", ENGINE, "csm_list[-1], -sign)]", "csm_list[-1], sign)]"),
     ("expansion-weight", ENGINE, "(x, y, sign * s * t)", "(x, y, sign * s)"),

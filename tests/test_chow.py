@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from milnorcalc import chow
 from milnorcalc.chow import ChowClass, dot, format_class, h_power, line_power, make_class, one, zero
 from milnorcalc.cli import _coeff_strings
 
@@ -510,3 +511,98 @@ def test_division_by_a_non_unit_raises(c0):
     for divide in (lambda: make_class(3, [1, 2]) / u, lambda: u / u, u.invert, lambda: u ** -1):
         with pytest.raises(ValueError, match="constant term 1 or -1"):
             divide()
+
+
+# -- the packed product kernel: Kronecker substitution against the loop -----------
+#
+# ``*`` and ``dot`` evaluate a sum of products at X = 2^B when every operand
+# has at least 12 nonzero terms and every pair's bit lengths sum to at most
+# 192; ``classes()`` stops at n = 6, below that, so these draw n = 11..64.
+
+PACKED_BITS = [1, 8, 40, 64, 95, 96, 100]
+
+
+def ref_dot(triples, n):
+    """The sum of w x y over the (x, y, w) triples, by ``ref_mul``."""
+    out = [Fraction(0)] * (n + 1)
+    for x, y, w in triples:
+        out = [a + w * b for a, b in zip(out, ref_mul(x.coeffs, y.coeffs))]
+    return tuple(out)
+
+
+@st.composite
+def wide_classes(draw, n):
+    """A class in P^n with coefficients of at most a drawn number of bits,
+    often at the extremes +-(2^bits - 1): dense, or with a drawn number of
+    nonzero terms, often 11 or 12, just below and at the packing threshold."""
+    top = 2 ** draw(st.sampled_from(PACKED_BITS)) - 1
+    coeff = st.sampled_from([top, -top]) | st.integers(-top, top).filter(bool)
+    terms = draw(st.sampled_from([n + 1, 11, 12]) | st.integers(0, n + 1))
+    coeffs = [0] * (n + 1)
+    for j in draw(st.permutations(range(n + 1)))[:terms]:
+        coeffs[j] = draw(coeff)
+    return ChowClass(n, coeffs)
+
+
+dims_11_64 = st.integers(11, 64)
+packed_weights = st.sampled_from([1, -1]) | st.sampled_from([3, -3, 2**20 - 1]) | st.integers(-10**6, 10**6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims_11_64.flatmap(lambda n: st.tuples(wide_classes(n), wide_classes(n))))
+def test_products_in_high_dimension_match_fraction_reference(ab):
+    a, b = ab
+    _same(a * b, ref_mul(a.coeffs, b.coeffs))
+    _same(b * a, ref_mul(a.coeffs, b.coeffs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dims_11_64.flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(wide_classes(n), wide_classes(n), packed_weights), min_size=1, max_size=4))))
+def test_dot_in_high_dimension_matches_the_weighted_sum_reference(case):
+    n, triples = case
+    _same(dot(triples, n), ref_dot(triples, n))
+
+
+INSIDE = 2**95 - 1  # 95 bits: a product of two with weight 1 has bit lengths summing to 191
+
+
+def _terms(n, count, value=1):
+    """``count`` nonzero terms spread over P^n, the rest zero."""
+    return ChowClass(n, [value if j < count else 0 for j in range(n + 1)])
+
+
+@pytest.mark.parametrize("n, pairs, packed", [
+    # every coefficient -1 against every coefficient 1: each digit is
+    # negative and borrows from the next; the weighted square likewise
+    (32, [(make_class(32, [-1] * 33), make_class(32, [1] * 33), 1)], True),
+    (40, [(make_class(40, [-1] * 41), make_class(40, [-1] * 41), -1)], True),
+    # +-(2^95 - 1), just inside the bound, in alternating and uniform signs
+    (64, [(make_class(64, [INSIDE * (-1) ** j for j in range(65)]), make_class(64, [INSIDE] * 65), 1)], True),
+    (64, [(make_class(64, [-INSIDE] * 65), make_class(64, [INSIDE] * 65), 1)], True),
+    # weight 3 fills the bound, 192 bits, and m * pairs = 31 fills its bit
+    # length: the top coefficient exceeds 2^(B-2), so the sign bit is needed
+    (30, [(make_class(30, [INSIDE] * 31), make_class(30, [INSIDE] * 31), 3)], True),
+    (20, [(make_class(20, [INSIDE] * 21), make_class(20, [-INSIDE] * 21), -3)] * 3, True),
+    # one bit over the bound on either operand or on the weight
+    (32, [(make_class(32, [2 * (INSIDE + 1)] * 33), make_class(32, [INSIDE] * 33), 1)], False),
+    (32, [(make_class(32, [INSIDE] * 33), make_class(32, [INSIDE] * 33), 4)], False),
+    # a zero operand, in a product and among packed pairs
+    (32, [(zero(32), make_class(32, [5] * 33), 1)], False),
+    (32, [(make_class(32, [7] * 33), make_class(32, [-9] * 33), 1), (zero(32), make_class(32, [5] * 33), 1)], False),
+    # exactly 11 and exactly 12 nonzero terms, on either side
+    (32, [(_terms(32, 11, -3), make_class(32, [2] * 33), 1)], False),
+    (32, [(make_class(32, [2] * 33), _terms(32, 11, -3), 1)], False),
+    (32, [(_terms(32, 12, -3), make_class(32, [2] * 33), 1)], True),
+    (11, [(_terms(11, 12, -1), _terms(11, 12, 1), 1)], True),
+    (11, [(_terms(11, 11, -1), _terms(11, 12, 1), 1)], False),
+], ids=["minus-ones", "minus-ones-squared", "inside-alternating", "inside-uniform", "inside-weight-3",
+        "inside-three-pairs", "operand-over", "weight-over", "zero-operand", "zero-among-pairs", "eleven-terms-left",
+        "eleven-terms-right", "twelve-terms", "twelve-terms-n11", "eleven-terms-n11"])
+def test_packing_threshold_examples(n, pairs, packed):
+    """Each example is exact, and takes the path that the threshold gives it."""
+    assert bool(chow._digit_bits(n + 1, [(x.coeffs, y.coeffs, w) for x, y, w in pairs])) is packed
+    _same(dot(pairs, n), ref_dot(pairs, n))
+    if len(pairs) == 1 and pairs[0][2] == 1:
+        x, y, _ = pairs[0]
+        _same(x * y, ref_mul(x.coeffs, y.coeffs))

@@ -614,7 +614,7 @@ def _locus(h, s):
     )
 
 
-@pytest.mark.parametrize(
+DIGIT_CAP_EDITS = pytest.mark.parametrize(
     "edit",
     [
         lambda h, s: s.update(chiF=1 - 10**MAX_DIGITS),
@@ -624,6 +624,9 @@ def _locus(h, s):
     ],
     ids=["chiF", "explicit-csm", "sing-locus"],
 )
+
+
+@DIGIT_CAP_EDITS
 def test_numbers_at_the_digit_caps_print_and_run_quickly(tmp_path, edit):
     """Classes with more digits than Python converts to a string by default
     are printed, and the slowest documents found at the digit caps (the
@@ -656,6 +659,49 @@ def test_a_report_sums_the_expansion_in_closed_form(monkeypatch):
     report = compute_report(spec, None, intersection_csm)
     assert {"expansion", "cor11"} <= {rv.route for rv in report.varieties[-1].milnor}
     assert len(calls) <= 90
+
+
+def _kernel_paths(monkeypatch):
+    """Counts of the packed and the loop path of the ring-product kernel:
+    the calls of ``chow._pack`` (twice per packed pair) and of
+    ``chow._accumulate`` (once per pair on the loop)."""
+    calls = {"packed": 0, "loop": 0}
+    for name, path in (("_pack", "packed"), ("_accumulate", "loop")):
+        def counted(*args, f=getattr(milnorcalc.chow, name), path=path):
+            calls[path] += 1
+            return f(*args)
+        monkeypatch.setattr(milnorcalc.chow, name, counted)
+    return calls
+
+
+def test_the_ladders_p32_product_rule_takes_the_packed_path(monkeypatch):
+    """On the benchmark's P^32 rung of the dimension ladder, every product of
+    ``milnor_product`` (its ``dot`` and the division by c(TP^n)) is packed."""
+    calls = _kernel_paths(monkeypatch)
+    per_call = []
+    product = milnorcalc.engine.milnor_product
+
+    def counted(*args):
+        before = dict(calls)
+        value = product(*args)
+        per_call.append({path: calls[path] - before[path] for path in calls})
+        return value
+
+    monkeypatch.setattr(milnorcalc.engine, "milnor_product", counted)
+    [doc] = [d for d in _ladder_documents() if d["ambient"]["dim"] == 32]
+    spec, intersection_csm, _ = parse_document(doc)
+    assert compute_report(spec, None, intersection_csm).all_agree
+    assert per_call and all(c == {"packed": 6, "loop": 0} for c in per_call)  # two pairs in dot, one product
+
+
+@DIGIT_CAP_EDITS
+def test_the_digit_cap_documents_take_the_loop(monkeypatch, edit):
+    """On the digit-cap documents, whose coefficients run to thousands of
+    bits, every ring product stays on the loop: packing lost there."""
+    calls = _kernel_paths(monkeypatch)
+    spec, intersection_csm, _ = parse_document(_big_numbers_doc(edit))
+    compute_report(spec, None, intersection_csm)
+    assert calls["packed"] == 0 and calls["loop"] > 0
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -1363,6 +1409,82 @@ def test_a_perturbed_cone_disagrees(perturb, parity, data):
     doc = cone_cut_doc(*data.draw(st.sampled_from(cone_cut_cases(parity, "cone"))))
     assume(len(doc["hypersurfaces"][0]["strata"]) > 2)  # a singular stratum besides the vertex
     perturb(doc["hypersurfaces"][0]["strata"])
+    assert crosscheck_exit(doc) == EXIT_DISAGREEMENT
+
+
+# -- cones on intersection rows: the cone over X cut back to X ------------------
+
+def cone_cut_back(doc):
+    """The cone over X in P^(n+1), X in ``explicit_closures`` form in P^n,
+    cut by a hyperplane that misses the vertex: X again, a transversal
+    intersection whose c^SM is c^SM(X) pushed into P^(n+1), the
+    coefficients shifted up one codimension.  Two factors: the cone's
+    strata from ``cone_doc`` and a smooth hyperplane."""
+    cone = cone_doc(doc)
+    csm = doc["hypersurfaces"][0]["strata"][0]["closure"]["csm"]
+    return cone | {
+        "transversal": True,
+        "hypersurfaces": cone["hypersurfaces"] + [{"name": "cut", "degree": 1, "singularity": {"kind": "smooth"}}],
+        "intersection": {"csm": {"coeffs": [0, *csm]}},
+    }
+
+
+# Bases in P^11 and P^12 whose cones land in P^12 and P^13, where a
+# report's classes are dense enough for the packed ring-product kernel.
+HIGH_CONE_BASES = [("join", 11, 2, 4), ("join", 12, 3, 5), ("isolated points", 12, 2, (2, 1)),
+                   ("normal crossings", 11, (1, 1, 2))]
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even-n", "odd-n"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_cone_cut_back_agrees_on_its_intersection_row(parity, data):
+    """Normal crossings, isolated points and joins, coned and cut up to three
+    times, then coned once more and cut by a hyperplane that misses the
+    vertex, in P^n of the given parity: ``definition`` (X's c^SM pushed
+    forward), ``thm1`` (the product rule on the two factors) and ``pp``
+    (the cone's strata, whose vertex chiF gamma peels through every
+    level) agree on the intersection row, and crosscheck agrees."""
+    doc = cone_cut_back(cone_cut_doc(*data.draw(st.sampled_from(cone_cut_cases(1 - parity)))))
+    assert doc["ambient"]["dim"] % 2 == parity
+    routes = _routes_by_row(doc)[-1]
+    assert routes["definition"] == routes["thm1"] == routes["pp"]
+    assert crosscheck_exit(doc) == EXIT_OK
+
+
+@pytest.mark.parametrize("base", HIGH_CONE_BASES, ids=lambda base: f"{base[0]}-cone-in-P{base[1] + 1}")
+def test_a_cone_cut_back_in_high_dimension_goes_through_the_packed_kernel(monkeypatch, base):
+    """In P^12 and P^13 the intersection row agrees on ``definition``,
+    ``thm1`` and ``pp``, and some of its ring products take the packed path."""
+    doc = cone_cut_back(cone_cut_base(*base))
+    clear_class_memos()
+    calls = _kernel_paths(monkeypatch)
+    routes = _routes_by_row(doc)[-1]
+    assert routes["definition"] == routes["thm1"] == routes["pp"]
+    assert calls["packed"] > 0
+    assert crosscheck_exit(doc) == EXIT_OK
+
+
+@pytest.mark.parametrize("perturb, intersection_agrees", [(_coned_stratum_chif_plus_one, False),
+                                                         (_cone_vertex_chif_plus_one, True)],
+                         ids=["coned-chiF-plus-one", "vertex-chiF-plus-one"])
+@pytest.mark.parametrize("parity", [0, 1], ids=["even-n", "odd-n"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_a_perturbed_cone_cut_back_disagrees(perturb, intersection_agrees, parity, data):
+    """A cone chiF plus one moves ``pp`` alone, and crosscheck exits 3.  A
+    coned singular stratum meets the hyperplane, so the cone's factor row
+    and the intersection row both disagree.  The vertex does not: its
+    point class times the hyperplane class is 0 in P^n, so only the factor
+    row disagrees."""
+    base = data.draw(st.sampled_from(cone_cut_cases(1 - parity) + [(b, ()) for b in HIGH_CONE_BASES]))
+    doc = cone_cut_back(cone_cut_doc(*base))
+    assume(len(doc["hypersurfaces"][0]["strata"]) > 2)  # a singular stratum besides the vertex
+    perturb(doc["hypersurfaces"][0]["strata"])
+    spec, intersection_csm, _ = parse_document(doc)
+    cone_row, _, intersection_row = compute_report(spec, None, intersection_csm).varieties
+    assert not cone_row.agree
+    assert intersection_row.agree is intersection_agrees
     assert crosscheck_exit(doc) == EXIT_DISAGREEMENT
 
 
